@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,7 +32,7 @@
 #include "core/sparch_simulator.hh"
 #include "driver/batch_runner.hh"
 #include "driver/thread_pool.hh"
-#include "exec/local_executors.hh"
+#include "exec/executor.hh"
 #include "exec/process_pool_executor.hh"
 
 namespace sparch
@@ -109,29 +110,27 @@ runBatch(const driver::BatchRunner &runner)
     const char *env = std::getenv("SPARCH_BENCH_EXEC");
     const std::string kind = env == nullptr ? "threads" : env;
 
-    driver::RunStats stats;
-    std::vector<driver::BatchRecord> records;
-    if (kind == "threads") {
-        records = runner.run(nullptr, &stats);
-    } else if (kind == "inline") {
-        exec::InlineExecutor serial;
-        records = runner.run(serial, nullptr, &stats);
-    } else if (kind == "procs") {
-        exec::ProcessPoolOptions options;
-        options.procs = benchThreads();
+    exec::ProcessPoolOptions procs;
+    procs.procs = benchThreads();
+    if (kind == "procs") {
         const char *worker = std::getenv("SPARCH_BENCH_WORKER");
         if (worker == nullptr) {
             fatal("SPARCH_BENCH_EXEC=procs needs "
                   "SPARCH_BENCH_WORKER=/path/to/sparch (a bench "
                   "binary cannot act as its own worker)");
         }
-        options.workerBinary = worker;
-        exec::ProcessPoolExecutor procs(options);
-        records = runner.run(procs, nullptr, &stats);
-    } else {
+        procs.workerBinary = worker;
+    }
+    const std::unique_ptr<exec::Executor> executor =
+        exec::makeExecutor(kind, runner.threads(), procs);
+    if (!executor) {
         fatal("SPARCH_BENCH_EXEC '", kind,
               "' is not inline, threads or procs");
     }
+
+    driver::RunStats stats;
+    const std::vector<driver::BatchRecord> records =
+        runner.run(*executor, nullptr, &stats);
     for (const driver::FailedPoint &f : stats.failures) {
         warn("grid point ", f.id, " (", f.configLabel, " x ",
              f.workloadName, ") failed: ", f.error);

@@ -10,9 +10,7 @@
  * only — workload generation happens up front, outside the clock.
  *
  * Knobs: SPARCH_BENCH_NNZ (proxy scale, default 60000),
- * SPARCH_BENCH_REPS (repetitions, default 5; the median is reported),
- * SPARCH_VIRTUAL_KERNEL=1 (tick through the polymorphic SimKernel
- * conformance path instead of the static kernel).
+ * SPARCH_BENCH_REPS (repetitions, default 5; the median is reported).
  *
  * With SPARCH_BENCH_JSON=<path> the result is written as one
  * BENCH_simulator.json trajectory entry (schema
@@ -33,7 +31,6 @@
 
 #include "bench/bench_common.hh"
 #include "bench/json_writer.hh"
-#include "core/tick_kernel.hh"
 
 namespace
 {
@@ -65,8 +62,6 @@ main()
 
     const SpArchConfig config{};
     const SpArchSimulator sim(config);
-    const char *kernel =
-        tickKernel() == TickKernel::Virtual ? "virtual" : "static";
 
     // One untimed warmup pass: first-touch allocations (arena growth,
     // buffer pools) belong to setup, not to the steady state this
@@ -103,7 +98,6 @@ main()
     TablePrinter table("hot path: single-simulation wall clock, "
                        "fig12 suite (serial, 1 thread)");
     table.header({"metric", "value"});
-    table.row({"kernel", kernel});
     table.row({"matrices", std::to_string(matrices.size())});
     table.row({"nnz target", std::to_string(target)});
     table.row({"repetitions", std::to_string(reps)});
@@ -121,7 +115,6 @@ main()
         json.beginObject();
         json.field("schema", "sparch-bench-hotpath-v1");
         json.field("workload", "fig12-suite");
-        json.field("kernel", kernel);
         json.field("nnz_target", target);
         json.field("reps", reps);
         json.field("median_seconds", median);

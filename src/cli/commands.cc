@@ -27,7 +27,7 @@
 #include "dse/pareto.hh"
 #include "dse/surrogate.hh"
 #include "dse/workload_stats.hh"
-#include "exec/local_executors.hh"
+#include "exec/executor.hh"
 #include "exec/process_pool_executor.hh"
 #include "matrix/scsr.hh"
 #include "matrix/scsr_convert.hh"
@@ -199,19 +199,13 @@ std::unique_ptr<sparch::exec::Executor>
 makeExecutor(const std::string &kind, unsigned threads,
              unsigned procs)
 {
-    if (kind == "inline")
-        return std::make_unique<sparch::exec::InlineExecutor>();
-    if (kind == "threads") {
-        return std::make_unique<sparch::exec::ThreadPoolExecutor>(
-            threads);
-    }
-    if (kind == "procs") {
-        sparch::exec::ProcessPoolOptions options;
-        options.procs = procs;
-        return std::make_unique<sparch::exec::ProcessPoolExecutor>(
-            options);
-    }
-    fatal("--exec '", kind, "' is not inline, threads or procs");
+    sparch::exec::ProcessPoolOptions options;
+    options.procs = procs;
+    std::unique_ptr<sparch::exec::Executor> executor =
+        sparch::exec::makeExecutor(kind, threads, options);
+    if (!executor)
+        fatal("--exec '", kind, "' is not inline, threads or procs");
+    return executor;
 }
 
 int

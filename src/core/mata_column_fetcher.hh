@@ -61,9 +61,9 @@ class MataColumnFetcher final : public hw::Clocked
         ++retired_[port];
     }
 
-    void clockUpdate() override;
-    void clockApply() override;
-    void recordStats(StatSet &stats) const override;
+    void clockUpdate();
+    void clockApply();
+    void recordStats(StatSet &stats) const;
 
     /** Cycles in which at least one element read was issued. */
     std::uint64_t issueCycles() const { return issue_cycles_; }

@@ -55,9 +55,9 @@ class MultiplierArray final : public hw::Clocked
     /** All tasks consumed and all fresh ports finished. */
     bool done() const;
 
-    void clockUpdate() override;
-    void clockApply() override;
-    void recordStats(StatSet &stats) const override;
+    void clockUpdate();
+    void clockApply();
+    void recordStats(StatSet &stats) const;
 
     /** Scalar multiplications performed. */
     std::uint64_t multiplies() const { return multiplies_; }

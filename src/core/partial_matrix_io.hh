@@ -40,9 +40,9 @@ class PartialMatrixFetcher final : public hw::Clocked
     /** All stored inputs fully delivered. */
     bool done() const;
 
-    void clockUpdate() override;
-    void clockApply() override;
-    void recordStats(StatSet &stats) const override;
+    void clockUpdate();
+    void clockApply();
+    void recordStats(StatSet &stats) const;
 
   private:
     struct InputState
@@ -103,9 +103,9 @@ class PartialMatrixWriter final : public hw::Clocked
     /** Move the captured output out (end of round). */
     std::vector<StreamElement> takeCaptured();
 
-    void clockUpdate() override;
-    void clockApply() override;
-    void recordStats(StatSet &stats) const override;
+    void clockUpdate();
+    void clockApply();
+    void recordStats(StatSet &stats) const;
 
     /** Same-coordinate additions performed while draining. */
     std::uint64_t additions() const { return additions_; }

@@ -94,9 +94,9 @@ class RowPrefetcher final : public hw::Clocked
      */
     bool rowReady(std::uint64_t pos);
 
-    void clockUpdate() override;
-    void clockApply() override;
-    void recordStats(StatSet &stats) const override;
+    void clockUpdate();
+    void clockApply();
+    void recordStats(StatSet &stats) const;
 
     /** Line lookups that found the line resident. */
     std::uint64_t hits() const { return hits_; }

@@ -15,9 +15,8 @@
 #include "core/multiplier_array.hh"
 #include "core/partial_matrix_io.hh"
 #include "core/row_prefetcher.hh"
-#include "core/tick_kernel.hh"
+#include "hw/clocked.hh"
 #include "hw/merge_tree.hh"
-#include "hw/static_kernel.hh"
 
 namespace sparch
 {
@@ -65,12 +64,9 @@ streamToCsr(const std::vector<StreamElement> &stream, Index rows,
  * references and must outlive the context, as must the arena (the
  * per-thread run arena, reset between multiplies).
  *
- * Two tick kernels drive the same module instances: the statically
- * typed StaticKernel (default; direct, inlineable calls) and the
- * polymorphic SimKernel (debug/conformance; two virtual calls per
- * module per cycle). They are bit-identical by contract — the
- * conformance tests pin that — and the choice never affects results,
- * so it lives outside SpArchConfig (see core/tick_kernel.hh).
+ * One statically typed SimKernel ticks the six modules with direct,
+ * inlineable calls; SpArchSimulator.GoldenCyclesAndTraffic* pin the
+ * cycle counts and traffic it produces.
  */
 class RunContext
 {
@@ -87,20 +83,12 @@ class RunContext
           partial_fetcher_(config, *mem_, "partial_fetcher"),
           tree_(config.mergeTree, "merge_tree", &arena),
           writer_(config, *mem_, "writer"),
-          static_kernel_(fetcher_, prefetcher_, multiplier_,
-                         partial_fetcher_, tree_, writer_),
-          virtual_kernel_(tickKernel() == TickKernel::Virtual)
+          kernel_(fetcher_, prefetcher_, multiplier_, partial_fetcher_,
+                  tree_, writer_)
     {
         multiplier_.connect(&fetcher_, &prefetcher_, &tree_);
         partial_fetcher_.connectTree(&tree_);
         writer_.connectTree(&tree_);
-
-        kernel_.addModule(&fetcher_);
-        kernel_.addModule(&prefetcher_);
-        kernel_.addModule(&multiplier_);
-        kernel_.addModule(&partial_fetcher_);
-        kernel_.addModule(&tree_);
-        kernel_.addModule(&writer_);
     }
 
     /** Execute the whole simulation and collect the result. */
@@ -180,13 +168,6 @@ class RunContext
                     b_.rowNnz(k));
             }
         }
-    }
-
-    /** Simulation time of whichever kernel drives the pipeline. */
-    Cycle
-    kernelNow() const
-    {
-        return virtual_kernel_ ? kernel_.now() : static_kernel_.now();
     }
 
     /** Run one merge round (Section II-C) through the pipeline. */
@@ -328,7 +309,7 @@ class RunContext
         // deadlockCycleCap overrides the derived bound (a liveness
         // knob only — completed runs do not depend on it).
         const Cycle max_cycles =
-            kernelNow() +
+            kernel_.now() +
             (config_.deadlockCycleCap > 0
                  ? config_.deadlockCycleCap
                  : 100000 + 200 * (total_inputs + node.weight + 1));
@@ -336,10 +317,7 @@ class RunContext
         const std::uint64_t allocs_before =
             allochook::counter().load(std::memory_order_relaxed);
 #endif
-        const bool finished =
-            virtual_kernel_ ? kernel_.run(round_done, max_cycles)
-                            : static_kernel_.run(round_done, max_cycles);
-        if (!finished) {
+        if (!kernel_.run(round_done, max_cycles)) {
             panic("sparch: merge round ", round_id,
                   " deadlocked (inputs=", total_inputs, ")");
         }
@@ -377,7 +355,7 @@ class RunContext
     void
     recordMetrics(SpArchResult &res)
     {
-        res.cycles = kernelNow();
+        res.cycles = kernel_.now();
         res.seconds = static_cast<double>(res.cycles) / config_.clockHz;
         res.multiplies = multiplier_.multiplies();
         res.additions = tree_.additions() + writer_.additions();
@@ -427,18 +405,15 @@ class RunContext
 
     // ---- the clocked pipeline of Fig. 10 ----
     std::unique_ptr<mem::MemoryModel> mem_;
-    hw::SimKernel kernel_; //!< polymorphic conformance path
     MataColumnFetcher fetcher_;
     RowPrefetcher prefetcher_;
     MultiplierArray multiplier_;
     PartialMatrixFetcher partial_fetcher_;
     hw::MergeTree tree_;
     PartialMatrixWriter writer_;
-    hw::StaticKernel<MataColumnFetcher, RowPrefetcher, MultiplierArray,
-                     PartialMatrixFetcher, hw::MergeTree,
-                     PartialMatrixWriter>
-        static_kernel_;
-    const bool virtual_kernel_;
+    hw::SimKernel<MataColumnFetcher, RowPrefetcher, MultiplierArray,
+                  PartialMatrixFetcher, hw::MergeTree, PartialMatrixWriter>
+        kernel_;
 
     // ---- per-round scratch, reused across rounds ----
     std::vector<MultTask> tasks_;

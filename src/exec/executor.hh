@@ -42,6 +42,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -123,6 +124,18 @@ sortById(std::vector<driver::BatchRecord> &records,
                   return a.id < b.id;
               });
 }
+
+struct ProcessPoolOptions;
+
+/**
+ * Build the backend `kind` names: "inline", "threads" (a pool of
+ * `threads` workers) or "procs" (configured by `procs`). Returns
+ * nullptr for any other name, so each caller reports the bad value
+ * in terms of its own flag or environment variable.
+ */
+std::unique_ptr<Executor> makeExecutor(const std::string &kind,
+                                       unsigned threads,
+                                       const ProcessPoolOptions &procs);
 
 } // namespace exec
 } // namespace sparch

@@ -10,13 +10,19 @@
  * structure: the kernel calls clockUpdate() on every module (combinational
  * evaluation against the current registered state), then clockApply()
  * (commit of next state), then advances the cycle counter.
+ *
+ * The Fig. 10 pipeline is a fixed set of modules, so the kernel holds
+ * the concrete module types in a tuple and unrolls both clock phases
+ * into direct calls at compile time; nothing dispatches through the
+ * Clocked base. Absolute cycle counts are pinned by the golden tests
+ * SpArchSimulator.GoldenCyclesAndTraffic*.
  */
 
 #ifndef SPARCH_HW_CLOCKED_HH
 #define SPARCH_HW_CLOCKED_HH
 
 #include <string>
-#include <vector>
+#include <tuple>
 
 #include "common/annotations.hh"
 #include "common/stats.hh"
@@ -27,55 +33,49 @@ namespace sparch
 namespace hw
 {
 
-/** Base class for every clocked hardware module. */
+/**
+ * Base class for every clocked hardware module. It only carries the
+ * instance name; each module provides clockUpdate() (combinational
+ * phase), clockApply() (the flip-flop edge) and recordStats(StatSet &),
+ * which SimKernel calls on the concrete type.
+ */
 class Clocked
 {
   public:
     explicit Clocked(std::string name) : name_(std::move(name)) {}
-    virtual ~Clocked() = default;
 
     Clocked(const Clocked &) = delete;
     Clocked &operator=(const Clocked &) = delete;
 
-    /** Combinational phase: compute next state from current state. */
-    virtual void clockUpdate() = 0;
-
-    /** Sequential phase: commit next state (the flip-flop edge). */
-    virtual void clockApply() = 0;
-
     /** Module instance name, used as a stats prefix. */
     const std::string &name() const { return name_; }
-
-    /** Export this module's statistics. */
-    virtual void recordStats(StatSet &) const {}
 
   private:
     std::string name_;
 };
 
 /**
- * Cycle-driven simulation kernel. Modules are ticked in registration
- * order for clockUpdate (producers should register before consumers so
- * data flows one stage per cycle) and in the same order for clockApply.
+ * Cycle-driven simulation kernel over a fixed module set. Modules are
+ * ticked in constructor-argument order for clockUpdate (producers come
+ * before consumers so data flows one stage per cycle), then in the same
+ * order for clockApply, then the cycle advances.
  */
+template <typename... Modules>
 class SimKernel
 {
   public:
-    /** Register a module; the kernel does not take ownership. */
-    void
-    addModule(Clocked *module)
-    {
-        modules_.push_back(module);
-    }
+    /** The kernel does not take ownership of the modules. */
+    explicit SimKernel(Modules &...modules) : modules_(&modules...) {}
+
+    SimKernel(const SimKernel &) = delete;
+    SimKernel &operator=(const SimKernel &) = delete;
 
     /** Advance one clock cycle. */
     SPARCH_HOT void
     tick()
     {
-        for (Clocked *m : modules_)
-            m->clockUpdate();
-        for (Clocked *m : modules_)
-            m->clockApply();
+        std::apply([](auto *...m) { (m->clockUpdate(), ...); }, modules_);
+        std::apply([](auto *...m) { (m->clockApply(), ...); }, modules_);
         ++now_;
     }
 
@@ -99,12 +99,12 @@ class SimKernel
     void
     recordStats(StatSet &stats) const
     {
-        for (const Clocked *m : modules_)
-            m->recordStats(stats);
+        std::apply([&](auto *...m) { (m->recordStats(stats), ...); },
+                   modules_);
     }
 
   private:
-    std::vector<Clocked *> modules_;
+    std::tuple<Modules *...> modules_;
     Cycle now_ = 0;
 };
 

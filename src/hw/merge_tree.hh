@@ -143,9 +143,9 @@ class MergeTree final : public Clocked
     /** True when every input is exhausted and all FIFOs are empty. */
     bool done() const { return nodes_[1].inputDone && nodes_[1].fifo.empty(); }
 
-    void clockUpdate() override;
-    void clockApply() override;
-    void recordStats(StatSet &stats) const override;
+    void clockUpdate();
+    void clockApply();
+    void recordStats(StatSet &stats) const;
 
     /** Elements that crossed any level merger (switching activity). */
     std::uint64_t elementsMerged() const { return elements_merged_; }

@@ -236,12 +236,20 @@ streamEntries(const std::string &path, std::uint64_t data_offset,
     auto parse_worker = [&](unsigned id) {
         std::vector<mmscan::Entry> &raw = raws[id];
         for (;;) {
-            const auto ci = filled.pop();
-            if (!ci)
-                break;
+            // Take the batch slot before the chunk: a parser that holds
+            // a chunk always has somewhere to parse it into, so the
+            // lowest unparsed seq never waits on slots held by later
+            // chunks parked in the consumer's pending map.
             const auto bi = free_batches.pop();
             if (!bi)
                 break;
+            const auto ci = filled.pop();
+            if (!ci) {
+                // End of input: pass the slot on to a parser still
+                // waiting for one, so it too can see the end and exit.
+                free_batches.push(*bi);
+                break;
+            }
             const Chunk &c = chunks[*ci];
             Batch &b = batches[*bi];
             b.seq = c.seq;

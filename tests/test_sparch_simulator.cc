@@ -181,6 +181,62 @@ TEST(SpArchSimulator, CondensingReducesPartialMatrices)
     EXPECT_TRUE(r1.result.almostEqual(r2.result));
 }
 
+/** Expected absolute figures of one simulation. */
+struct Golden
+{
+    Cycle cycles;
+    Bytes bytesTotal;
+    std::size_t nnz;
+    std::uint64_t mergeRounds;
+    std::uint64_t multiplies;
+    std::uint64_t additions;
+};
+
+void
+expectGolden(const SpArchConfig &cfg, const CsrMatrix &a,
+             const Golden &want, const char *label)
+{
+    const SpArchResult r = SpArchSimulator(cfg).multiply(a, a);
+    EXPECT_EQ(r.cycles, want.cycles) << label;
+    EXPECT_EQ(r.bytesTotal, want.bytesTotal) << label;
+    EXPECT_EQ(r.result.nnz(), want.nnz) << label;
+    EXPECT_EQ(r.mergeRounds, want.mergeRounds) << label;
+    EXPECT_EQ(r.multiplies, want.multiplies) << label;
+    EXPECT_EQ(r.additions, want.additions) << label;
+}
+
+// Absolute cycle and traffic pins: any change to module timing, the
+// tick order or the memory model moves one of these numbers. A change
+// that moves them on purpose re-derives them and says why.
+TEST(SpArchSimulator, GoldenCyclesAndTrafficOnUniformSquare)
+{
+    expectGolden(SpArchConfig{}, generateUniform(300, 300, 2400, 11),
+                 {2204, 263632, 17039, 1, 18848, 1809}, "uniform");
+}
+
+TEST(SpArchSimulator, GoldenCyclesAndTrafficOnRmat)
+{
+    expectGolden(SpArchConfig{}, rmatGenerate(1 << 9, 8, 21),
+                 {15235, 662472, 46487, 3, 103096, 56609}, "rmat");
+}
+
+TEST(SpArchSimulator, GoldenCyclesAndTrafficAcrossAblations)
+{
+    const CsrMatrix a = generateUniform(250, 250, 2000, 13);
+    SpArchConfig no_prefetch;
+    no_prefetch.rowPrefetcher = false;
+    expectGolden(no_prefetch, a, {17980, 372012, 13583, 1, 15294, 1711},
+                 "no-prefetcher");
+    SpArchConfig no_condense;
+    no_condense.matrixCondensing = false;
+    expectGolden(no_condense, a, {4444, 418672, 13583, 4, 15294, 1711},
+                 "no-condense");
+    SpArchConfig small_tree;
+    small_tree.mergeTree.layers = 4;
+    expectGolden(small_tree, a, {1890, 213384, 13583, 2, 15294, 1711},
+                 "16-way tree");
+}
+
 /** Parameterized sweep: config x workload grid, all must be exact. */
 struct SimCase
 {
@@ -194,6 +250,15 @@ struct SimCase
     std::size_t line_elems;
     std::size_t lookahead;
 };
+
+// Without this gtest prints the raw bytes of a SimCase, including the
+// address of `name`, into each case's listed name, so the ctest names
+// would change from build to build.
+void
+PrintTo(const SimCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class SimulatorGrid : public ::testing::TestWithParam<SimCase>
 {};
