@@ -2,12 +2,15 @@
  * @file
  * Monotonic per-run arena (bump allocator).
  *
- * One simulation (`SpArchSimulator::multiply`) allocates all of its
- * hot-path state — FIFO rings, prefetcher row tables, distance-list
- * nodes, eviction-rank nodes — from a single Arena that is reset
- * between multiplies. Reset retains the high-water chunk, so after a
- * warmup run the steady state performs zero heap allocations inside
- * the cycle loop (asserted in debug builds via common/alloc_hook.hh).
+ * One simulation (`SpArchSimulator::multiply`) allocates its hot-path
+ * state — FIFO rings, prefetcher line arrays, distance-list nodes,
+ * eviction-rank nodes — from a single Arena that is reset between
+ * multiplies. The tables indexed by B row id are the exception: they
+ * are ZeroedTables (common/zeroed_table.hh), sized once per round
+ * outside the cycle loop and resident only where touched. Reset
+ * retains the high-water chunk, so after a warmup run the steady
+ * state performs zero heap allocations inside the cycle loop
+ * (asserted in debug builds via common/alloc_hook.hh).
  *
  * Two allocation interfaces:
  *  - allocate()/alloc<T>()/allocArray<T>(): pure bump, freed only by

@@ -22,16 +22,10 @@ DistanceList::DistanceList(Arena *arena) : arena_(arena)
 void
 DistanceList::ensureTable(std::size_t rows)
 {
-    if (rows <= table_size_)
-        return;
-    const std::size_t new_size =
-        std::max({rows, table_size_ * 2, std::size_t{16}});
-    RowQueue *fresh = arena_->allocArray<RowQueue>(new_size);
     // Live queues survive table growth (lazy growth in standalone
     // mode); stale-epoch entries are dead weight either way.
-    std::copy(table_, table_ + table_size_, fresh);
-    table_ = fresh;
-    table_size_ = new_size;
+    if (rows > table_.size())
+        table_.grow(std::max({rows, table_.size() * 2, std::size_t{16}}));
 }
 
 DistanceList::Node *
@@ -94,7 +88,7 @@ DistanceList::noteUse(Index row, std::uint64_t pos)
 void
 DistanceList::consumeUse(Index row, std::uint64_t pos)
 {
-    const bool known = row < table_size_ &&
+    const bool known = row < table_.size() &&
                        table_[row].epoch == epoch_ && table_[row].len > 0;
     SPARCH_ASSERT(known, "consuming unknown use of row ", row);
     RowQueue &q = table_[row];
@@ -126,7 +120,7 @@ DistanceList::consumeUse(Index row, std::uint64_t pos)
 std::uint64_t
 DistanceList::nextUse(Index row) const
 {
-    if (row >= table_size_)
+    if (row >= table_.size())
         return kInfinite;
     const RowQueue &q = table_[row];
     if (q.epoch != epoch_ || q.len == 0)
@@ -140,8 +134,7 @@ DistanceList::clear()
     if (++epoch_ == 0) {
         // Epoch wrap (2^32 rounds): lazily-stamped entries could alias;
         // wipe the table once and restart the epoch sequence.
-        for (std::size_t i = 0; i < table_size_; ++i)
-            table_[i] = RowQueue{};
+        table_.zero();
         epoch_ = 1;
     }
     tracked_ = 0;

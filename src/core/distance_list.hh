@@ -11,11 +11,12 @@
  * unknown and report `kInfinite`, which is what makes the policy
  * *near*-optimal rather than optimal.
  *
- * Storage is flat and arena-backed: a per-row queue table indexed by
- * row id (epoch-stamped, so clear() is O(1)) over blocks of linked
- * nodes recycled through a free list. After warmup neither clear()
- * nor note/consume touches the heap — this structure sits inside the
- * per-cycle window-extension loop of the row prefetcher.
+ * Storage is flat: a per-row queue table indexed by row id (epoch-
+ * stamped, so clear() is O(1); a ZeroedTable, so only the rows a run
+ * touches become resident) over arena blocks of linked nodes recycled
+ * through a free list. After warmup neither clear() nor note/consume
+ * touches the heap — this structure sits inside the per-cycle
+ * window-extension loop of the row prefetcher.
  */
 
 #ifndef SPARCH_CORE_DISTANCE_LIST_HH
@@ -28,6 +29,7 @@
 
 #include "common/arena.hh"
 #include "common/types.hh"
+#include "common/zeroed_table.hh"
 
 namespace sparch
 {
@@ -79,7 +81,10 @@ class DistanceList
         Node *next;
     };
 
-    /** Epoch-stamped queue head; stale epochs read as empty. */
+    /**
+     * Epoch-stamped queue head; stale epochs read as empty. All-zero
+     * bytes are epoch 0, which is never live.
+     */
     struct RowQueue
     {
         std::uint32_t epoch = 0;
@@ -102,8 +107,7 @@ class DistanceList
     std::unique_ptr<Arena> owned_; //!< standalone mode only
     Arena *arena_;
 
-    RowQueue *table_ = nullptr;
-    std::size_t table_size_ = 0;
+    ZeroedTable<RowQueue> table_;
     std::uint32_t epoch_ = 1;
     std::size_t tracked_ = 0;
 

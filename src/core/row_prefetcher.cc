@@ -47,19 +47,14 @@ RowPrefetcher::startRound(const std::vector<MultTask> *tasks,
     if (++epoch_ == 0) {
         // Epoch wrap (2^32 rounds): lazily-stamped row states could
         // alias; wipe the table once and restart the epoch sequence.
-        for (std::size_t i = 0; i < rows_n_; ++i)
-            rows_[i] = RowState{};
+        rows_.zero();
         epoch_ = 1;
     }
-    if (rows > rows_n_) {
-        const std::size_t new_size = std::max(rows, rows_n_ * 2);
-        RowState *fresh = arena_->allocArray<RowState>(new_size);
-        // Carry the old states over so line_ready/demanded capacity is
-        // reused across rounds (they are stale-epoch, hence inert).
-        std::copy(rows_, rows_ + rows_n_, fresh);
-        rows_ = fresh;
-        rows_n_ = new_size;
-    }
+    // Growth carries the old states over so line_ready/demanded
+    // capacity is reused across rounds (they are stale-epoch, hence
+    // inert).
+    if (rows > rows_.size())
+        rows_.grow(std::max(rows, rows_.size() * 2));
     ahead_rows_count_ = 0;
     streaming_ready_.clear();
     bypass_ready_.clear();

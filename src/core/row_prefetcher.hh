@@ -14,12 +14,13 @@
  * Per-row bookkeeping lives in one flat, epoch-stamped RowState table
  * indexed by row id (residency, readiness, recency, demand-fetch
  * positions), not in hash maps: rowReady() sits in the innermost
- * multiplier scan and is O(1) here. Residency exploits an invariant of
- * the line machinery — the resident lines of a row always form the
- * prefix {0..k-1}, because prefetchRow() fills missing lines in
- * ascending order and evictOne() spills from the tail — so a single
- * prefix length replaces the per-row line map, and the row's
- * data-ready cycle is memoized until the prefix changes.
+ * multiplier scan and is O(1) here. The table is a ZeroedTable, so
+ * only the B rows a run touches become resident. Residency exploits
+ * an invariant of the line machinery — the resident lines of a row
+ * always form the prefix {0..k-1}, because prefetchRow() fills
+ * missing lines in ascending order and evictOne() spills from the
+ * tail — so a single prefix length replaces the per-row line map, and
+ * the row's data-ready cycle is memoized until the prefix changes.
  */
 
 #ifndef SPARCH_CORE_ROW_PREFETCHER_HH
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "common/arena.hh"
+#include "common/zeroed_table.hh"
 #include "core/distance_list.hh"
 #include "core/round_stream.hh"
 #include "core/sparch_config.hh"
@@ -47,8 +49,9 @@ class RowPrefetcher final : public hw::Clocked
 {
   public:
     /**
-     * @param arena Backing store for the row-state table, line-ready
-     *        arrays, distance-list nodes and eviction-rank nodes.
+     * @param arena Backing store for the line-ready arrays,
+     *        distance-list nodes and eviction-rank nodes (the per-row
+     *        tables are ZeroedTables, resident only where touched).
      *        Null (standalone/unit-test use) makes the prefetcher own
      *        a private arena.
      */
@@ -121,6 +124,8 @@ class RowPrefetcher final : public hw::Clocked
      * All per-row state, epoch-stamped per merge round. The
      * `line_ready` array and the `demanded` buffer survive epoch
      * resets (capacity is reused); everything else resets to zero.
+     * All-zero bytes are a valid never-seen state (epoch 0 is never a
+     * live epoch), which is what lets rows_ be a ZeroedTable.
      */
     struct RowState
     {
@@ -231,9 +236,8 @@ class RowPrefetcher final : public hw::Clocked
     /** Row currently being filled, excluded from eviction. */
     SIndex pinned_row_ = -1;
 
-    /** Flat per-row state table (size rows_n_, epoch epoch_). */
-    RowState *rows_ = nullptr;
-    std::size_t rows_n_ = 0;
+    /** Flat per-row state table, stamped with epoch epoch_. */
+    ZeroedTable<RowState> rows_;
     std::uint32_t epoch_ = 0;
 
     std::size_t resident_count_ = 0;

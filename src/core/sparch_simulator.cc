@@ -123,6 +123,9 @@ class RunContext
         if (prof)
             t3 = ProfClock::now();
 
+        // The round scratch is dead once the last round has run; free
+        // it before the CSR conversion allocates the product.
+        releaseRoundScratch();
         res.result =
             streamToCsr(node_data_.at(plan_.root), a_.rows(), b_.cols());
         recordMetrics(res);
@@ -349,6 +352,16 @@ class RunContext
             }
             node_addr_.erase(c);
         }
+    }
+
+    /** Free the per-round scratch containers and their capacity. */
+    void
+    releaseRoundScratch()
+    {
+        decltype(tasks_)().swap(tasks_);
+        decltype(port_queues_)().swap(port_queues_);
+        decltype(row_col_)().swap(row_col_);
+        decltype(spares_)().swap(spares_);
     }
 
     /** Fill in timings, traffic and module statistics. */

@@ -93,7 +93,8 @@ BatchRunner::addShardSweep(
 }
 
 BatchRecord
-BatchRunner::simulateTask(const BatchTask &task, bool keep_products)
+BatchRunner::simulateTask(const BatchTask &task, bool keep_products,
+                          unsigned shard_threads)
 {
     BatchRecord record;
     record.id = task.id;
@@ -103,11 +104,11 @@ BatchRunner::simulateTask(const BatchTask &task, bool keep_products)
     record.shards = task.shards;
 
     if (task.shards > 1) {
-        // Shards run serially inside this task: the grid is already
-        // fanned across the executor, and the merged measurements are
-        // identical either way.
+        // The shards run on shard_threads workers: the executor's
+        // spare share when it has more workers than tasks, else
+        // serially. The merged measurements are identical either way.
         const ShardedSimulator sim(task.config, task.shardPolicy,
-                                   task.shards, /*threads=*/1);
+                                   task.shards, shard_threads);
         record.sim = std::move(
             sim.multiply(task.workload.left(), task.workload.right())
                 .combined);
@@ -129,12 +130,6 @@ BatchRunner::simulateTask(const BatchTask &task, bool keep_products)
     if (!keep_products)
         record.sim.result = CsrMatrix();
     return record;
-}
-
-BatchRecord
-BatchRunner::runTask(const BatchTask &task) const
-{
-    return simulateTask(task, keep_products_);
 }
 
 std::vector<BatchRecord>
@@ -213,8 +208,16 @@ BatchRunner::run(exec::Executor &executor, ResultCache *cache,
             flush_interval *= 2;
         }
     };
-    const auto run_task = [this](const BatchTask &task) {
-        return runTask(task);
+    // An in-process executor with more workers than tasks to
+    // simulate gives each task its share of the spare ones for its
+    // shards; worker processes keep the serial default.
+    const unsigned shard_threads =
+        executor.inProcess() && !misses.empty()
+            ? std::max<unsigned>(
+                  1, threads_ / static_cast<unsigned>(misses.size()))
+            : 1;
+    const auto run_task = [this, shard_threads](const BatchTask &task) {
+        return simulateTask(task, keep_products_, shard_threads);
     };
 
     std::vector<exec::TaskFailure> failures;

@@ -125,7 +125,9 @@ class BatchRunner
   public:
     /**
      * @param threads   Worker threads; <= 1 runs serially on the
-     *                  calling thread.
+     *                  calling thread. With fewer tasks to simulate
+     *                  than threads, an in-process run hands each
+     *                  sharded task its share of the spare ones.
      * @param base_seed Base of the per-task seed derivation.
      */
     explicit BatchRunner(unsigned threads = 1,
@@ -221,8 +223,12 @@ class BatchRunner
      * exec/executor.hh for the three backends and the determinism
      * contract). The two-argument run() is this with an
      * InlineExecutor or ThreadPoolExecutor picked from the
-     * constructor's thread count. keepProducts(true) requires an
-     * in-process executor and throws FatalError otherwise.
+     * constructor's thread count. An in-process executor runs each
+     * sharded task's row blocks on max(1, threads / tasks to
+     * simulate) workers, with threads the constructor's count;
+     * out-of-process executors run them serially. keepProducts(true)
+     * requires an in-process executor and throws FatalError
+     * otherwise.
      */
     std::vector<BatchRecord> run(exec::Executor &executor,
                                  ResultCache *cache = nullptr,
@@ -230,10 +236,17 @@ class BatchRunner
 
     /**
      * Simulate one task in isolation (the worker-subprocess entry
-     * point; runTask() and the executors funnel through it).
+     * point; the in-process executors funnel through it too).
+     *
+     * @param shard_threads Workers a sharded task runs its row blocks
+     *        on; 1 (the worker-subprocess default) runs them serially
+     *        on the calling thread. run() passes an in-process
+     *        executor's spare share, max(1, threads / tasks). Results
+     *        do not depend on it.
      */
     static BatchRecord simulateTask(const BatchTask &task,
-                                    bool keep_products);
+                                    bool keep_products,
+                                    unsigned shard_threads = 1);
 
     /** The per-task seed derivation (exposed for tests). */
     static std::uint64_t taskSeed(std::uint64_t base_seed,
@@ -263,8 +276,6 @@ class BatchRunner
                             BatchRecord &record);
 
   private:
-    BatchRecord runTask(const BatchTask &task) const;
-
     std::vector<BatchTask> tasks_;
     unsigned threads_;
     std::uint64_t base_seed_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <future>
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.hh"
@@ -201,6 +203,30 @@ wholeOf(const MappedCsr &a)
 }
 
 /**
+ * Re-derive every "<stem>hit_rate" statistic from the summed
+ * "<stem>hits" and "<stem>misses" beside it (row_prefetcher.hit_rate,
+ * dram.row_hit_rate): a ratio does not sum across shards.
+ */
+void
+recomputeHitRates(StatSet &stats)
+{
+    static constexpr std::string_view kRate = "hit_rate";
+    // Overwriting existing names inserts nothing, so the iteration
+    // stays valid.
+    for (const auto &[name, value] : stats.all()) {
+        if (!name.ends_with(kRate))
+            continue;
+        const std::string stem =
+            name.substr(0, name.size() - kRate.size());
+        if (!stats.has(stem + "hits") || !stats.has(stem + "misses"))
+            continue;
+        const double hits = stats.get(stem + "hits");
+        const double total = hits + stats.get(stem + "misses");
+        stats.set(name, total > 0.0 ? hits / total : 0.0);
+    }
+}
+
+/**
  * The fan-out/merge engine behind every multiply overload, generic
  * over the left operand: an in-memory CsrMatrix, or a MappedCsr whose
  * rowSlice materializes each shard's block straight from the file so
@@ -310,13 +336,17 @@ multiplyPlanned(const SpArchSimulator &sim, const SpArchConfig &config,
     c.gflops = c.seconds > 0.0
                    ? static_cast<double>(c.flops) / c.seconds / 1e9
                    : 0.0;
+    // Each shard streams through its own accelerator's memory, so
+    // the fleet's peak is K memories' worth over the critical path.
     const double peak_bytes =
+        static_cast<double>(plan.size()) *
         static_cast<double>(config.memory.peakBytesPerCycle()) *
         static_cast<double>(c.cycles);
     c.bandwidthUtilization =
         peak_bytes > 0.0 ? static_cast<double>(c.bytesTotal) / peak_bytes
                          : 0.0;
     c.prefetchHitRate = hit_weight > 0.0 ? hit_sum / hit_weight : 0.0;
+    recomputeHitRates(c.stats);
 
     c.stats.set("shard.count", static_cast<double>(plan.size()));
     c.stats.set("shard.max_cycles", static_cast<double>(max_cycles));

@@ -26,7 +26,15 @@
  *                  shard re-emits its own row-pointer tail (one extra
  *                  entry per additional shard) and may re-read B rows
  *                  that another shard also touched, so summed MatB
- *                  traffic is >= the monolithic run's.
+ *                  traffic is >= the monolithic run's;
+ *  - bandwidth   = summed bytes / (K x one memory's peak bytes per
+ *    utilization   cycle x merged cycles): each accelerator of the
+ *                  fleet streams through its own memory, so the
+ *                  merged value stays in [0, 1];
+ *  - statistics  = summed over shards, except each "<stem>hit_rate"
+ *                  (row_prefetcher.hit_rate, dram.row_hit_rate),
+ *                  which is re-derived from the summed "<stem>hits"
+ *                  and "<stem>misses".
  *
  * Exactness: the stacked product always has exactly the monolithic
  * run's sparsity structure (row pointers and column indices), and a
@@ -149,8 +157,9 @@ struct ShardedResult
 {
     /**
      * Merged view: exact stacked product, critical-path cycles (max
-     * over shards + stitch), summed traffic/operation counters, and
-     * summed per-module stats plus the shard.* gauges.
+     * over shards + stitch), summed traffic/operation counters, fleet
+     * bandwidth utilization, and summed per-module stats (hit rates
+     * re-derived) plus the shard.* gauges.
      */
     SpArchResult combined;
 

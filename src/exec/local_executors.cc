@@ -51,7 +51,9 @@ ThreadPoolExecutor::run(
     std::vector<TaskFailure> &failures)
 {
     // A pool is pointless overhead for one task (or one thread); the
-    // inline path is bit-identical anyway.
+    // inline path is bit-identical anyway. A lone sharded task still
+    // uses the spare workers: BatchRunner hands it the thread budget
+    // for its row blocks.
     if (threads_ <= 1 || tasks.size() <= 1) {
         InlineExecutor serial;
         return serial.run(tasks, run_task, on_record, failures);

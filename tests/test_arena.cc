@@ -10,6 +10,7 @@
  * lets the tests here measure heap traffic directly.
  */
 
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <set>
@@ -19,6 +20,7 @@
 #include "common/alloc_hook.hh"
 #include "common/arena.hh"
 #include "common/logging.hh"
+#include "common/zeroed_table.hh"
 #include "core/sparch_simulator.hh"
 #include "matrix/generators.hh"
 
@@ -41,6 +43,33 @@ void *
 operator new[](std::size_t size)
 {
     return ::operator new(size);
+}
+
+// The nothrow forms (std::stable_sort's temporary buffer) must come
+// from malloc too: the deletes below free() everything.
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    sparch::allochook::counter().fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &tag) noexcept
+{
+    return ::operator new(size, tag);
+}
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
 }
 
 void
@@ -177,6 +206,39 @@ TEST(Arena, ArenaAllocatorRunsNodeContainersWithoutHeapChurn)
     EXPECT_EQ(heapAllocations(), allocs_before);
     EXPECT_EQ(arena.bytesInUse(), used);
     EXPECT_EQ(s.size(), 128u);
+}
+
+TEST(ZeroedTable, GrowthKeepsSlotsAndZeroFillsTheTail)
+{
+    struct Slot
+    {
+        std::uint32_t epoch = 0;
+        std::uint64_t value = 0;
+        int *ptr = nullptr;
+    };
+    ZeroedTable<Slot> table;
+    EXPECT_EQ(table.size(), 0u);
+    const auto allocs_before = heapAllocations();
+    table.grow(4);
+    table[1].epoch = 7;
+    table[1].value = 42;
+    table.grow(2); // not larger: a no-op
+    table.grow(1 << 16);
+    EXPECT_EQ(table.size(), std::size_t{1} << 16);
+    // Both growths count as heap allocations, so the simulator's
+    // in-loop check sees them although calloc bypasses operator new.
+    EXPECT_GE(heapAllocations() - allocs_before, 2u);
+    EXPECT_EQ(table[1].epoch, 7u);
+    EXPECT_EQ(table[1].value, 42u);
+    for (std::size_t i : {std::size_t{0}, std::size_t{2}, std::size_t{3},
+                          std::size_t{4}, std::size_t{65535}}) {
+        EXPECT_EQ(table[i].epoch, 0u) << i;
+        EXPECT_EQ(table[i].value, 0u) << i;
+        EXPECT_EQ(table[i].ptr, nullptr) << i;
+    }
+    table.zero();
+    EXPECT_EQ(table[1].epoch, 0u);
+    EXPECT_EQ(table[1].value, 0u);
 }
 
 /**

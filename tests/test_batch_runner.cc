@@ -11,6 +11,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "driver/batch_runner.hh"
 #include "driver/thread_pool.hh"
 #include "driver/workload.hh"
+#include "exec/local_executors.hh"
 #include "matrix/generators.hh"
 #include "matrix/reference_spgemm.hh"
 
@@ -322,6 +324,123 @@ TEST(BatchRunner, ShardAxisMatchesMonolithicProduct)
     EXPECT_TRUE(
         records[1].sim.result.almostEqual(records[0].sim.result, 1e-12));
     EXPECT_EQ(records[1].sim.stats.get("shard.count"), 4.0);
+}
+
+// ------------------------------------------------ shard-thread budget
+
+/** The sharded task of the budget tests: four row blocks of real work. */
+Workload
+budgetWorkload()
+{
+    return driver::rmatWorkload(256, 6, 77);
+}
+
+/** Everything a sharded record measures, compared exactly. */
+void
+expectSameShardedRecord(const BatchRecord &expect, const BatchRecord &got)
+{
+    EXPECT_EQ(expect.sim.cycles, got.sim.cycles);
+    EXPECT_EQ(expect.sim.bytesMatA, got.sim.bytesMatA);
+    EXPECT_EQ(expect.sim.bytesMatB, got.sim.bytesMatB);
+    EXPECT_EQ(expect.sim.bytesPartialRead, got.sim.bytesPartialRead);
+    EXPECT_EQ(expect.sim.bytesPartialWrite, got.sim.bytesPartialWrite);
+    EXPECT_EQ(expect.sim.bytesFinalWrite, got.sim.bytesFinalWrite);
+    EXPECT_EQ(expect.sim.bandwidthUtilization,
+              got.sim.bandwidthUtilization);
+    EXPECT_EQ(expect.sim.stats.all(), got.sim.stats.all());
+    EXPECT_EQ(expect.resultNnz, got.resultNnz);
+    EXPECT_TRUE(expect.sim.result == got.sim.result);
+}
+
+TEST(BatchRunner, ShardedResultsIgnoreTheShardThreadBudget)
+{
+    // A lone sharded task on a pool of threads runs its row blocks on
+    // the spare workers; in a batch of three on four threads it runs
+    // them serially. Neither may move a single measurement.
+    const Workload w = budgetWorkload();
+    driver::BatchTask reference_task;
+    reference_task.config = SpArchConfig{};
+    reference_task.workload = w;
+    reference_task.shards = 4;
+    const BatchRecord reference =
+        BatchRunner::simulateTask(reference_task, true);
+    ASSERT_EQ(reference.sim.stats.get("shard.count"), 4.0);
+
+    for (unsigned threads : {1u, 2u, 4u}) {
+        for (std::size_t tasks : {1u, 3u}) {
+            for (bool pooled : {false, true}) {
+                SCOPED_TRACE("threads=" + std::to_string(threads) +
+                             " tasks=" + std::to_string(tasks) +
+                             (pooled ? " threads-exec" : " inline"));
+                BatchRunner runner(threads);
+                runner.add("table-I", SpArchConfig{}, w, 4);
+                for (std::size_t i = 1; i < tasks; ++i)
+                    runner.add("table-I", SpArchConfig{},
+                               driver::uniformWorkload(48, 48, 300,
+                                                       100 + i),
+                               2);
+                runner.keepProducts(true);
+                exec::InlineExecutor inline_exec;
+                exec::ThreadPoolExecutor pool_exec(threads);
+                exec::Executor &executor =
+                    pooled ? static_cast<exec::Executor &>(pool_exec)
+                           : inline_exec;
+                const std::vector<BatchRecord> records =
+                    runner.run(executor);
+                ASSERT_EQ(records.size(), tasks);
+                expectSameShardedRecord(reference, records[0]);
+            }
+        }
+    }
+}
+
+TEST(BatchRunner, WorkerEntryPointRunsShardsSerially)
+{
+    // simulateTask's default (what `sparch worker` calls) multiplies
+    // every shard on the calling thread, so that thread's run arena
+    // is the one that grows; with a shard-thread budget the blocks
+    // run on pool threads and the caller's arena stays untouched.
+    driver::BatchTask task;
+    task.workload = budgetWorkload();
+    task.shards = 4;
+    task.workload.left();
+
+    BatchRecord serial, pooled;
+    std::size_t serial_chunks = 0, pooled_chunks = 0;
+    std::thread([&] {
+        serial = BatchRunner::simulateTask(task, true);
+        serial_chunks = runArenaChunkAllocations();
+    }).join();
+    std::thread([&] {
+        pooled = BatchRunner::simulateTask(task, true, 4);
+        pooled_chunks = runArenaChunkAllocations();
+    }).join();
+    EXPECT_GT(serial_chunks, 0u);
+    EXPECT_EQ(pooled_chunks, 0u);
+    expectSameShardedRecord(serial, pooled);
+}
+
+TEST(BatchRunner, SpareThreadsGoToTheShardsOfASmallBatch)
+{
+    // Inline execution runs every task on the calling thread, so that
+    // thread's run arena shows where the shards ran: on pool threads
+    // for a lone task with four threads to spare, and on the caller
+    // once three tasks share the four threads (4 / 3 rounds to 1).
+    const auto caller_chunks = [](std::size_t tasks) {
+        std::size_t chunks = 0;
+        std::thread([&] {
+            BatchRunner runner(4);
+            for (std::size_t i = 0; i < tasks; ++i)
+                runner.add("table-I", SpArchConfig{}, budgetWorkload(),
+                           4);
+            exec::InlineExecutor serial;
+            EXPECT_EQ(runner.run(serial).size(), tasks);
+            chunks = runArenaChunkAllocations();
+        }).join();
+        return chunks;
+    };
+    EXPECT_EQ(caller_chunks(1), 0u);
+    EXPECT_GT(caller_chunks(3), 0u);
 }
 
 TEST(BatchRunner, ShardSweepEnumeratesAllCounts)

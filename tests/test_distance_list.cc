@@ -3,6 +3,9 @@
  * Tests for the distance-list builder.
  */
 
+#include <cstdint>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
@@ -75,6 +78,56 @@ TEST(DistanceList, ClearDropsEverything)
     d.clear();
     EXPECT_EQ(d.trackedRows(), 0u);
     EXPECT_EQ(d.nextUse(1), DistanceList::kInfinite);
+}
+
+TEST(DistanceList, GrownTableReadsUntouchedRowsAsNeverSeen)
+{
+    // reset() sizes the table for a small B, then for a larger one:
+    // the first round's rows are stale and the grown tail is zero-
+    // filled. Both must read as never seen, and the next round must
+    // play out exactly as on a fresh list.
+    DistanceList d;
+    d.reset(8);
+    d.noteUse(3, 0);
+    d.noteUse(7, 1);
+    d.noteUse(3, 2);
+    d.reset(4096);
+    EXPECT_EQ(d.trackedRows(), 0u);
+    for (Index row : {0u, 3u, 7u, 8u, 1000u, 4095u})
+        EXPECT_EQ(d.nextUse(row), DistanceList::kInfinite) << row;
+    EXPECT_THROW(d.consumeUse(3, 0), PanicError);
+
+    DistanceList fresh;
+    fresh.reset(4096);
+    const std::pair<Index, std::uint64_t> uses[] = {
+        {3, 10}, {4000, 11}, {3, 12}, {8, 13}, {4000, 14}};
+    for (const auto &[row, pos] : uses) {
+        d.noteUse(row, pos);
+        fresh.noteUse(row, pos);
+    }
+    d.consumeUse(3, 10);
+    fresh.consumeUse(3, 10);
+    d.consumeUse(4000, 14);
+    fresh.consumeUse(4000, 14);
+    for (Index row : {3u, 7u, 8u, 4000u})
+        EXPECT_EQ(d.nextUse(row), fresh.nextUse(row)) << row;
+    EXPECT_EQ(d.trackedRows(), fresh.trackedRows());
+}
+
+TEST(DistanceList, LiveQueuesSurviveLazyGrowth)
+{
+    // A standalone list grows its table mid-round, on demand; queues
+    // recorded before the growth must carry over intact.
+    DistanceList d;
+    d.noteUse(3, 1);
+    d.noteUse(3, 5);
+    d.noteUse(100000, 2);
+    EXPECT_EQ(d.nextUse(3), 1u);
+    EXPECT_EQ(d.nextUse(100000), 2u);
+    EXPECT_EQ(d.nextUse(99999), DistanceList::kInfinite);
+    d.consumeUse(3, 1);
+    EXPECT_EQ(d.nextUse(3), 5u);
+    EXPECT_EQ(d.trackedRows(), 2u);
 }
 
 } // namespace

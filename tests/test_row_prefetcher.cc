@@ -49,9 +49,27 @@ trace(std::initializer_list<Index> rows)
 }
 
 /**
- * Drive a prefetcher over a trace with in-order consumption as soon
- * as each head row is ready; returns (hits, misses).
+ * Clock a started round of `n` stream entries, consuming them in
+ * order as soon as each head row is ready; returns the cycles taken.
  */
+int
+drainRound(RowPrefetcher &p, std::size_t n)
+{
+    std::uint64_t consumed = 0;
+    int cycle = 0;
+    for (; cycle < 1000000 && consumed < n; ++cycle) {
+        p.clockUpdate();
+        while (consumed < n && p.rowReady(consumed)) {
+            p.noteConsumed(consumed);
+            ++consumed;
+        }
+        p.clockApply();
+    }
+    EXPECT_EQ(consumed, n) << "prefetcher not live";
+    return cycle;
+}
+
+/** Drive a fresh prefetcher over a trace; returns (hits, misses). */
 std::pair<std::uint64_t, std::uint64_t>
 runTrace(const SpArchConfig &cfg, const CsrMatrix &b,
          const std::vector<MultTask> &tasks)
@@ -59,17 +77,7 @@ runTrace(const SpArchConfig &cfg, const CsrMatrix &b,
     mem::HbmBackend hbm(cfg.memory.hbm);
     RowPrefetcher p(cfg, hbm, "p");
     p.startRound(&tasks, &b, 0);
-    std::uint64_t consumed = 0;
-    for (int cycle = 0; cycle < 1000000 && consumed < tasks.size();
-         ++cycle) {
-        p.clockUpdate();
-        while (consumed < tasks.size() && p.rowReady(consumed)) {
-            p.noteConsumed(consumed);
-            ++consumed;
-        }
-        p.clockApply();
-    }
-    EXPECT_EQ(consumed, tasks.size()) << "prefetcher not live";
+    drainRound(p, tasks.size());
     return {p.hits(), p.misses()};
 }
 
@@ -92,6 +100,42 @@ TEST(RowPrefetcher, ColdMissesThenHitsOnReuse)
                  tasks);
     EXPECT_EQ(misses, 2u); // two cold misses
     EXPECT_EQ(hits, 4u);   // all reuses hit
+}
+
+TEST(RowPrefetcher, GrownRowTableMatchesAFreshInstance)
+{
+    // Round 1 sizes the row table for a 4-row B and round 2's 64-row
+    // B grows it. Rows 0..3 carry stale state from round 1 and rows
+    // 4..63 are untouched zero-filled slots: both must read as never
+    // seen, so round 2 plays out exactly as on a fresh prefetcher.
+    const SpArchConfig cfg = smallConfig(4, ReplacementPolicy::Belady);
+    const CsrMatrix small = rowsMatrix(4, 8);
+    const CsrMatrix large = rowsMatrix(64, 8);
+    const auto warm = trace({0, 1, 2, 3, 0, 1});
+    const auto tasks = trace({0, 40, 1, 63, 40, 0, 5, 63, 40, 2, 5});
+
+    mem::HbmBackend reused_hbm(cfg.memory.hbm);
+    RowPrefetcher reused(cfg, reused_hbm, "p");
+    reused.startRound(&warm, &small, 0);
+    drainRound(reused, warm.size());
+    const std::uint64_t hits0 = reused.hits();
+    const std::uint64_t misses0 = reused.misses();
+    const std::uint64_t writes0 = reused.bufferWrites();
+    reused.startRound(&tasks, &large, 0);
+    const int reused_cycles = drainRound(reused, tasks.size());
+
+    mem::HbmBackend fresh_hbm(cfg.memory.hbm);
+    RowPrefetcher fresh(cfg, fresh_hbm, "p");
+    fresh.startRound(&tasks, &large, 0);
+    const int fresh_cycles = drainRound(fresh, tasks.size());
+
+    EXPECT_EQ(reused.hits() - hits0, fresh.hits());
+    EXPECT_EQ(reused.misses() - misses0, fresh.misses());
+    EXPECT_EQ(reused.bufferWrites() - writes0, fresh.bufferWrites());
+    EXPECT_EQ(reused_cycles, fresh_cycles);
+    // Each of the six distinct rows starts with a cold miss.
+    EXPECT_GE(fresh.misses(), 6u);
+    EXPECT_GT(fresh.hits(), 0u);
 }
 
 TEST(RowPrefetcher, EmptyRowsAreAlwaysReady)

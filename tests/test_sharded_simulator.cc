@@ -16,6 +16,7 @@
  * overhead model.
  */
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -168,6 +169,18 @@ expectSameProduct(const CsrMatrix &sharded, const CsrMatrix &mono)
     EXPECT_TRUE(sharded.almostEqual(mono, 1e-12));
 }
 
+/** A merged "<stem>hit_rate" is the summed hits over hits + misses. */
+void
+expectDerivedHitRate(const StatSet &stats, const std::string &stem)
+{
+    ASSERT_TRUE(stats.has(stem + "hit_rate")) << stem;
+    const double hits = stats.get(stem + "hits");
+    const double misses = stats.get(stem + "misses");
+    ASSERT_GT(hits + misses, 0.0) << stem;
+    EXPECT_DOUBLE_EQ(stats.get(stem + "hit_rate"), hits / (hits + misses))
+        << stem;
+}
+
 /**
  * The documented merge model against a monolithic run, for workloads
  * whose plans fit one merge round (every byte stream then partitions
@@ -226,6 +239,17 @@ expectMergeModel(const ShardedResult &r, const SpArchResult &mono)
               static_cast<double>(max_cycles));
     EXPECT_GE(c.stats.get("shard.nnz_imbalance"), 1.0);
     EXPECT_EQ(r.maxStats.get("plan.rounds"), 1.0);
+
+    // Fleet model: K memories' peak over the merged cycles, and hit
+    // rates re-derived from the summed hits and misses.
+    const double fleet_peak =
+        static_cast<double>(k) *
+        static_cast<double>(SpArchConfig{}.memory.peakBytesPerCycle()) *
+        static_cast<double>(c.cycles);
+    EXPECT_DOUBLE_EQ(c.bandwidthUtilization,
+                     static_cast<double>(c.bytesTotal) / fleet_peak);
+    EXPECT_LE(c.bandwidthUtilization, 1.0);
+    expectDerivedHitRate(c.stats, "row_prefetcher.");
 }
 
 TEST(ShardedSimulator, RmatMatchesMonolithic)
@@ -240,6 +264,22 @@ TEST(ShardedSimulator, RmatMatchesMonolithic)
         expectSameProduct(r.combined.result, mono.result);
         expectMergeModel(r, mono);
     }
+}
+
+TEST(ShardedSimulator, MergedRatiosStayRatiosOnBankedDram)
+{
+    // A bank-level DRAM backend adds dram.row_hit_rate; four shards
+    // streaming through four memories still read as one utilization
+    // in [0, 1].
+    SpArchConfig cfg;
+    cfg.memory.kind = mem::MemoryKind::Ddr4;
+    const CsrMatrix a = rmatGenerate(512, 6, 5);
+    const ShardedSimulator sharded(cfg, ShardPolicy::NnzBalanced, 4);
+    const SpArchResult c = sharded.multiply(a, a).combined;
+    EXPECT_GT(c.bandwidthUtilization, 0.0);
+    EXPECT_LE(c.bandwidthUtilization, 1.0);
+    expectDerivedHitRate(c.stats, "row_prefetcher.");
+    expectDerivedHitRate(c.stats, "dram.row_");
 }
 
 TEST(ShardedSimulator, BlockDiagonalMatchesMonolithic)
