@@ -30,12 +30,15 @@ MataColumnFetcher::startRound(
     rr_port_ = 0;
     queued_total_ = 0;
     issued_total_ = 0;
+    eligible_.resize(port_queues ? port_queues->size() : 0);
     if (port_queues != nullptr) {
         std::size_t window = 0;
-        for (const auto &queue : *port_queues) {
+        for (unsigned p = 0; p < port_queues->size(); ++p) {
+            const auto &queue = (*port_queues)[p];
             queued_total_ += queue.size();
             window += std::min<std::size_t>(queue.size(),
                                             config_->aElementWindow);
+            refreshEligible(p);
         }
         inflight_.reserve(window);
     }
@@ -70,15 +73,27 @@ MataColumnFetcher::clockUpdate()
         unsigned budget = config_->mataFetchWidth;
         unsigned scanned = 0;
         bool issued_any = false;
+        const auto ineligible = [&](std::size_t w) {
+            return ~eligible_.word(w);
+        };
         while (budget > 0 && scanned < n_ports) {
-            const unsigned p = (rr_port_ + scanned) % n_ports;
-            const auto &queue = (*port_queues_)[p];
-            if (issued_[p] >= queue.size() ||
-                issued_[p] - retired_[p] >= config_->aElementWindow) {
-                ++scanned;
+            unsigned p = rr_port_ + scanned;
+            if (p >= n_ports)
+                p -= n_ports;
+            const unsigned run =
+                wrappedRun(ineligible, p, n_ports, n_ports - scanned);
+            if (run > 0) {
+                for (unsigned k = 0, q = p; k < run; ++k) {
+                    SPARCH_DCHECK(!canIssue(q), "eligible port ", q,
+                                  " skipped");
+                    q = q + 1 == n_ports ? 0 : q + 1;
+                }
+                scanned += run;
                 continue;
             }
-            const std::uint64_t pos = queue[issued_[p]];
+            SPARCH_DCHECK(canIssue(p), "ineligible port ", p,
+                          " issued");
+            const std::uint64_t pos = (*port_queues_)[p][issued_[p]];
             const Cycle ready = mem_->read(
                 DramStream::MatA, (*tasks_)[pos].addr, bytesPerElement,
                 now_);
@@ -86,6 +101,7 @@ MataColumnFetcher::clockUpdate()
             std::push_heap(inflight_.begin(), inflight_.end(),
                            std::greater<Flight>{});
             ++issued_[p];
+            refreshEligible(p);
             ++issued_total_;
             ++elements_fetched_;
             --budget;
@@ -94,7 +110,8 @@ MataColumnFetcher::clockUpdate()
         if (issued_any)
             ++issue_cycles_;
     }
-    rr_port_ = (rr_port_ + 1) % n_ports;
+    if (++rr_port_ >= n_ports)
+        rr_port_ = 0;
 }
 
 void

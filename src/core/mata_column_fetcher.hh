@@ -11,6 +11,12 @@
  * *prediction* window of the distance-list builder and lives in the
  * row prefetcher, which observes the same element stream in the global
  * Fig. 7 load order.
+ *
+ * The issue scan is event-driven: a per-port eligible bit (elements
+ * left to issue and the window open) is refreshed when the port issues
+ * and when its head retires, the only two events that change it, and
+ * the round-robin scan jumps over runs of ineligible ports a word at a
+ * time. The issue order is the one a port-by-port scan produces.
  */
 
 #ifndef SPARCH_CORE_MATA_COLUMN_FETCHER_HH
@@ -20,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bit_mask.hh"
 #include "core/round_stream.hh"
 #include "core/sparch_config.hh"
 #include "mem/memory_model.hh"
@@ -59,6 +66,21 @@ class MataColumnFetcher final : public hw::Clocked
     noteConsumed(unsigned port)
     {
         ++retired_[port];
+        refreshEligible(port);
+    }
+
+    /** The port's eligible bit, as the issue scan sees it. */
+    bool portEligible(unsigned port) const { return eligible_.test(port); }
+
+    /**
+     * True when the port has elements left to issue and fewer than
+     * aElementWindow of them in flight or unretired.
+     */
+    bool
+    canIssue(unsigned port) const
+    {
+        return issued_[port] < (*port_queues_)[port].size() &&
+               issued_[port] - retired_[port] < config_->aElementWindow;
     }
 
     void clockUpdate();
@@ -69,6 +91,11 @@ class MataColumnFetcher final : public hw::Clocked
     std::uint64_t issueCycles() const { return issue_cycles_; }
 
   private:
+    void refreshEligible(unsigned port)
+    {
+        eligible_.assign(port, canIssue(port));
+    }
+
     const SpArchConfig *config_;
     mem::MemoryModel *mem_;
     Cycle now_ = 0;
@@ -80,6 +107,7 @@ class MataColumnFetcher final : public hw::Clocked
     std::vector<bool> arrived_;
     std::vector<std::size_t> issued_;  //!< per-port issue cursor
     std::vector<std::size_t> retired_; //!< per-port retire count
+    BitMask eligible_;                 //!< per port: canIssue()
     unsigned rr_port_ = 0;
 
     /** Stream positions left to issue across all ports. Once zero the

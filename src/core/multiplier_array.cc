@@ -41,6 +41,8 @@ MultiplierArray::startRound(const std::vector<MultTask> *tasks,
     product_cursor_.assign(port_queues_->size(), 0);
     rr_port_ = 0;
     remaining_ = 0;
+    head_ready_.resize(port_queues_->size());
+    seen_evictions_ = prefetcher_->evictions();
     for (const auto &q : *port_queues_)
         remaining_ += q.size();
 
@@ -60,6 +62,16 @@ MultiplierArray::done() const
     return remaining_ == 0;
 }
 
+void
+MultiplierArray::syncEvictions()
+{
+    const std::uint64_t evictions = prefetcher_->evictions();
+    if (evictions != seen_evictions_) {
+        seen_evictions_ = evictions;
+        head_ready_.clearAll();
+    }
+}
+
 SPARCH_HOT void
 MultiplierArray::clockUpdate()
 {
@@ -67,33 +79,68 @@ MultiplierArray::clockUpdate()
         return;
     if (!prefetcher_->windowWarm())
         return;
+    syncEvictions();
 
     const auto n_ports =
         static_cast<unsigned>(port_queues_->size());
     unsigned budget = config_->multipliers;
     unsigned scanned = 0;
+    const BitMask &leaf_full = tree_->leafFull();
+    const auto blocked_ports = [&](std::size_t w) {
+        return head_ready_.word(w) & leaf_full.word(w);
+    };
 
     // Round-robin over ports; each port consumes its own queue head
     // (in order within the port) when the element has arrived, its
     // right-matrix row is buffered, and the leaf FIFO has space.
     while (budget > 0 && scanned < n_ports) {
-        const unsigned p = (rr_port_ + scanned) % n_ports;
+        unsigned p = rr_port_ + scanned;
+        if (p >= n_ports)
+            p -= n_ports;
+        // A latched-ready head behind a full leaf would only stall
+        // again: skip the whole run, counting each port's stall.
+        const unsigned run =
+            wrappedRun(blocked_ports, p, n_ports, n_ports - scanned);
+        if (run > 0) {
+            for (unsigned k = 0, q = p; k < run; ++k) {
+                const auto &queue = (*port_queues_)[q];
+                SPARCH_DCHECK(port_cursor_[q] < queue.size() &&
+                                  tree_->leafFreeSpace(q) == 0 &&
+                                  prefetcher_->peekRowReady(
+                                      queue[port_cursor_[q]]),
+                              "port ", q, " skipped while not blocked");
+                q = q + 1 == n_ports ? 0 : q + 1;
+            }
+            port_full_stalls_ += run;
+            scanned += run;
+            continue;
+        }
         auto &cursor = port_cursor_[p];
         if (cursor >= (*port_queues_)[p].size()) {
             ++scanned;
             continue;
         }
         const std::uint64_t pos = (*port_queues_)[p][cursor];
-        if (!fetcher_->arrivedAt(pos)) {
-            ++scanned;
-            continue; // element not fetched from DRAM yet
+        if (!head_ready_.test(p)) {
+            if (!fetcher_->arrivedAt(pos)) {
+                ++scanned;
+                continue; // element not fetched from DRAM yet
+            }
+            const bool ready = prefetcher_->rowReady(pos);
+            // A demand fetch inside rowReady() may have evicted a
+            // latched row.
+            syncEvictions();
+            if (!ready) {
+                ++row_wait_stalls_;
+                ++scanned;
+                continue;
+            }
+            head_ready_.set(p);
+        } else {
+            SPARCH_DCHECK(prefetcher_->peekRowReady(pos), "port ", p,
+                          " latched ready but its row is not");
         }
         const MultTask &task = (*tasks_)[pos];
-        if (!prefetcher_->rowReady(pos)) {
-            ++row_wait_stalls_;
-            ++scanned;
-            continue;
-        }
 
         auto b_cols = b_->rowCols(task.bRow);
         auto b_vals = b_->rowVals(task.bRow);
@@ -119,6 +166,7 @@ MultiplierArray::clockUpdate()
             prod = 0;
             ++cursor;
             --remaining_;
+            head_ready_.clear(p);
             fetcher_->noteConsumed(p);
             prefetcher_->noteConsumed(pos);
             if (cursor == (*port_queues_)[p].size())
@@ -131,7 +179,8 @@ MultiplierArray::clockUpdate()
     }
     if (budget < config_->multipliers)
         ++active_cycles_;
-    rr_port_ = n_ports == 0 ? 0 : (rr_port_ + 1) % n_ports;
+    if (++rr_port_ >= n_ports)
+        rr_port_ = 0;
 }
 
 SPARCH_HOT void

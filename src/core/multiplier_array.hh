@@ -8,6 +8,19 @@
  * product per right nonzero, streamed into the merge-tree leaf port of
  * the element's (condensed) column. Throughput is bounded by the
  * multiplier count per cycle and by leaf-FIFO back-pressure.
+ *
+ * The port scan is event-driven. Once a port's head row is ready it
+ * stays ready until the row prefetcher evicts a line (readiness is
+ * monotone until an eviction), so the array latches it in a per-port
+ * bit, cleared when the head retires and, for all ports, whenever the
+ * prefetcher's eviction count moves (checked at cycle start and after
+ * every rowReady() poll, since a demand fetch can evict mid-cycle).
+ * Ports whose head is latched ready and whose leaf FIFO is full could
+ * only stall again, so the round-robin scan jumps over runs of them a
+ * word at a time and counts each as a port_full_stalls poll. The skip
+ * is exact: rowReady() has no side effects when it returns true,
+ * skipped ports consume no multiplier budget, and only this array
+ * pushes into fresh leaves during its update.
  */
 
 #ifndef SPARCH_CORE_MULTIPLIER_ARRAY_HH
@@ -17,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bit_mask.hh"
 #include "core/round_stream.hh"
 #include "core/sparch_config.hh"
 #include "hw/clocked.hh"
@@ -66,6 +80,9 @@ class MultiplierArray final : public hw::Clocked
     std::uint64_t activeCycles() const { return active_cycles_; }
 
   private:
+    /** Drop every latched ready bit if the prefetcher evicted. */
+    void syncEvictions();
+
     const SpArchConfig *config_;
     MataColumnFetcher *fetcher_ = nullptr;
     RowPrefetcher *prefetcher_ = nullptr;
@@ -79,6 +96,11 @@ class MultiplierArray final : public hw::Clocked
     std::vector<Index> product_cursor_; //!< progress inside port heads
     unsigned rr_port_ = 0;
     std::uint64_t remaining_ = 0;
+
+    /** Per port: head arrived and its row polled ready (latched). */
+    BitMask head_ready_;
+    /** Prefetcher eviction count the latches were taken under. */
+    std::uint64_t seen_evictions_ = 0;
 
     std::uint64_t multiplies_ = 0;
     std::uint64_t row_wait_stalls_ = 0;

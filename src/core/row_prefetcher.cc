@@ -230,7 +230,6 @@ RowPrefetcher::evictOne(std::uint64_t protect_pos)
     // Spill line by line from the tail (Fig. 9 spills partial rows so
     // re-fetch only touches missing lines).
     --rs.prefix_len;
-    rs.ready_valid = false;
     --resident_count_;
     ++evictions_;
     if (rs.prefix_len == 0) {
@@ -288,7 +287,6 @@ RowPrefetcher::prefetchRow(Index row, unsigned &budget,
                             decision;
         rs.line_ready[l] = ready;
         ++rs.prefix_len;
-        rs.ready_valid = false;
         ++resident_count_;
         ++buffer_writes_;
         --budget;
@@ -309,15 +307,14 @@ RowPrefetcher::prefetchRow(Index row, unsigned &budget,
 bool
 RowPrefetcher::rowReady(std::uint64_t pos)
 {
-    const MultTask &task = (*tasks_)[pos];
-    const Index row = task.bRow;
-    if (b_->rowNnz(row) == 0)
+    if (peekRowReady(pos))
         return true;
 
+    // Not ready: start whatever fetch the row still lacks.
+    const Index row = (*tasks_)[pos].bRow;
     if (!config_->rowPrefetcher) {
         // No prefetcher: stream the full row from DRAM at use time.
-        auto it = bypass_ready_.find(pos);
-        if (it == bypass_ready_.end()) {
+        if (!bypass_ready_.contains(pos)) {
             const Bytes addr = b_base_ +
                 static_cast<Bytes>(b_->rowPtr()[row]) * bytesPerElement;
             const Bytes bytes =
@@ -325,41 +322,48 @@ RowPrefetcher::rowReady(std::uint64_t pos)
             bypass_ready_[pos] =
                 mem_->read(DramStream::MatB, addr, bytes, now_);
             misses_ += rowLines(row);
-            return false;
         }
-        return now_ >= it->second;
+        return false;
     }
 
+    // Rows larger than the whole buffer are streamed by the cursor.
     const Index n_lines = rowLines(row);
-    if (n_lines > config_->prefetchLines) {
-        // Row larger than the whole buffer: streamed, not cached.
-        auto it = streaming_ready_.find(pos);
-        return it != streaming_ready_.end() && now_ >= it->second;
-    }
+    if (n_lines > config_->prefetchLines)
+        return false;
 
     RowState &rs = state(row);
-    if (rs.prefix_len != n_lines) {
+    if (rs.prefix_len != n_lines && demand_budget_ > 0) {
         // Demand fetch: a port head must never starve behind a stalled
         // prefetch cursor (each column fetcher fetches its own rows in
         // hardware). Issued lines count as misses here; if the cursor
         // later visits this position it sees resident lines, a small
         // hit-rate optimism accepted for pipeline liveness.
-        if (demand_budget_ > 0) {
-            demandInsert(rs, pos);
-            const std::uint64_t before = buffer_writes_;
-            prefetchRow(row, demand_budget_, /*count_misses=*/false);
-            misses_ += buffer_writes_ - before;
-        }
+        demandInsert(rs, pos);
+        const std::uint64_t before = buffer_writes_;
+        prefetchRow(row, demand_budget_, /*count_misses=*/false);
+        misses_ += buffer_writes_ - before;
+    }
+    return false;
+}
+
+bool
+RowPrefetcher::peekRowReady(std::uint64_t pos) const
+{
+    const Index row = (*tasks_)[pos].bRow;
+    if (b_->rowNnz(row) == 0)
+        return true;
+    const Index n_lines = rowLines(row);
+    if (!config_->rowPrefetcher || n_lines > config_->prefetchLines) {
+        const auto &streamed =
+            config_->rowPrefetcher ? streaming_ready_ : bypass_ready_;
+        auto it = streamed.find(pos);
+        return it != streamed.end() && now_ >= it->second;
+    }
+    const RowState &rs = rows_[row];
+    if (rs.epoch != epoch_ || rs.prefix_len != n_lines)
         return false;
-    }
-    if (!rs.ready_valid) {
-        Cycle latest = 0;
-        for (Index l = 0; l < rs.prefix_len; ++l)
-            latest = std::max(latest, rs.line_ready[l]);
-        rs.ready_at = latest;
-        rs.ready_valid = true;
-    }
-    return now_ >= rs.ready_at;
+    return now_ >= *std::max_element(rs.line_ready,
+                                     rs.line_ready + rs.prefix_len);
 }
 
 SPARCH_HOT void

@@ -13,14 +13,18 @@
  *
  * Per-row bookkeeping lives in one flat, epoch-stamped RowState table
  * indexed by row id (residency, readiness, recency, demand-fetch
- * positions), not in hash maps: rowReady() sits in the innermost
- * multiplier scan and is O(1) here. The table is a ZeroedTable, so
- * only the B rows a run touches become resident. Residency exploits
- * an invariant of the line machinery — the resident lines of a row
+ * positions), not in hash maps. The table is a ZeroedTable, so only
+ * the B rows a run touches become resident. Residency exploits an
+ * invariant of the line machinery — the resident lines of a row
  * always form the prefix {0..k-1}, because prefetchRow() fills
  * missing lines in ascending order and evictOne() spills from the
- * tail — so a single prefix length replaces the per-row line map, and
- * the row's data-ready cycle is memoized until the prefix changes.
+ * tail — so a single prefix length replaces the per-row line map.
+ *
+ * The multiplier polls rowReady() for a port head until it first
+ * returns true, then latches the answer until evictions() moves. The
+ * latch is exact: rowReady() is peekRowReady() plus fetch side effects
+ * on its false path only, and a fully resident row loses readiness
+ * only by eviction.
  */
 
 #ifndef SPARCH_CORE_ROW_PREFETCHER_HH
@@ -97,6 +101,13 @@ class RowPrefetcher final : public hw::Clocked
      */
     bool rowReady(std::uint64_t pos);
 
+    /**
+     * What rowReady(pos) returns now, without the fetches it starts
+     * when the answer is false (demand fetches, bypass reads, miss
+     * counts).
+     */
+    bool peekRowReady(std::uint64_t pos) const;
+
     void clockUpdate();
     void clockApply();
     void recordStats(StatSet &stats) const;
@@ -106,6 +117,9 @@ class RowPrefetcher final : public hw::Clocked
 
     /** Line lookups that required a DRAM fetch. */
     std::uint64_t misses() const { return misses_; }
+
+    /** Lines evicted so far; any change may un-ready a row. */
+    std::uint64_t evictions() const { return evictions_; }
 
     /** Buffer hit rate over the whole run. */
     double hitRate() const;
@@ -141,9 +155,6 @@ class RowPrefetcher final : public hw::Clocked
         /** Key under which the row currently sits in rank_. */
         std::uint64_t rank_key = 0;
         bool ranked = false;
-        /** Memoized max data-ready cycle over the full prefix. */
-        bool ready_valid = false;
-        Cycle ready_at = 0;
         /** Data-ready cycle per line; capacity line_cap. */
         Cycle *line_ready = nullptr;
         Index line_cap = 0;

@@ -27,6 +27,7 @@ MergeTree::MergeTree(const MergeTreeConfig &config, std::string name,
             nodes_.emplace_back(config_.fifoCapacity);
     }
     cursor_.assign(config_.layers, 0);
+    leaf_full_.resize(leafCount());
     const std::string p = this->name() + ".";
     key_elements_merged_ = p + "elements_merged";
     key_additions_ = p + "additions";
@@ -60,6 +61,7 @@ MergeTree::startRound(unsigned active_leaves)
         if (i == 1)
             break;
     }
+    leaf_full_.clearAll();
     eos_dirty_ = true;
 }
 
@@ -115,6 +117,12 @@ MergeTree::serveParent(unsigned parent)
             break;
         }
         ++moved;
+    }
+    if (2 * parent >= leafCount()) {
+        // The children are leaves: popping one frees its FIFO.
+        const unsigned leaf = 2 * parent - leafCount();
+        leaf_full_.assign(leaf, left.fifo.full());
+        leaf_full_.assign(leaf + 1, right.fifo.full());
     }
     // A drained child with inputDone pending may have just become
     // exhausted; let the end-of-stream sweep recompute.

@@ -18,7 +18,10 @@
  * so they inline; node FIFOs can ring over a per-run Arena; the
  * end-of-stream propagation sweep only runs on cycles where exhaustion
  * state could have changed (it is a monotone fixpoint within a round,
- * so skipping clean cycles is exact).
+ * so skipping clean cycles is exact). A leaf-full bitmask, kept
+ * current by pushLeaf() and the bottom-level merger, lets the
+ * multiplier's port scan jump over back-pressured leaves a word at a
+ * time instead of probing each leaf FIFO.
  */
 
 #ifndef SPARCH_HW_MERGE_TREE_HH
@@ -29,6 +32,7 @@
 #include <vector>
 
 #include "common/arena.hh"
+#include "common/bit_mask.hh"
 #include "common/logging.hh"
 #include "hw/clocked.hh"
 #include "hw/fifo.hh"
@@ -106,7 +110,15 @@ class MergeTree final : public Clocked
                       "leaf ", leaf, " fed out of order: ",
                       node.fifo.back().coord, " then ", element.coord);
         node.fifo.push(element);
+        if (node.fifo.full())
+            leaf_full_.set(leaf);
     }
+
+    /**
+     * One bit per leaf, set exactly when leafFreeSpace(leaf) == 0.
+     * pushLeaf() sets it and the bottom-level merger clears it.
+     */
+    const BitMask &leafFull() const { return leaf_full_; }
 
     /** Mark a leaf's input array as fully delivered. */
     void
@@ -189,6 +201,7 @@ class MergeTree final : public Clocked
     MergeTreeConfig config_;
     std::vector<Node> nodes_;       //!< 1-based heap layout
     std::vector<unsigned> cursor_;  //!< round-robin cursor per level
+    BitMask leaf_full_;             //!< see leafFull()
 
     std::uint64_t elements_merged_ = 0;
     std::uint64_t additions_ = 0;

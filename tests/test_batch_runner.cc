@@ -22,6 +22,7 @@
 #include "exec/local_executors.hh"
 #include "matrix/generators.hh"
 #include "matrix/reference_spgemm.hh"
+#include "temp_path.hh"
 
 namespace sparch
 {
@@ -135,7 +136,7 @@ TEST(WorkloadRegistry, MatrixMarketLoadErrorSurfacesAtAddTime)
 
     // A malformed file (no Matrix Market banner) is rejected too.
     const std::string bogus =
-        ::testing::TempDir() + "/sparch_bogus_workload.mtx";
+        uniqueTempPath("sparch_bogus_workload.mtx");
     {
         std::ofstream out(bogus);
         out << "not a matrix market file\n";
@@ -145,7 +146,7 @@ TEST(WorkloadRegistry, MatrixMarketLoadErrorSurfacesAtAddTime)
 
     // A well-formed file registers and still loads lazily.
     const std::string good =
-        ::testing::TempDir() + "/sparch_good_workload.mtx";
+        uniqueTempPath("sparch_good_workload.mtx");
     {
         std::ofstream out(good);
         out << "%%MatrixMarket matrix coordinate real general\n"

@@ -37,6 +37,7 @@
 #include "exec/process_pool_executor.hh"
 #include "matrix/generators.hh"
 #include "matrix/reference_spgemm.hh"
+#include "temp_path.hh"
 
 #ifndef SPARCH_CLI_BINARY
 #define SPARCH_CLI_BINARY ""
@@ -424,7 +425,7 @@ TEST(ProcessPoolStress, FlushDuringKillOverHundredInterleavings)
     REQUIRE_WORKER_BINARY();
     const std::string oracle = baselineCsv();
     const std::string cache_path =
-        ::testing::TempDir() + "check_flush_cache.csv";
+        uniqueTempPath("check_flush_cache.csv");
 
     // Stream records into a flushing result cache while worker 0 is
     // killed mid-sweep: the cache on disk must stay loadable and a

@@ -22,6 +22,7 @@
 #include "common/logging.hh"
 #include "driver/batch_runner.hh"
 #include "driver/workload.hh"
+#include "temp_path.hh"
 
 namespace sparch
 {
@@ -32,17 +33,9 @@ using cli::FlagSet;
 using driver::BatchRunner;
 
 std::string
-tempPath(const std::string &name)
-{
-    const std::string path = ::testing::TempDir() + name;
-    std::remove(path.c_str());
-    return path;
-}
-
-std::string
 writeFile(const std::string &name, const std::string &contents)
 {
-    const std::string path = ::testing::TempDir() + name;
+    const std::string path = uniqueTempPath(name);
     std::ofstream out(path);
     out << contents;
     return path;
@@ -482,8 +475,9 @@ TEST(Cli, Fig12SweepIsBitIdenticalAndCaches)
         "sparch_fig12.grid",
         "nnz = " + std::to_string(kNnz) +
             "\n[config table-I]\n[workloads]\nsuite:*\n");
-    const std::string csv_path = tempPath("sparch_fig12_cli.csv");
-    const std::string cache_path = tempPath("sparch_fig12_cache.csv");
+    const std::string csv_path = uniqueTempPath("sparch_fig12_cli.csv");
+    const std::string cache_path =
+        uniqueTempPath("sparch_fig12_cache.csv");
 
     std::string err;
     ASSERT_EQ(runCli({"sweep", "--grid", grid_path, "--csv", csv_path,
@@ -494,7 +488,7 @@ TEST(Cli, Fig12SweepIsBitIdenticalAndCaches)
     EXPECT_EQ(fileContents(csv_path), bench_csv.str());
 
     // Second run of the same sweep: zero new simulations, same bytes.
-    const std::string csv2_path = tempPath("sparch_fig12_cli2.csv");
+    const std::string csv2_path = uniqueTempPath("sparch_fig12_cli2.csv");
     ASSERT_EQ(runCli({"sweep", "--grid", grid_path, "--csv", csv2_path,
                       "--cache", cache_path, "--threads", "2"},
                      nullptr, &err),
@@ -511,7 +505,7 @@ TEST(Cli, Fig12SweepIsBitIdenticalAndCaches)
 
 TEST(Cli, CacheStatsAndClear)
 {
-    const std::string cache_path = tempPath("sparch_cli_cache.csv");
+    const std::string cache_path = uniqueTempPath("sparch_cli_cache.csv");
     std::string out, err;
 
     // Populate through `run`.
@@ -551,7 +545,7 @@ TEST(Cli, SweepShardAxisMatchesAddShardSweep)
     const std::string grid_path = writeFile(
         "sparch_shards.grid",
         "shards = 1 2\n[workloads]\nuniform:128x128:900\n");
-    const std::string csv_path = tempPath("sparch_shards.csv");
+    const std::string csv_path = uniqueTempPath("sparch_shards.csv");
     std::string err;
     ASSERT_EQ(runCli({"sweep", "--grid", grid_path, "--csv", csv_path,
                       "--threads", "2"},
@@ -600,8 +594,8 @@ TEST(Cli, SurrogateSweepSurvivorsAreByteIdenticalToPlainSweep)
 {
     const std::string grid_path =
         surrogateGrid("sparch_surrogate.grid", 0x5eed5eedULL);
-    const std::string plain_csv = tempPath("sparch_sur_plain.csv");
-    const std::string tiered_csv = tempPath("sparch_sur_tiered.csv");
+    const std::string plain_csv = uniqueTempPath("sparch_sur_plain.csv");
+    const std::string tiered_csv = uniqueTempPath("sparch_sur_tiered.csv");
 
     std::string err;
     ASSERT_EQ(runCli({"sweep", "--grid", grid_path, "--csv",
@@ -673,9 +667,9 @@ TEST(Cli, SurrogateRankingIsDeterministicAndSeedIndependent)
         surrogateGrid("sparch_sur_seed_a.grid", 1);
     const std::string grid_b =
         surrogateGrid("sparch_sur_seed_b.grid", 0xabcdef);
-    const std::string csv_a = tempPath("sparch_sur_a.csv");
-    const std::string csv_a2 = tempPath("sparch_sur_a2.csv");
-    const std::string csv_b = tempPath("sparch_sur_b.csv");
+    const std::string csv_a = uniqueTempPath("sparch_sur_a.csv");
+    const std::string csv_a2 = uniqueTempPath("sparch_sur_a2.csv");
+    const std::string csv_b = uniqueTempPath("sparch_sur_b.csv");
     ASSERT_EQ(runCli({"sweep", "--grid", grid_a, "--csv", csv_a,
                       "--threads", "2", "--surrogate"}),
               0);
@@ -702,7 +696,7 @@ TEST(Cli, SurrogateKeepZeroSimulatesTheWholeFrontier)
 {
     const std::string grid_path =
         surrogateGrid("sparch_sur_keep.grid", 0x5eed5eedULL);
-    const std::string csv_path = tempPath("sparch_sur_keep.csv");
+    const std::string csv_path = uniqueTempPath("sparch_sur_keep.csv");
     std::string err;
     ASSERT_EQ(runCli({"sweep", "--grid", grid_path, "--csv",
                       csv_path, "--threads", "2", "--surrogate",
@@ -875,9 +869,10 @@ TEST(Cli, SweepExecBackendsEmitIdenticalCsv)
         "sparch_exec.grid",
         "nnz = 1500\nshards = 1 2\n[workloads]\nuniform:96x96:600\n"
         "suite:wiki-Vote\n");
-    const std::string inline_csv = tempPath("sparch_exec_inline.csv");
+    const std::string inline_csv =
+        uniqueTempPath("sparch_exec_inline.csv");
     const std::string threads_csv =
-        tempPath("sparch_exec_threads.csv");
+        uniqueTempPath("sparch_exec_threads.csv");
     std::string err;
     ASSERT_EQ(runCli({"sweep", "--grid", grid_path, "--csv",
                       inline_csv, "--exec", "inline"},

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bit_mask.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
@@ -91,6 +92,56 @@ TEST(Rng, RangeDoubleRespectsBounds)
         const double v = rng.nextDouble(-2.0, 3.0);
         EXPECT_GE(v, -2.0);
         EXPECT_LT(v, 3.0);
+    }
+}
+
+TEST(BitMask, SetClearAcrossWords)
+{
+    BitMask m;
+    m.resize(130);
+    m.set(0);
+    m.set(64);
+    m.set(129);
+    m.assign(63, true);
+    EXPECT_TRUE(m.test(0) && m.test(63) && m.test(64) && m.test(129));
+    EXPECT_FALSE(m.test(1) || m.test(65) || m.test(128));
+    EXPECT_EQ(m.word(2), 2u);
+    m.clear(64);
+    m.assign(63, false);
+    EXPECT_FALSE(m.test(64) || m.test(63));
+    m.clearAll();
+    for (unsigned w = 0; w < 3; ++w)
+        EXPECT_EQ(m.word(w), 0u);
+    m.resize(10);
+    EXPECT_FALSE(m.test(0));
+}
+
+// The word-at-a-time run scan must agree with a bit-by-bit
+// round-robin walk for every start, width and limit.
+TEST(BitMask, WrappedRunMatchesBitByBitWalk)
+{
+    Rng rng(7);
+    for (const unsigned n : {1u, 3u, 63u, 64u, 65u, 128u, 200u}) {
+        for (int trial = 0; trial < 40; ++trial) {
+            BitMask m;
+            m.resize(n);
+            // Dense masks give long runs, sparse ones short runs.
+            const double density =
+                trial % 4 == 0 ? 1.0 : 0.3 * (trial % 4);
+            for (unsigned i = 0; i < n; ++i)
+                m.assign(i, rng.nextBool(density));
+            const auto word = [&](std::size_t w) { return m.word(w); };
+            for (unsigned start = 0; start < n; ++start) {
+                const auto limit =
+                    1 + static_cast<unsigned>(rng.nextBounded(n));
+                unsigned expect = 0;
+                while (expect < limit && m.test((start + expect) % n))
+                    ++expect;
+                ASSERT_EQ(wrappedRun(word, start, n, limit), expect)
+                    << "n " << n << " start " << start << " limit "
+                    << limit;
+            }
+        }
     }
 }
 

@@ -152,16 +152,16 @@ TEST(ConfigFieldRegistry, EnumSpellingsMatchTheRegistry)
     cli::applyConfigOption(config, "replacement", "fifo");
     EXPECT_EQ(config.replacement, ReplacementPolicy::Fifo);
     EXPECT_EQ(cli::renderConfigValue(config, "replacement"), "fifo");
-    EXPECT_EQ(replacementPolicyName(config.replacement), "fifo");
+    EXPECT_STREQ(replacementPolicyName(config.replacement), "fifo");
 
     cli::applyConfigOption(config, "scheduler", "sequential");
     EXPECT_EQ(config.scheduler, SchedulerKind::Sequential);
-    EXPECT_EQ(schedulerKindName(config.scheduler), "sequential");
+    EXPECT_STREQ(schedulerKindName(config.scheduler), "sequential");
 
     cli::applyConfigOption(config, "memory", "lpddr4");
     EXPECT_EQ(config.memory.kind, mem::MemoryKind::Lpddr4);
     EXPECT_EQ(cli::renderConfigValue(config, "memory"), "lpddr4");
-    EXPECT_EQ(mem::memoryKindName(config.memory.kind), "lpddr4");
+    EXPECT_STREQ(mem::memoryKindName(config.memory.kind), "lpddr4");
 }
 
 // ----------------------------------------------------- CSV schema

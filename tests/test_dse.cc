@@ -20,6 +20,7 @@
 #include "dse/surrogate.hh"
 #include "dse/workload_stats.hh"
 #include "model/energy_model.hh"
+#include "temp_path.hh"
 
 namespace sparch
 {
@@ -63,8 +64,7 @@ TEST(WorkloadStats, HandComputedExampleExtractsExactly)
 TEST(WorkloadStats, CacheRoundTripsThroughTheSidecarFile)
 {
     const std::string path =
-        testing::TempDir() + "dse_stats_cache.stats";
-    std::remove(path.c_str());
+        uniqueTempPath("dse_stats_cache.stats");
 
     driver::Workload w = driver::uniformWorkload(64, 64, 400, 7);
     WorkloadStats computed;
@@ -95,7 +95,7 @@ TEST(WorkloadStats, CacheRoundTripsThroughTheSidecarFile)
 TEST(WorkloadStats, CorruptSidecarDegradesToAMiss)
 {
     const std::string path =
-        testing::TempDir() + "dse_stats_corrupt.stats";
+        uniqueTempPath("dse_stats_corrupt.stats");
     {
         std::FILE *f = std::fopen(path.c_str(), "w");
         ASSERT_NE(f, nullptr);

@@ -30,6 +30,7 @@
 #include "exec/local_executors.hh"
 #include "exec/process_pool_executor.hh"
 #include "matrix/generators.hh"
+#include "temp_path.hh"
 
 #ifndef SPARCH_CLI_BINARY
 #define SPARCH_CLI_BINARY ""
@@ -103,14 +104,6 @@ csvOf(const std::vector<BatchRecord> &records)
     std::ostringstream out;
     BatchRunner::writeCsv(records, out);
     return out.str();
-}
-
-std::string
-tempPath(const std::string &name)
-{
-    const std::string path = ::testing::TempDir() + name;
-    std::remove(path.c_str());
-    return path;
 }
 
 // ------------------------------------------------ determinism contract
@@ -242,7 +235,7 @@ TEST(ExecWorkerDeath, NoSurvivorsFailsPointsAndCacheResumes)
     exec::InlineExecutor serial;
     const std::string expected = csvOf(runner.run(serial));
 
-    const std::string cache_path = tempPath("exec_resume_cache.csv");
+    const std::string cache_path = uniqueTempPath("exec_resume_cache.csv");
     {
         // A single worker that dies after 2 records: no survivors to
         // requeue to, so the rest of the grid fails — visibly.
@@ -343,7 +336,8 @@ TEST(WorkerCommand, SimulatesRequestedIdsInResultCacheSchema)
     for (const driver::BatchTask &task : runner.tasks())
         tasks.push_back(&task);
 
-    const std::string manifest_path = tempPath("worker_manifest.txt");
+    const std::string manifest_path =
+        uniqueTempPath("worker_manifest.txt");
     {
         std::ofstream out(manifest_path);
         cli::writeWorkerManifest(out, tasks);

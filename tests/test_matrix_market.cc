@@ -13,6 +13,7 @@
 #include "driver/workload.hh"
 #include "matrix/generators.hh"
 #include "matrix/matrix_market.hh"
+#include "temp_path.hh"
 
 namespace sparch
 {
@@ -230,7 +231,7 @@ class MatrixMarketValidator : public ::testing::Test
     std::string
     writeFile(const std::string &name, const std::string &contents)
     {
-        const std::string path = ::testing::TempDir() + name;
+        const std::string path = uniqueTempPath(name);
         std::ofstream out(path);
         out << contents;
         return path;

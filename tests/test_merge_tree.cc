@@ -254,6 +254,56 @@ TEST_P(MergeTreeProperty, MatchesReferenceKWayMerge)
     }
 }
 
+// The leaf-full bitmask the multiplier scan reads must equal the FIFO
+// state after any interleaving of leaf pushes, merger cycles and round
+// restarts; 7 layers put the 128 leaves across two words.
+TEST_P(MergeTreeProperty, LeafFullBitEqualsZeroFreeSpace)
+{
+    const TreeGeometry g = GetParam();
+    for (const unsigned layers : {g.layers, 7u}) {
+        MergeTreeConfig cfg;
+        cfg.layers = layers;
+        cfg.mergerWidth = g.width;
+        cfg.fifoCapacity = g.fifo;
+        MergeTree tree(cfg, "tree");
+        Rng rng(layers * 1000 + g.width);
+        const unsigned leaves = tree.leafCount();
+        auto check = [&](const char *after) {
+            for (unsigned l = 0; l < leaves; ++l) {
+                ASSERT_EQ(tree.leafFull().test(l),
+                          tree.leafFreeSpace(l) == 0)
+                    << "leaf " << l << " after " << after;
+            }
+        };
+        for (int round = 0; round < 3; ++round) {
+            tree.startRound(leaves);
+            check("startRound");
+            std::vector<Coord> next(leaves, 1);
+            for (int step = 0; step < 400; ++step) {
+                // Bursty pushes so that leaves fill up and the merger
+                // falls behind.
+                const auto pushes = rng.nextBounded(4 * leaves);
+                for (std::uint64_t i = 0; i < pushes; ++i) {
+                    const auto l =
+                        static_cast<unsigned>(rng.nextBounded(leaves));
+                    if (tree.leafFreeSpace(l) > 0) {
+                        tree.pushLeaf(l, {next[l], 1.0});
+                        next[l] += 1 + rng.nextBounded(3);
+                    }
+                }
+                check("pushLeaf");
+                tree.clockUpdate();
+                tree.clockApply();
+                check("clockUpdate");
+                if (rng.nextBool(0.5)) {
+                    while (tree.rootHasPoppable())
+                        tree.popRoot();
+                }
+            }
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometries, MergeTreeProperty,
     ::testing::Values(TreeGeometry{1, 1, 4}, TreeGeometry{2, 2, 4},

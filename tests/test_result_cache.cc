@@ -14,6 +14,7 @@
 #include "driver/batch_runner.hh"
 #include "driver/result_cache.hh"
 #include "driver/workload.hh"
+#include "temp_path.hh"
 
 namespace sparch
 {
@@ -26,14 +27,6 @@ using driver::ResultCache;
 using driver::RunStats;
 using driver::ShardPolicy;
 using driver::Workload;
-
-std::string
-tempPath(const std::string &name)
-{
-    const std::string path = ::testing::TempDir() + name;
-    std::remove(path.c_str());
-    return path;
-}
 
 std::string
 csvOf(const std::vector<BatchRecord> &records)
@@ -270,7 +263,7 @@ TEST(ResultCache, HitsRelabelToTheCurrentGrid)
 
 TEST(ResultCache, RoundTripsThroughDisk)
 {
-    const std::string path = tempPath("sparch_cache_roundtrip.csv");
+    const std::string path = uniqueTempPath("sparch_cache_roundtrip.csv");
     const BatchRunner runner = makeGrid();
 
     std::string csv1;
@@ -297,13 +290,13 @@ TEST(ResultCache, RoundTripsThroughDisk)
 
 TEST(ResultCache, MissingFileIsEmptyCache)
 {
-    ResultCache cache(tempPath("sparch_cache_missing.csv"));
+    ResultCache cache(uniqueTempPath("sparch_cache_missing.csv"));
     EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(ResultCache, CorruptLinesAreSkippedNotFatal)
 {
-    const std::string path = tempPath("sparch_cache_corrupt.csv");
+    const std::string path = uniqueTempPath("sparch_cache_corrupt.csv");
     // Build a valid one-entry cache, then append garbage.
     {
         BatchRunner runner(1);
@@ -333,7 +326,7 @@ TEST(ResultCache, CorruptLinesAreSkippedNotFatal)
 
 TEST(ResultCache, UnrecognizedHeaderIgnoresFile)
 {
-    const std::string path = tempPath("sparch_cache_badheader.csv");
+    const std::string path = uniqueTempPath("sparch_cache_badheader.csv");
     {
         std::ofstream out(path);
         out << "some,other,schema\n1,2,3\n";
@@ -345,7 +338,7 @@ TEST(ResultCache, UnrecognizedHeaderIgnoresFile)
 
 TEST(ResultCache, ClearDropsEntriesAndFile)
 {
-    const std::string path = tempPath("sparch_cache_clear.csv");
+    const std::string path = uniqueTempPath("sparch_cache_clear.csv");
     {
         BatchRunner runner(1);
         runner.add("c", SpArchConfig{},
@@ -365,7 +358,7 @@ TEST(ResultCache, ClearDropsEntriesAndFile)
 TEST(ResultCache, SaveIsAtomicEnoughToReload)
 {
     // Saving twice (second save clean) leaves one well-formed file.
-    const std::string path = tempPath("sparch_cache_resave.csv");
+    const std::string path = uniqueTempPath("sparch_cache_resave.csv");
     BatchRunner runner(1);
     runner.add("c", SpArchConfig{},
                driver::uniformWorkload(64, 64, 300, 9));

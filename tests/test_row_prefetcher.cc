@@ -227,6 +227,54 @@ TEST(RowPrefetcher, BypassModeStreamsEveryUse)
     EXPECT_DOUBLE_EQ(p.hitRate(), 0.0);
 }
 
+// The multiplier latches a true rowReady() and its DCHECKs re-derive
+// it with peekRowReady(); the pure query must predict every poll,
+// including demand fetches that evict under a thrashing buffer,
+// streamed oversized rows, empty rows and bypass mode.
+TEST(RowPrefetcher, PeekRowReadyPredictsEveryPoll)
+{
+    CooMatrix coo(6, 64);
+    for (Index r = 0; r < 5; ++r) {
+        const Index len = r == 4 ? 40 : 12; // row 4 spans 5 lines
+        for (Index e = 0; e < len; ++e)
+            coo.add(r, e, 1.0);
+    }
+    coo.canonicalize();
+    const CsrMatrix b = CsrMatrix::fromCoo(coo); // row 5 is empty
+    const auto tasks =
+        trace({0, 1, 2, 3, 0, 5, 4, 1, 2, 3, 4, 0, 5, 2, 1, 3});
+    for (const bool prefetcher : {true, false}) {
+        SpArchConfig cfg = smallConfig(4, ReplacementPolicy::Belady);
+        cfg.rowPrefetcher = prefetcher;
+        mem::HbmBackend hbm(cfg.memory.hbm);
+        RowPrefetcher p(cfg, hbm, "p");
+        p.startRound(&tasks, &b, 0);
+        std::uint64_t consumed = 0;
+        for (int cycle = 0; cycle < 100000 && consumed < tasks.size();
+             ++cycle) {
+            p.clockUpdate();
+            // Poll a few heads ahead, as independent ports would.
+            const std::uint64_t end =
+                std::min<std::uint64_t>(consumed + 3, tasks.size());
+            for (std::uint64_t pos = consumed; pos < end; ++pos) {
+                const bool peeked = p.peekRowReady(pos);
+                ASSERT_EQ(peeked, p.rowReady(pos))
+                    << "pos " << pos << " cycle " << cycle;
+            }
+            while (consumed < tasks.size() && p.peekRowReady(consumed) &&
+                   p.rowReady(consumed)) {
+                p.noteConsumed(consumed);
+                ++consumed;
+            }
+            p.clockApply();
+        }
+        ASSERT_EQ(consumed, tasks.size());
+        if (prefetcher) {
+            EXPECT_GT(p.evictions(), 0u);
+        }
+    }
+}
+
 TEST(RowPrefetcher, HitRateReportedOverLifetime)
 {
     const CsrMatrix b = rowsMatrix(2, 8);

@@ -22,6 +22,7 @@
 #include "matrix/matrix_market.hh"
 #include "matrix/scsr.hh"
 #include "matrix/scsr_convert.hh"
+#include "temp_path.hh"
 
 namespace sparch
 {
@@ -29,15 +30,9 @@ namespace
 {
 
 std::string
-tempPath(const std::string &name)
-{
-    return ::testing::TempDir() + name;
-}
-
-std::string
 writeTempFile(const std::string &name, const std::string &contents)
 {
-    const std::string path = tempPath(name);
+    const std::string path = uniqueTempPath(name);
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << contents;
     return path;
@@ -75,7 +70,7 @@ expectBitIdentical(const CsrMatrix &a, const CsrMatrix &b)
 TEST(Scsr, WriteThenMapRoundTripsBitIdentically)
 {
     const CsrMatrix m = generateUniform(120, 90, 800, 7);
-    const std::string path = tempPath("scsr_roundtrip.scsr");
+    const std::string path = uniqueTempPath("scsr_roundtrip.scsr");
     const ScsrHeader header = writeScsr(m, path);
     EXPECT_EQ(header.rows, 120u);
     EXPECT_EQ(header.cols, 90u);
@@ -92,8 +87,8 @@ TEST(Scsr, WriteThenMapRoundTripsBitIdentically)
 TEST(Scsr, WriterIsDeterministic)
 {
     const CsrMatrix m = generateUniform(50, 50, 300, 3);
-    const std::string p1 = tempPath("scsr_det_1.scsr");
-    const std::string p2 = tempPath("scsr_det_2.scsr");
+    const std::string p1 = uniqueTempPath("scsr_det_1.scsr");
+    const std::string p2 = uniqueTempPath("scsr_det_2.scsr");
     writeScsr(m, p1);
     writeScsr(m, p2);
     EXPECT_EQ(fileBytes(p1), fileBytes(p2));
@@ -104,7 +99,7 @@ TEST(Scsr, WriterIsDeterministic)
 TEST(Scsr, EmptyMatrixRoundTrips)
 {
     const CsrMatrix m(4, 5); // 4x5, zero nonzeros
-    const std::string path = tempPath("scsr_empty.scsr");
+    const std::string path = uniqueTempPath("scsr_empty.scsr");
     writeScsr(m, path);
     const MappedCsr mapped = MappedCsr::open(path);
     EXPECT_EQ(mapped.rows(), 4u);
@@ -121,7 +116,7 @@ TEST(Scsr, RowSliceMatchesInCoreSliceEverywhere)
 {
     // 64 rows, 40 nonzeros: guaranteed empty rows mixed in.
     const CsrMatrix m = generateUniform(64, 64, 40, 11);
-    const std::string path = tempPath("scsr_slices.scsr");
+    const std::string path = uniqueTempPath("scsr_slices.scsr");
     writeScsr(m, path);
     const MappedCsr mapped = MappedCsr::open(path);
 
@@ -147,13 +142,13 @@ TEST(Scsr, RowSliceMatchesInCoreSliceEverywhere)
 TEST(ScsrConvert, MatchesInCoreReadThenWriteByteForByte)
 {
     const CsrMatrix m = generateUniform(200, 200, 2500, 19);
-    const std::string mtx = tempPath("scsr_conv.mtx");
+    const std::string mtx = uniqueTempPath("scsr_conv.mtx");
     writeMatrixMarketFile(m, mtx);
 
-    const std::string via_memory = tempPath("scsr_conv_mem.scsr");
+    const std::string via_memory = uniqueTempPath("scsr_conv_mem.scsr");
     writeScsr(readMatrixMarketFile(mtx), via_memory);
 
-    const std::string via_stream = tempPath("scsr_conv_stream.scsr");
+    const std::string via_stream = uniqueTempPath("scsr_conv_stream.scsr");
     ConvertOptions opts;
     opts.buffer_bytes = 4096; // force many chunks through the pipeline
     opts.buffers = 3;
@@ -176,8 +171,8 @@ expectConverterMatchesReader(const std::string &name,
                              const std::string &mtx_text)
 {
     const std::string mtx = writeTempFile(name + ".mtx", mtx_text);
-    const std::string via_memory = tempPath(name + "_mem.scsr");
-    const std::string via_stream = tempPath(name + "_stream.scsr");
+    const std::string via_memory = uniqueTempPath(name + "_mem.scsr");
+    const std::string via_stream = uniqueTempPath(name + "_stream.scsr");
     writeScsr(readMatrixMarketFile(mtx), via_memory);
     convertMatrixMarketToScsr(mtx, via_stream);
     EXPECT_EQ(fileBytes(via_stream), fileBytes(via_memory));
@@ -228,9 +223,9 @@ TEST(ScsrConvert, SumsDuplicatesInFileOrderAndDropsZeros)
 TEST(ScsrConvert, LoadedMatrixMatchesDirectRead)
 {
     const CsrMatrix m = generateUniform(80, 80, 600, 23);
-    const std::string mtx = tempPath("scsr_load.mtx");
+    const std::string mtx = uniqueTempPath("scsr_load.mtx");
     writeMatrixMarketFile(m, mtx);
-    const std::string scsr = tempPath("scsr_load.scsr");
+    const std::string scsr = uniqueTempPath("scsr_load.scsr");
     convertMatrixMarketToScsr(mtx, scsr);
     expectBitIdentical(MappedCsr::open(scsr).toCsr(),
                        readMatrixMarketFile(mtx));
@@ -246,7 +241,7 @@ TEST(ScsrConvert, RejectsTruncatedAndOverlongInputs)
         "2 2 3\n"
         "1 1 1.0\n");
     EXPECT_THROW(convertMatrixMarketToScsr(
-                     truncated, tempPath("scsr_conv_trunc.scsr")),
+                     truncated, uniqueTempPath("scsr_conv_trunc.scsr")),
                  FatalError);
     std::filesystem::remove(truncated);
 
@@ -257,7 +252,7 @@ TEST(ScsrConvert, RejectsTruncatedAndOverlongInputs)
         "1 1 1.0\n"
         "2 2 2.0\n");
     EXPECT_THROW(convertMatrixMarketToScsr(
-                     overlong, tempPath("scsr_conv_extra.scsr")),
+                     overlong, uniqueTempPath("scsr_conv_extra.scsr")),
                  FatalError);
     std::filesystem::remove(overlong);
 }
@@ -276,8 +271,9 @@ TEST(ScsrConvert, ResidentMemoryIsBoundedByThePoolNotTheFile)
 
     const auto convert = [&](std::uint64_t nnz, const char *tag) {
         const CsrMatrix m = generateUniform(2000, 2000, nnz, 5);
-        const std::string mtx = tempPath(std::string(tag) + ".mtx");
-        const std::string scsr = tempPath(std::string(tag) + ".scsr");
+        const std::string mtx = uniqueTempPath(std::string(tag) + ".mtx");
+        const std::string scsr =
+            uniqueTempPath(std::string(tag) + ".scsr");
         writeMatrixMarketFile(m, mtx);
         const ConvertStats s =
             convertMatrixMarketToScsr(mtx, scsr, opts);
@@ -309,7 +305,7 @@ class ScsrCorruption : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = tempPath("scsr_corrupt.scsr");
+        path_ = uniqueTempPath("scsr_corrupt.scsr");
         writeScsr(generateUniform(30, 30, 200, 13), path_);
     }
 
@@ -415,7 +411,7 @@ TEST_F(ScsrCorruption, MissingFileFailsLoudly)
 TEST(ScsrShardPlan, SpanPlansMatchCsrPlans)
 {
     const CsrMatrix m = generateUniform(200, 200, 1500, 29);
-    const std::string path = tempPath("scsr_plan.scsr");
+    const std::string path = uniqueTempPath("scsr_plan.scsr");
     writeScsr(m, path);
     const MappedCsr mapped = MappedCsr::open(path);
 
@@ -447,7 +443,7 @@ TEST(ScsrShardPlan, SpanPlansMatchCsrPlans)
 TEST(ScsrShardPlan, MappedMultiplyIsBitIdenticalToInCore)
 {
     const CsrMatrix a = generateUniform(64, 64, 500, 31);
-    const std::string path = tempPath("scsr_multiply.scsr");
+    const std::string path = uniqueTempPath("scsr_multiply.scsr");
     writeScsr(a, path);
     const MappedCsr mapped = MappedCsr::open(path);
 
@@ -469,11 +465,11 @@ TEST(ScsrShardPlan, MappedMultiplyIsBitIdenticalToInCore)
 
 TEST(ScsrWorkload, NameIsThePathStemAndIdentityPinsTheChecksum)
 {
-    const std::string path = tempPath("scsr_wl.scsr");
+    const std::string path = uniqueTempPath("scsr_wl.scsr");
     writeScsr(generateUniform(20, 20, 80, 37), path);
 
     const driver::Workload w = driver::scsrWorkload(path);
-    EXPECT_EQ(w.name(), tempPath("scsr_wl"));
+    EXPECT_EQ(w.name(), uniqueTempPath("scsr_wl"));
     EXPECT_NE(w.identity().find("scsr:"), std::string::npos);
     EXPECT_NE(w.identity().find("|sum="), std::string::npos);
     const std::string before = w.identity();
@@ -507,7 +503,7 @@ TEST(ScsrWorkload, MtxIdentityTracksContentNotSizeOrMtime)
 
     // Both spellings of the same matrix sweep under the same name.
     EXPECT_EQ(driver::matrixMarketWorkload(path).name(),
-              tempPath("scsr_wl_mtx"));
+              uniqueTempPath("scsr_wl_mtx"));
     std::filesystem::remove(path);
 }
 
@@ -528,7 +524,7 @@ TEST(ScsrWorkload, GeneratorIdentityFormatsAreStable)
 
 TEST(ScsrWorkload, RegistrationRejectsCorruptFilesLoudly)
 {
-    const std::string path = tempPath("scsr_wl_bad.scsr");
+    const std::string path = uniqueTempPath("scsr_wl_bad.scsr");
     writeScsr(generateUniform(10, 10, 30, 41), path);
     std::filesystem::resize_file(
         path, std::filesystem::file_size(path) / 2);

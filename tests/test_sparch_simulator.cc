@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "core/condensed_matrix.hh"
 #include "core/sparch_simulator.hh"
 #include "matrix/generators.hh"
 #include "matrix/reference_spgemm.hh"
@@ -190,34 +191,61 @@ struct Golden
     std::uint64_t mergeRounds;
     std::uint64_t multiplies;
     std::uint64_t additions;
+    // Per-module poll and traffic counters. The stall counters count
+    // port polls, not cycles: a port blocked for n cycles counts n.
+    std::uint64_t portFullStalls;
+    std::uint64_t rowWaitStalls;
+    std::uint64_t prefetchMisses;
+    std::uint64_t evictions;
+    std::uint64_t elementsFetched;
 };
 
 void
 expectGolden(const SpArchConfig &cfg, const CsrMatrix &a,
-             const Golden &want, const char *label)
+             const CsrMatrix &b, const Golden &want, const char *label)
 {
-    const SpArchResult r = SpArchSimulator(cfg).multiply(a, a);
+    const SpArchResult r = SpArchSimulator(cfg).multiply(a, b);
     EXPECT_EQ(r.cycles, want.cycles) << label;
     EXPECT_EQ(r.bytesTotal, want.bytesTotal) << label;
     EXPECT_EQ(r.result.nnz(), want.nnz) << label;
     EXPECT_EQ(r.mergeRounds, want.mergeRounds) << label;
     EXPECT_EQ(r.multiplies, want.multiplies) << label;
     EXPECT_EQ(r.additions, want.additions) << label;
+    const auto stat = [&](const char *key) {
+        return static_cast<std::uint64_t>(r.stats.get(key));
+    };
+    EXPECT_EQ(stat("multiplier.port_full_stalls"), want.portFullStalls)
+        << label;
+    EXPECT_EQ(stat("multiplier.row_wait_stalls"), want.rowWaitStalls)
+        << label;
+    EXPECT_EQ(stat("row_prefetcher.misses"), want.prefetchMisses)
+        << label;
+    EXPECT_EQ(stat("row_prefetcher.evictions"), want.evictions) << label;
+    EXPECT_EQ(stat("mata_fetcher.elements_fetched"),
+              want.elementsFetched)
+        << label;
 }
 
-// Absolute cycle and traffic pins: any change to module timing, the
-// tick order or the memory model moves one of these numbers. A change
-// that moves them on purpose re-derives them and says why.
+// Absolute cycle, traffic and poll-counter pins: any change to module
+// timing, the tick order, the memory model or the port scans moves
+// one of these numbers. A change that moves them on purpose
+// re-derives them and says why.
 TEST(SpArchSimulator, GoldenCyclesAndTrafficOnUniformSquare)
 {
-    expectGolden(SpArchConfig{}, generateUniform(300, 300, 2400, 11),
-                 {2204, 263632, 17039, 1, 18848, 1809}, "uniform");
+    const CsrMatrix a = generateUniform(300, 300, 2400, 11);
+    expectGolden(SpArchConfig{}, a, a,
+                 {2204, 263632, 17039, 1, 18848, 1809, 13698, 1270, 300,
+                  0, 2365},
+                 "uniform");
 }
 
 TEST(SpArchSimulator, GoldenCyclesAndTrafficOnRmat)
 {
-    expectGolden(SpArchConfig{}, rmatGenerate(1 << 9, 8, 21),
-                 {15235, 662472, 46487, 3, 103096, 56609}, "rmat");
+    const CsrMatrix a = rmatGenerate(1 << 9, 8, 21);
+    expectGolden(SpArchConfig{}, a, a,
+                 {15235, 662472, 46487, 3, 103096, 56609, 307542, 733,
+                  432, 0, 3197},
+                 "rmat");
 }
 
 TEST(SpArchSimulator, GoldenCyclesAndTrafficAcrossAblations)
@@ -225,16 +253,90 @@ TEST(SpArchSimulator, GoldenCyclesAndTrafficAcrossAblations)
     const CsrMatrix a = generateUniform(250, 250, 2000, 13);
     SpArchConfig no_prefetch;
     no_prefetch.rowPrefetcher = false;
-    expectGolden(no_prefetch, a, {17980, 372012, 13583, 1, 15294, 1711},
+    expectGolden(no_prefetch, a, a,
+                 {17980, 372012, 13583, 1, 15294, 1711, 47949, 140995,
+                  1957, 0, 1957},
                  "no-prefetcher");
     SpArchConfig no_condense;
     no_condense.matrixCondensing = false;
-    expectGolden(no_condense, a, {4444, 418672, 13583, 4, 15294, 1711},
+    expectGolden(no_condense, a, a,
+                 {4444, 418672, 13583, 4, 15294, 1711, 4925, 1082, 250, 0,
+                  1957},
                  "no-condense");
     SpArchConfig small_tree;
     small_tree.mergeTree.layers = 4;
-    expectGolden(small_tree, a, {1890, 213384, 13583, 2, 15294, 1711},
+    expectGolden(small_tree, a, a,
+                 {1890, 213384, 13583, 2, 15294, 1711, 8507, 803, 256, 0,
+                  1957},
                  "16-way tree");
+}
+
+// A prefetch buffer far smaller than the working set evicts lines of
+// rows whose port heads were already polled ready, both in the
+// prefetcher's own update and mid-scan from the multiplier's demand
+// fetches.
+TEST(SpArchSimulator, GoldenCyclesAndTrafficUnderPrefetchThrashing)
+{
+    const CsrMatrix a = generateUniform(250, 250, 2000, 13);
+    SpArchConfig thrash;
+    thrash.mergeTree.layers = 4;
+    thrash.prefetchLines = 64;
+    thrash.prefetchLineElems = 4;
+    expectGolden(thrash, a, a,
+                 {13613, 482220, 13583, 2, 15294, 1711, 22662, 125162,
+                  7247, 7171, 1957},
+                 "thrashing 16-way tree");
+
+    // Here a demand fetch evicts the row of a port that the same scan
+    // visits later in the cycle; the cycle count depends on that port
+    // being polled again rather than skipped.
+    const CsrMatrix dense = generateUniform(200, 200, 3000, 5);
+    SpArchConfig thrash_dense = thrash;
+    thrash_dense.prefetchLines = 128;
+    expectGolden(thrash_dense, dense, dense,
+                 {15705, 1112520, 25777, 2, 41313, 15536, 11095, 185706,
+                  15887, 15631, 2879},
+                 "thrashing 16-way tree, denser operand");
+
+    const CsrMatrix wide = generateUniform(100, 400, 8000, 17);
+    const CsrMatrix b = generateUniform(400, 400, 2000, 19);
+    SpArchConfig thrash_wide;
+    thrash_wide.mergeTree.layers = 7;
+    thrash_wide.prefetchLines = 512;
+    thrash_wide.prefetchLineElems = 2;
+    expectGolden(thrash_wide, wide, b,
+                 {6817, 731124, 23729, 1, 36008, 12279, 200, 427983,
+                  16367, 15855, 7290},
+                 "thrashing 128-way tree");
+}
+
+// Trees wider than 64 leaves keep their per-port state in several
+// 64-bit words; these rounds use a port count that spans more than
+// one word and ends inside a partial word.
+TEST(SpArchSimulator, GoldenCyclesAndTrafficOnMultiWordPortScans)
+{
+    const CsrMatrix wide = generateUniform(100, 400, 8000, 17);
+    const CsrMatrix b = generateUniform(400, 400, 2000, 19);
+    // One merge round, one fresh port per condensed column.
+    const Index ports7 = CondensedMatrix(wide).numColumns();
+    EXPECT_EQ(ports7, 95u);
+    SpArchConfig layers7;
+    layers7.mergeTree.layers = 7;
+    expectGolden(layers7, wide, b,
+                 {3589, 396852, 23729, 1, 36008, 12279, 53814, 0, 397, 0,
+                  7290},
+                 "128-way tree, 95 ports");
+
+    const CsrMatrix wider = generateUniform(60, 1000, 9000, 23);
+    const CsrMatrix c = generateUniform(1000, 300, 3000, 29);
+    const Index ports8 = CondensedMatrix(wider).numColumns();
+    EXPECT_EQ(ports8, 164u);
+    SpArchConfig layers8;
+    layers8.mergeTree.layers = 8;
+    expectGolden(layers8, wider, c,
+                 {3342, 299608, 13590, 1, 25154, 11564, 1842, 79947, 955,
+                  0, 8350},
+                 "256-way tree, 164 ports");
 }
 
 /** Parameterized sweep: config x workload grid, all must be exact. */

@@ -23,6 +23,13 @@ Enforces invariants the compiler cannot see:
                            RAII wrapper that owns every mapping (a raw
                            call elsewhere is a leak or double-unmap
                            waiting to happen).
+  shared-temp-path         no ::testing::TempDir() or
+                           std::filesystem::temp_directory_path()
+                           calls in tests/ outside tests/temp_path.hh:
+                           ctest -j runs each test case in its own
+                           process, so a fixed name in the shared temp
+                           directory races between cases; use
+                           uniqueTempPath() instead.
   config-field-coverage    the field registries (*.def) and the config
                            structs cover each other exactly, and every
                            config enum value has a registered CLI
@@ -62,6 +69,7 @@ RULES = {
     "nolint-reason": "NOLINT without specific checks and a justification",
     "config-field-coverage": "field registry and struct disagree",
     "raw-mmap": "raw mmap call outside the MappedFile wrapper",
+    "shared-temp-path": "temp directory path built outside uniqueTempPath",
     "bad-annotation": "malformed sparch-audit annotation",
 }
 
@@ -70,6 +78,12 @@ KEYED_SCOPE = ("src/driver", "src/cli")
 SCHEDULE_SCOPE = ("src/driver", "src/exec", "src/check")
 # The one file allowed to touch the mmap syscall family directly.
 MMAP_OWNER = "src/matrix/mmap_file.cc"
+# Tests are scanned for shared temp paths only; the one header allowed
+# to build paths in the temp directory; fixtures are scanned on their
+# own in fixture mode.
+TEST_SCOPE = "tests"
+TEMP_PATH_OWNER = "tests/temp_path.hh"
+FIXTURES_DIR = "tests/audit/fixtures"
 
 SOURCE_EXTS = (".cc", ".hh", ".cpp", ".hpp", ".h")
 
@@ -412,6 +426,8 @@ NOLINT_RE = re.compile(r"NOLINT(?:NEXTLINE|BEGIN|END)?\b(\([^)]*\))?")
 
 RAW_MMAP_RE = re.compile(r"\b(?:mmap|mmap64|munmap|mremap|msync)\s*\(")
 
+TEMP_DIR_RE = re.compile(r"\b(?:TempDir|temp_directory_path)\s*\(")
+
 
 def check_nondet(path, code, starts, ann, out):
     unordered = set(UNORDERED_DECL_RE.findall(code))
@@ -501,6 +517,17 @@ def check_raw_mmap(path, code, starts, ann, out):
                 "raw mmap-family call outside %s; hold a MappedFile "
                 "instead so unmapping cannot be forgotten or doubled" %
                 MMAP_OWNER))
+
+
+def check_shared_temp_path(path, code, ann, out):
+    for lineno, line in enumerate(code.split("\n"), start=1):
+        if TEMP_DIR_RE.search(line) and not ann.allows(
+                "shared-temp-path", lineno):
+            out.append(Violation(
+                path, lineno, "shared-temp-path",
+                "path built in the shared temp directory; concurrent "
+                "test processes race on a fixed name, use "
+                "uniqueTempPath() from %s" % TEMP_PATH_OWNER))
 
 
 def check_nolint(path, comments, ann, out):
@@ -815,8 +842,19 @@ def scan_file(path, rel, fixture_mode, out):
         check_schedule_points(rel, code, starts, ann, out)
     if rel.replace(os.sep, "/") != MMAP_OWNER:
         check_raw_mmap(rel, code, starts, ann, out)
+    if fixture_mode:
+        check_shared_temp_path(rel, code, ann, out)
     check_nolint(rel, comments, ann, out)
     return comments
+
+
+def scan_test_file(path, rel, out):
+    code, comments = split_code_and_comments(read(path))
+    ann = parse_annotations(merge_multiline_annotations(comments))
+    for lineno, message in ann.bad:
+        out.append(Violation(rel, lineno, "bad-annotation", message))
+    if rel.replace(os.sep, "/") != TEMP_PATH_OWNER:
+        check_shared_temp_path(rel, code, ann, out)
 
 
 def dedupe(violations):
@@ -838,6 +876,15 @@ def run_tree(root):
                 continue
             path = os.path.join(base, name)
             scan_file(path, os.path.relpath(path, root), False, out)
+    for base, dirs, files in os.walk(os.path.join(root, TEST_SCOPE)):
+        dirs.sort()
+        if os.path.relpath(base, root).replace(os.sep, "/") == \
+                os.path.dirname(FIXTURES_DIR):
+            dirs.remove(os.path.basename(FIXTURES_DIR))
+        for name in sorted(files):
+            if name.endswith(SOURCE_EXTS):
+                path = os.path.join(base, name)
+                scan_test_file(path, os.path.relpath(path, root), out)
     check_tree_field_coverage(root, out)
     return dedupe(out)
 
