@@ -13,6 +13,13 @@
  * (owning constructor, unit tests and standalone use) or on a per-run
  * Arena (the merge tree's 127 node FIFOs), which is what lets a
  * steady-state simulation run the cycle loop without heap traffic.
+ *
+ * Bulk movers (the merge tree's level mergers) read and write the
+ * ring directly through ringData()/headSlot()/tailSlot() on local
+ * cursors and then account a whole batch at once with commitPops(n) /
+ * commitPushes(n); the result equals n single pop()/push() calls.
+ * High-water stays exact as long as one batch only pushes (occupancy
+ * peaks at the batch's end) or only pops (occupancy never rises).
  */
 
 #ifndef SPARCH_HW_FIFO_HH
@@ -69,10 +76,7 @@ class Fifo
     push(const T &item)
     {
         SPARCH_DCHECK(!full(), "push to full FIFO");
-        std::size_t idx = head_ + count_;
-        if (idx >= capacity_)
-            idx -= capacity_;
-        data_[idx] = item;
+        data_[tailSlot()] = item;
         ++count_;
         ++pushes_;
         if (count_ > high_water_)
@@ -109,6 +113,51 @@ class Fifo
         --count_;
         ++pops_;
         return item;
+    }
+
+    /** Ring storage (capacity() slots) for bulk movers. */
+    T *ringData() { return data_; }
+
+    /** Ring slot of front(); meaningful while !empty(). */
+    std::size_t headSlot() const { return head_; }
+
+    /** Ring slot the next push() would write. */
+    std::size_t
+    tailSlot() const
+    {
+        const std::size_t idx = head_ + count_;
+        return idx >= capacity_ ? idx - capacity_ : idx;
+    }
+
+    /**
+     * Account n pops whose items the caller already read from the ring
+     * slots headSlot(), headSlot() + 1, ... (wrapping).
+     */
+    void
+    commitPops(std::size_t n)
+    {
+        SPARCH_DCHECK(n <= count_, "commit of ", n, " pops from a FIFO ",
+                      "holding ", count_);
+        head_ += n;
+        if (head_ >= capacity_)
+            head_ -= capacity_;
+        count_ -= n;
+        pops_ += n;
+    }
+
+    /**
+     * Account n pushes whose items the caller already wrote to the ring
+     * slots tailSlot(), tailSlot() + 1, ... (wrapping).
+     */
+    void
+    commitPushes(std::size_t n)
+    {
+        SPARCH_DCHECK(n <= freeSpace(), "commit of ", n, " pushes to a ",
+                      "FIFO with ", freeSpace(), " free");
+        count_ += n;
+        pushes_ += n;
+        if (count_ > high_water_)
+            high_water_ = count_;
     }
 
     /** Drop everything (end of a merge round). */

@@ -55,39 +55,59 @@ MergeTree::startRound(unsigned active_leaves)
         }
     }
     // Propagate exhaustion of unused subtrees immediately.
-    for (unsigned i = first_leaf - 1; i >= 1; --i) {
-        nodes_[i].inputDone =
-            nodeExhausted(2 * i) && nodeExhausted(2 * i + 1);
-        if (i == 1)
-            break;
-    }
+    sweepEndOfStream();
     leaf_full_.clearAll();
     eos_dirty_ = true;
 }
 
 void
-MergeTree::pushCombining(Node &node, const StreamElement &element)
+MergeTree::sweepEndOfStream()
 {
-    ++elements_merged_;
-    moved_this_cycle_ = true;
-    // Merger output invariant: within a round, every internal FIFO
-    // receives a non-decreasing coordinate stream (a 2-way merge of
-    // sorted children cannot emit out of order).
-    SPARCH_DCHECK(node.fifo.empty() ||
-                      node.fifo.back().coord <= element.coord,
-                  "merger emitted out of order: ",
-                  node.fifo.back().coord, " then ", element.coord);
-    if (config_.combineDuplicates && !node.fifo.empty() &&
-        node.fifo.back().coord == element.coord) {
-        // Adder slice: adjacent same-coordinate elements are summed;
-        // the zero eliminator removes the vacated slot, so no FIFO
-        // space is consumed.
-        node.fifo.back().value += element.value;
-        ++additions_;
-        return;
+    // Deepest-first: children 2i and 2i+1 settle before their parent i,
+    // so one pass reaches the fixpoint.
+    for (unsigned i = leafCount() - 1; i != 0; --i) {
+        if (eosPending(i))
+            nodes_[i].inputDone = true;
     }
-    node.fifo.push(element);
 }
+
+namespace
+{
+
+/**
+ * A child FIFO's ring read through local cursors for one serve; the
+ * FIFO itself is updated once, by commitPops(popped).
+ */
+struct PopCursor
+{
+    explicit PopCursor(Fifo<StreamElement> &fifo)
+        : data(fifo.ringData()), capacity(fifo.capacity()),
+          head(fifo.headSlot()), count(fifo.size())
+    {}
+
+    const StreamElement &front() const { return data[head]; }
+
+    /** Pop the front; the slot stays valid for the rest of the serve
+     *  because nothing pushes into a child while its parent is served. */
+    const StreamElement &
+    take()
+    {
+        const StreamElement &element = data[head];
+        if (++head == capacity)
+            head = 0;
+        --count;
+        ++popped;
+        return element;
+    }
+
+    const StreamElement *data;
+    std::size_t capacity;
+    std::size_t head;
+    std::size_t count;
+    std::size_t popped = 0;
+};
+
+} // namespace
 
 void
 MergeTree::serveParent(unsigned parent)
@@ -96,37 +116,80 @@ MergeTree::serveParent(unsigned parent)
     Node &left = nodes_[2 * parent];
     Node &right = nodes_[2 * parent + 1];
 
+    // The whole serve runs on local copies of the three rings' cursors
+    // and commits the FIFO bookkeeping once at the end. The children
+    // only pop and the parent only pushes, so high-water stays exact.
+    PopCursor lc(left.fifo);
+    PopCursor rc(right.fifo);
+    StreamElement *const out = p.fifo.ringData();
+    const std::size_t out_capacity = p.fifo.capacity();
+    const std::size_t out_free = p.fifo.freeSpace();
+    std::size_t out_tail = p.fifo.tailSlot();
+    // The parent's newest element: the adder slice's coalescing target.
+    StreamElement *back = nullptr;
+    if (!p.fifo.empty())
+        back = &out[(out_tail == 0 ? out_capacity : out_tail) - 1];
+
     unsigned moved = 0;
-    while (moved < config_.mergerWidth && !p.fifo.full()) {
-        const bool left_avail = !left.fifo.empty();
-        const bool right_avail = !right.fifo.empty();
-        if (left_avail && right_avail) {
+    std::size_t pushed = 0;
+    std::uint64_t added = 0;
+    while (moved < config_.mergerWidth && pushed < out_free) {
+        const StreamElement *element;
+        if (lc.count != 0 && rc.count != 0) {
             // Ties pop the right child first, matching the strict '<'
             // comparator convention (B side wins ties).
-            if (left.fifo.front().coord < right.fifo.front().coord)
-                pushCombining(p, left.fifo.pop());
-            else
-                pushCombining(p, right.fifo.pop());
-        } else if (left_avail && nodeExhausted(2 * parent + 1)) {
-            pushCombining(p, left.fifo.pop());
-        } else if (right_avail && nodeExhausted(2 * parent)) {
-            pushCombining(p, right.fifo.pop());
+            element = lc.front().coord < rc.front().coord ? &lc.take()
+                                                          : &rc.take();
+        } else if (lc.count != 0 && right.inputDone) {
+            // The right child is empty and finished, i.e. exhausted.
+            element = &lc.take();
+        } else if (rc.count != 0 && left.inputDone) {
+            element = &rc.take();
         } else {
             // Stall: a child FIFO is empty but not exhausted, so the
             // merger cannot know the next coordinate from that side.
             break;
         }
         ++moved;
+        // Merger output invariant: within a round, every internal FIFO
+        // receives a non-decreasing coordinate stream (a 2-way merge
+        // of sorted children cannot emit out of order).
+        SPARCH_DCHECK(back == nullptr || back->coord <= element->coord,
+                      "merger emitted out of order: ", back->coord,
+                      " then ", element->coord);
+        if (config_.combineDuplicates && back != nullptr &&
+            back->coord == element->coord) {
+            // Adder slice: adjacent same-coordinate elements are
+            // summed; the zero eliminator removes the vacated slot, so
+            // no FIFO space is consumed.
+            back->value += element->value;
+            ++added;
+            continue;
+        }
+        back = &out[out_tail];
+        *back = *element;
+        if (++out_tail == out_capacity)
+            out_tail = 0;
+        ++pushed;
     }
+    left.fifo.commitPops(lc.popped);
+    right.fifo.commitPops(rc.popped);
+    p.fifo.commitPushes(pushed);
+    elements_merged_ += moved;
+    additions_ += added;
+    if (moved != 0)
+        moved_this_cycle_ = true;
+
     if (2 * parent >= leafCount()) {
         // The children are leaves: popping one frees its FIFO.
         const unsigned leaf = 2 * parent - leafCount();
         leaf_full_.assign(leaf, left.fifo.full());
         leaf_full_.assign(leaf + 1, right.fifo.full());
     }
-    // A drained child with inputDone pending may have just become
-    // exhausted; let the end-of-stream sweep recompute.
-    if (left.fifo.empty() || right.fifo.empty())
+    // A finished child that just drained is newly exhausted, which is
+    // the only way a serve can change exhaustion state.
+    if ((left.inputDone && lc.popped != 0 && lc.count == 0) ||
+        (right.inputDone && rc.popped != 0 && rc.count == 0))
         eos_dirty_ = true;
 }
 
@@ -162,19 +225,18 @@ MergeTree::clockUpdate()
         }
     }
 
-    // Propagate end-of-stream deepest-first (cheap control signals).
-    // Exhaustion is monotone within a round and one deepest-first pass
-    // reaches the fixpoint, so clean cycles skip the sweep entirely.
+    // Propagate end-of-stream (cheap control signals). Only a finished
+    // child draining, finishLeaf() or startRound() can newly exhaust a
+    // node, and each sets eos_dirty_; on every other cycle the sweep
+    // would change nothing and is skipped.
     if (eos_dirty_) {
-        for (unsigned i = (1u << config_.layers) - 1; i >= 1; --i) {
-            if (!nodes_[i].inputDone) {
-                nodes_[i].inputDone =
-                    nodeExhausted(2 * i) && nodeExhausted(2 * i + 1);
-            }
-            if (i == 1)
-                break;
-        }
+        sweepEndOfStream();
         eos_dirty_ = false;
+    } else if (SPARCH_DCHECK_IS_ON) {
+        for (unsigned i = leafCount() - 1; i != 0; --i) {
+            SPARCH_DCHECK(!eosPending(i), "end-of-stream sweep skipped ",
+                          "while node ", i, " is newly exhausted");
+        }
     }
 }
 

@@ -8,20 +8,28 @@
  * throughput"): per cycle each level's merger serves a single parent
  * node, moving up to mergerWidth elements from its two child FIFOs.
  * Adder slices after each merger sum adjacent same-coordinate elements
- * (Section II-A-4), modelled by coalescing on FIFO push; the zero
- * eliminator's effect is implicit in the compacted push.
+ * (Section II-A-4), modelled by coalescing into the parent FIFO's
+ * newest element; the zero eliminator's effect is implicit in the
+ * compacted output.
  *
  * Table I: 6 layers of 16-wide array mergers = 64-way merge.
  *
- * Hot-path notes: the leaf/root accessors are called from the
- * multiplier and writer inner loops every cycle and live in the header
- * so they inline; node FIFOs can ring over a per-run Arena; the
- * end-of-stream propagation sweep only runs on cycles where exhaustion
- * state could have changed (it is a monotone fixpoint within a round,
- * so skipping clean cycles is exact). A leaf-full bitmask, kept
- * current by pushLeaf() and the bottom-level merger, lets the
- * multiplier's port scan jump over back-pressured leaves a word at a
- * time instead of probing each leaf FIFO.
+ * Hot-path notes:
+ *  - The leaf/root accessors are called from the multiplier and writer
+ *    inner loops every cycle and live in the header so they inline.
+ *  - Node FIFOs can ring over a per-run Arena.
+ *  - A serve merges on local copies of the three rings' cursors and
+ *    commits each FIFO's counters once (Fifo::commitPops/commitPushes),
+ *    not per element.
+ *  - The end-of-stream sweep runs only on cycles where a finished child
+ *    drained, a leaf was finished or a round started: the only events
+ *    that can newly exhaust a node. Exhaustion is monotone within a
+ *    round, so skipping every other cycle is exact; DCHECK builds
+ *    verify that each skipped sweep would have changed nothing.
+ *  - A leaf-full bitmask, kept current by pushLeaf() and the
+ *    bottom-level merger, lets the multiplier's port scan jump over
+ *    back-pressured leaves a word at a time instead of probing each
+ *    leaf FIFO.
  */
 
 #ifndef SPARCH_HW_MERGE_TREE_HH
@@ -195,8 +203,19 @@ class MergeTree final : public Clocked
         return nodes_[idx].inputDone && nodes_[idx].fifo.empty();
     }
 
+    /** True when the sweep would newly mark internal node `idx` done:
+     *  both children are exhausted but its inputDone is still clear. */
+    bool
+    eosPending(unsigned idx) const
+    {
+        return !nodes_[idx].inputDone && nodeExhausted(2 * idx) &&
+               nodeExhausted(2 * idx + 1);
+    }
+
+    /** One deepest-first end-of-stream propagation pass. */
+    void sweepEndOfStream();
+
     void serveParent(unsigned parent);
-    void pushCombining(Node &node, const StreamElement &element);
 
     MergeTreeConfig config_;
     std::vector<Node> nodes_;       //!< 1-based heap layout
@@ -210,11 +229,13 @@ class MergeTree final : public Clocked
     bool moved_this_cycle_ = false;
 
     /**
-     * Exhaustion state may have changed since the last end-of-stream
-     * propagation sweep. Within a round exhaustion is monotone
-     * (inputDone is sticky and exhausted nodes never receive pushes),
-     * and one deepest-first pass reaches the fixpoint, so sweeps on
-     * clean cycles are exact no-ops and skipped.
+     * A node may have become exhausted since the last end-of-stream
+     * sweep. Set by finishLeaf(), startRound() and a serve that drains
+     * a child whose inputDone is set; exhaustion is monotone within a
+     * round (inputDone is sticky and exhausted nodes never receive
+     * pushes), and the sweep's own inputDone updates settle within its
+     * single deepest-first pass, so no other event can make a sweep
+     * change anything.
      */
     bool eos_dirty_ = true;
 

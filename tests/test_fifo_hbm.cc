@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/arena.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "hw/fifo.hh"
 #include "mem/hbm_backend.hh"
 
@@ -148,6 +150,59 @@ TEST(Fifo, BackIsMutable)
     f.push(5);
     f.back() += 3;
     EXPECT_EQ(f.pop(), 8);
+}
+
+// Bulk movers write and read the ring directly and commit whole
+// batches: any run of commitPushes/commitPops across the ring wrap
+// must leave the FIFO exactly as the same single push()/pop() calls.
+TEST(Fifo, BulkCommitsMatchSinglePushPop)
+{
+    for (const std::size_t capacity : {1, 2, 64}) {
+        for (const bool on_arena : {false, true}) {
+            Arena arena;
+            hw::Fifo<int> bulk = on_arena ? hw::Fifo<int>(capacity, arena)
+                                          : hw::Fifo<int>(capacity);
+            hw::Fifo<int> single(capacity);
+            Rng rng(capacity * 2 + on_arena);
+            int next_in = 0;
+            for (int step = 0; step < 400; ++step) {
+                if (rng.nextBool(0.5)) {
+                    const std::size_t n =
+                        rng.nextBounded(bulk.freeSpace() + 1);
+                    int *ring = bulk.ringData();
+                    std::size_t slot = bulk.tailSlot();
+                    for (std::size_t i = 0; i < n; ++i) {
+                        ring[slot] = next_in;
+                        if (++slot == capacity)
+                            slot = 0;
+                        single.push(next_in++);
+                    }
+                    bulk.commitPushes(n);
+                } else {
+                    const std::size_t n = rng.nextBounded(bulk.size() + 1);
+                    const int *ring = bulk.ringData();
+                    std::size_t slot = bulk.headSlot();
+                    for (std::size_t i = 0; i < n; ++i) {
+                        ASSERT_EQ(ring[slot], single.pop());
+                        if (++slot == capacity)
+                            slot = 0;
+                    }
+                    bulk.commitPops(n);
+                }
+                ASSERT_EQ(bulk.size(), single.size());
+                if (!single.empty()) {
+                    ASSERT_EQ(bulk.front(), single.front());
+                    ASSERT_EQ(bulk.back(), single.back());
+                }
+                ASSERT_EQ(bulk.pushes(), single.pushes());
+                ASSERT_EQ(bulk.pops(), single.pops());
+                ASSERT_EQ(bulk.highWater(), single.highWater());
+            }
+            // The head went round the ring several times.
+            EXPECT_GT(single.pops(), 4 * capacity)
+                << "capacity " << capacity;
+        }
+    }
 }
 
 TEST(Hbm, AccountsBytesPerStream)

@@ -1,10 +1,13 @@
 /**
  * @file
  * Tests for the streaming merge tree: K-way merge correctness, adder
- * coalescing, end-of-stream propagation, and back-pressure liveness.
+ * coalescing, end-of-stream propagation, back-pressure liveness, and
+ * pins on when each element leaves the root.
  */
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 
 #include <gtest/gtest.h>
@@ -12,6 +15,7 @@
 #include "common/random.hh"
 #include "hw/fifo.hh"
 #include "hw/merge_tree.hh"
+#include "matrix/scsr.hh"
 
 namespace sparch
 {
@@ -20,18 +24,30 @@ namespace hw
 namespace
 {
 
-/** Feed the given arrays through a tree and return the root stream. */
-std::vector<StreamElement>
-mergeArrays(const std::vector<std::vector<StreamElement>> &arrays,
-            const MergeTreeConfig &config)
+/** One element leaving the root, and the cycle it left on. */
+struct RootPop
 {
-    MergeTree tree(config, "tree");
+    std::uint64_t cycle;
+    StreamElement element;
+};
+
+/**
+ * Feed the given arrays through `tree` and return every root pop.
+ * Leaves are refilled greedily each cycle; the root is drained after
+ * every cycle, or, with a `consumer` Rng, on half the cycles at random
+ * (a back-pressured writer).
+ */
+std::vector<RootPop>
+driveTree(MergeTree &tree,
+          const std::vector<std::vector<StreamElement>> &arrays,
+          Rng *consumer = nullptr)
+{
     tree.startRound(static_cast<unsigned>(arrays.size()));
 
     std::vector<std::size_t> cursor(arrays.size(), 0);
-    std::vector<StreamElement> out;
+    std::vector<RootPop> out;
     std::size_t guard = 0;
-    for (;;) {
+    for (std::uint64_t cycle = 0;; ++cycle) {
         bool all_fed = true;
         for (unsigned i = 0; i < arrays.size(); ++i) {
             while (cursor[i] < arrays[i].size() &&
@@ -46,12 +62,9 @@ mergeArrays(const std::vector<std::vector<StreamElement>> &arrays,
         }
         tree.clockUpdate();
         tree.clockApply();
-        while (tree.rootHasPoppable()) {
-            const StreamElement e = tree.popRoot();
-            if (!out.empty() && out.back().coord == e.coord)
-                out.back().value += e.value;
-            else
-                out.push_back(e);
+        if (consumer == nullptr || consumer->nextBool(0.5)) {
+            while (tree.rootHasPoppable())
+                out.push_back({cycle, tree.popRoot()});
         }
         if (all_fed && tree.done() && !tree.rootHasData())
             break;
@@ -59,6 +72,23 @@ mergeArrays(const std::vector<std::vector<StreamElement>> &arrays,
             ADD_FAILURE() << "merge tree not live";
             break;
         }
+    }
+    return out;
+}
+
+/** Feed the given arrays through a tree and return the root stream. */
+std::vector<StreamElement>
+mergeArrays(const std::vector<std::vector<StreamElement>> &arrays,
+            const MergeTreeConfig &config)
+{
+    MergeTree tree(config, "tree");
+    std::vector<StreamElement> out;
+    for (const RootPop &pop : driveTree(tree, arrays)) {
+        const StreamElement &e = pop.element;
+        if (!out.empty() && out.back().coord == e.coord)
+            out.back().value += e.value;
+        else
+            out.push_back(e);
     }
     return out;
 }
@@ -301,6 +331,79 @@ TEST_P(MergeTreeProperty, LeafFullBitEqualsZeroFreeSpace)
                 }
             }
         }
+    }
+}
+
+/**
+ * Cycle behaviour pins: per geometry, an FNV-1a digest of the cycle
+ * and element of every root pop plus the five tree counters, over
+ * random merges with a greedy and a back-pressured consumer.
+ * MatchesReferenceKWayMerge checks what leaves the root; these check
+ * when it leaves. A change that moves them on purpose re-derives them
+ * and says why.
+ */
+struct TimingPin
+{
+    TreeGeometry geometry;
+    std::uint64_t combined;   //!< combineDuplicates = true
+    std::uint64_t uncombined; //!< combineDuplicates = false
+};
+
+constexpr TimingPin kTimingPins[] = {
+    {{1, 1, 4}, 0xc51fec279770b7e2ull, 0x35e70be941954377ull},
+    {{2, 2, 4}, 0x8a5eb829c7fa60ddull, 0x671c3c87582eb667ull},
+    {{3, 4, 8}, 0xc5f9216df602f5ccull, 0x3f2375a538a73645ull},
+    {{4, 16, 16}, 0x1071823133f966d6ull, 0x5af1e2f04ee861eeull},
+    {{6, 16, 64}, 0xc63279c4912f3df6ull, 0xfb84038a0128c8d7ull},
+    {{2, 16, 2}, 0xe5051fd4cf6b3cd3ull, 0x4ac2f9ce9afb8357ull},
+    {{5, 8, 32}, 0x1eaf02283ca34347ull, 0xe0f2be7ca610a923ull},
+};
+
+TEST_P(MergeTreeProperty, RootPopCyclesAndCountersArePinned)
+{
+    const TreeGeometry g = GetParam();
+    const TimingPin *pin = nullptr;
+    for (const TimingPin &p : kTimingPins) {
+        if (p.geometry.layers == g.layers &&
+            p.geometry.width == g.width && p.geometry.fifo == g.fifo)
+            pin = &p;
+    }
+    ASSERT_NE(pin, nullptr) << "no timing pin for this geometry";
+    for (const bool combine : {true, false}) {
+        MergeTreeConfig cfg;
+        cfg.layers = g.layers;
+        cfg.mergerWidth = g.width;
+        cfg.fifoCapacity = g.fifo;
+        cfg.combineDuplicates = combine;
+        MergeTree tree(cfg, "tree");
+        Rng rng(g.layers * 10000 + g.width * 100 + g.fifo);
+        Rng consumer(rng.next());
+        std::uint64_t digest = kFnvOffset;
+        const auto add = [&digest](std::uint64_t word) {
+            digest = fnv1a(&word, sizeof(word), digest);
+        };
+        for (int trial = 0; trial < 8; ++trial) {
+            const unsigned count =
+                1 + static_cast<unsigned>(
+                        rng.nextBounded(1u << g.layers));
+            const auto arrays = randomArrays(rng, count, 60);
+            const auto pops =
+                driveTree(tree, arrays, trial % 2 ? &consumer : nullptr);
+            for (const RootPop &pop : pops) {
+                add(pop.cycle);
+                add(pop.element.coord);
+                add(std::bit_cast<std::uint64_t>(pop.element.value));
+            }
+            add(pops.size());
+        }
+        add(tree.elementsMerged());
+        add(tree.additions());
+        add(tree.idleCycles());
+        add(tree.fifoPushes());
+        add(tree.fifoPops());
+        EXPECT_EQ(digest, combine ? pin->combined : pin->uncombined)
+            << std::hex << std::showbase << "combineDuplicates=" << combine
+            << " digest " << digest;
     }
 }
 

@@ -198,6 +198,12 @@ struct Golden
     std::uint64_t prefetchMisses;
     std::uint64_t evictions;
     std::uint64_t elementsFetched;
+    // Merge-tree element movement: merger outputs, node FIFO SRAM
+    // accesses, and cycles in which no level moved anything.
+    std::uint64_t treeElementsMerged;
+    std::uint64_t treeFifoPushes;
+    std::uint64_t treeFifoPops;
+    std::uint64_t treeIdleCycles;
 };
 
 void
@@ -224,18 +230,25 @@ expectGolden(const SpArchConfig &cfg, const CsrMatrix &a,
     EXPECT_EQ(stat("mata_fetcher.elements_fetched"),
               want.elementsFetched)
         << label;
+    EXPECT_EQ(stat("merge_tree.elements_merged"), want.treeElementsMerged)
+        << label;
+    EXPECT_EQ(stat("merge_tree.fifo_pushes"), want.treeFifoPushes)
+        << label;
+    EXPECT_EQ(stat("merge_tree.fifo_pops"), want.treeFifoPops) << label;
+    EXPECT_EQ(stat("merge_tree.idle_cycles"), want.treeIdleCycles)
+        << label;
 }
 
 // Absolute cycle, traffic and poll-counter pins: any change to module
-// timing, the tick order, the memory model or the port scans moves
-// one of these numbers. A change that moves them on purpose
-// re-derives them and says why.
+// timing, the tick order, the memory model, the port scans or the
+// merge tree's element movement moves one of these numbers. A change
+// that moves them on purpose re-derives them and says why.
 TEST(SpArchSimulator, GoldenCyclesAndTrafficOnUniformSquare)
 {
     const CsrMatrix a = generateUniform(300, 300, 2400, 11);
     expectGolden(SpArchConfig{}, a, a,
-                 {2204, 263632, 17039, 1, 18848, 1809, 13698, 1270, 300,
-                  0, 2365},
+                 {2204, 263632, 17039, 1, 18848, 1809, 13698, 1270, 300, 0,
+                  2365, 107430, 124469, 124469, 547},
                  "uniform");
 }
 
@@ -243,8 +256,8 @@ TEST(SpArchSimulator, GoldenCyclesAndTrafficOnRmat)
 {
     const CsrMatrix a = rmatGenerate(1 << 9, 8, 21);
     expectGolden(SpArchConfig{}, a, a,
-                 {15235, 662472, 46487, 3, 103096, 56609, 307542, 733,
-                  432, 0, 3197},
+                 {15235, 662472, 46487, 3, 103096, 56609, 307542, 733, 432,
+                  0, 3197, 441211, 488215, 488215, 642},
                  "rmat");
 }
 
@@ -255,19 +268,19 @@ TEST(SpArchSimulator, GoldenCyclesAndTrafficAcrossAblations)
     no_prefetch.rowPrefetcher = false;
     expectGolden(no_prefetch, a, a,
                  {17980, 372012, 13583, 1, 15294, 1711, 47949, 140995,
-                  1957, 0, 1957},
+                  1957, 0, 1957, 86399, 99982, 99982, 14202},
                  "no-prefetcher");
     SpArchConfig no_condense;
     no_condense.matrixCondensing = false;
     expectGolden(no_condense, a, a,
                  {4444, 418672, 13583, 4, 15294, 1711, 4925, 1082, 250, 0,
-                  1957},
+                  1957, 140702, 162897, 162897, 769},
                  "no-condense");
     SpArchConfig small_tree;
     small_tree.mergeTree.layers = 4;
     expectGolden(small_tree, a, a,
                  {1890, 213384, 13583, 2, 15294, 1711, 8507, 803, 256, 0,
-                  1957},
+                  1957, 59245, 72867, 72867, 565},
                  "16-way tree");
 }
 
@@ -284,7 +297,7 @@ TEST(SpArchSimulator, GoldenCyclesAndTrafficUnderPrefetchThrashing)
     thrash.prefetchLineElems = 4;
     expectGolden(thrash, a, a,
                  {13613, 482220, 13583, 2, 15294, 1711, 22662, 125162,
-                  7247, 7171, 1957},
+                  7247, 7171, 1957, 59251, 72873, 72873, 11162},
                  "thrashing 16-way tree");
 
     // Here a demand fetch evicts the row of a port that the same scan
@@ -295,7 +308,7 @@ TEST(SpArchSimulator, GoldenCyclesAndTrafficUnderPrefetchThrashing)
     thrash_dense.prefetchLines = 128;
     expectGolden(thrash_dense, dense, dense,
                  {15705, 1112520, 25777, 2, 41313, 15536, 11095, 185706,
-                  15887, 15631, 2879},
+                  15887, 15631, 2879, 162981, 191962, 191962, 10621},
                  "thrashing 16-way tree, denser operand");
 
     const CsrMatrix wide = generateUniform(100, 400, 8000, 17);
@@ -305,8 +318,8 @@ TEST(SpArchSimulator, GoldenCyclesAndTrafficUnderPrefetchThrashing)
     thrash_wide.prefetchLines = 512;
     thrash_wide.prefetchLineElems = 2;
     expectGolden(thrash_wide, wide, b,
-                 {6817, 731124, 23729, 1, 36008, 12279, 200, 427983,
-                  16367, 15855, 7290},
+                 {6817, 731124, 23729, 1, 36008, 12279, 200, 427983, 16367,
+                  15855, 7290, 231302, 255031, 255031, 2820},
                  "thrashing 128-way tree");
 }
 
@@ -324,7 +337,7 @@ TEST(SpArchSimulator, GoldenCyclesAndTrafficOnMultiWordPortScans)
     layers7.mergeTree.layers = 7;
     expectGolden(layers7, wide, b,
                  {3589, 396852, 23729, 1, 36008, 12279, 53814, 0, 397, 0,
-                  7290},
+                  7290, 231282, 255011, 255011, 499},
                  "128-way tree, 95 ports");
 
     const CsrMatrix wider = generateUniform(60, 1000, 9000, 23);
@@ -335,7 +348,7 @@ TEST(SpArchSimulator, GoldenCyclesAndTrafficOnMultiWordPortScans)
     layers8.mergeTree.layers = 8;
     expectGolden(layers8, wider, c,
                  {3342, 299608, 13590, 1, 25154, 11564, 1842, 79947, 955,
-                  0, 8350},
+                  0, 8350, 179099, 192689, 192689, 1010},
                  "256-way tree, 164 ports");
 }
 
