@@ -14,6 +14,8 @@
 #ifndef SPARCH_BENCH_BENCH_COMMON_HH
 #define SPARCH_BENCH_BENCH_COMMON_HH
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -220,25 +222,34 @@ secondsSince(std::chrono::steady_clock::time_point start)
  * trajectory-writing bench divides its timing by this so two machines
  * of different speed can be compared ratio-to-ratio, which is what
  * lets CI regression-gate against a trajectory recorded elsewhere
- * (scripts/bench_trajectory.sh, ci.yml perf-smoke).
+ * (scripts/bench_trajectory.sh, ci.yml perf-smoke). One ~50 ms sample
+ * drifts by up to 1.6x between back-to-back runs on a shared VM, so
+ * this returns the median of five.
  */
 inline double
 calibrationSeconds()
 {
-    const auto start = std::chrono::steady_clock::now();
-    std::uint64_t x = 0x9e3779b97f4a7c15ULL, acc = 0;
-    for (std::uint64_t i = 0; i < (1ULL << 25); ++i) {
-        x += 0x9e3779b97f4a7c15ULL;
-        std::uint64_t z = x;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        acc ^= z ^ (z >> 31);
+    constexpr int kSamples = 5;
+    std::array<double, kSamples> samples{};
+    for (double &sample : samples) {
+        const auto start = std::chrono::steady_clock::now();
+        std::uint64_t x = 0x9e3779b97f4a7c15ULL, acc = 0;
+        for (std::uint64_t i = 0; i < (1ULL << 25); ++i) {
+            x += 0x9e3779b97f4a7c15ULL;
+            std::uint64_t z = x;
+            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+            z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+            acc ^= z ^ (z >> 31);
+        }
+        // Fold the accumulator into the timing read so the loop cannot
+        // be dead-code eliminated.
+        volatile std::uint64_t sink = acc;
+        (void)sink;
+        sample = secondsSince(start);
     }
-    // Fold the accumulator into the timing read so the loop cannot be
-    // dead-code eliminated.
-    volatile std::uint64_t sink = acc;
-    (void)sink;
-    return secondsSince(start);
+    std::nth_element(samples.begin(), samples.begin() + kSamples / 2,
+                     samples.end());
+    return samples[kSamples / 2];
 }
 
 /** First "model name" line of /proc/cpuinfo, or "unknown". */

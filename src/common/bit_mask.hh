@@ -5,7 +5,8 @@
  * The per-cycle port scans (multiplier, column fetchers) keep one bit
  * per port, for trees of up to 2^16 leaves, and jump over runs of
  * ports that cannot make progress a 64-bit word at a time instead of
- * visiting them one by one.
+ * visiting them one by one; wrappedCount() tallies, per stall cause,
+ * how many ports of such a run a one-by-one scan would have counted.
  */
 
 #ifndef SPARCH_COMMON_BIT_MASK_HH
@@ -53,8 +54,18 @@ class BitMask
             clear(i);
     }
 
+    /** Clear every bit that is set in `other` (same width). */
+    void
+    clearBits(const BitMask &other)
+    {
+        for (std::size_t w = 0; w < words_.size(); ++w)
+            words_[w] &= ~other.words_[w];
+    }
+
     /** Word `w` holds bits [64w, 64w + 64). */
     std::uint64_t word(std::size_t w) const { return words_[w]; }
+
+    std::size_t words() const { return words_.size(); }
 
   private:
     static std::uint64_t
@@ -93,6 +104,32 @@ wrappedRun(WordFn word, unsigned start, unsigned n, unsigned limit)
             i = 0;
     }
     return run;
+}
+
+/**
+ * Number of set bits among the `len` bits that start at bit `start`,
+ * walking bits in the same round-robin order as wrappedRun(). `len`
+ * must not exceed n.
+ */
+template <typename WordFn>
+unsigned
+wrappedCount(WordFn word, unsigned start, unsigned n, unsigned len)
+{
+    unsigned count = 0;
+    unsigned i = start;
+    while (len > 0) {
+        const unsigned shift = i & 63;
+        const unsigned take = std::min({64 - shift, n - i, len});
+        std::uint64_t bits = word(i >> 6) >> shift;
+        if (take < 64)
+            bits &= (std::uint64_t{1} << take) - 1;
+        count += static_cast<unsigned>(std::popcount(bits));
+        len -= take;
+        i += take;
+        if (i == n)
+            i = 0;
+    }
+    return count;
 }
 
 } // namespace sparch

@@ -31,6 +31,8 @@ MataColumnFetcher::startRound(
     queued_total_ = 0;
     issued_total_ = 0;
     eligible_.resize(port_queues ? port_queues->size() : 0);
+    landed_.resize(port_queues ? port_queues->size() : 0);
+    landed_any_ = false;
     if (port_queues != nullptr) {
         std::size_t window = 0;
         for (unsigned p = 0; p < port_queues->size(); ++p) {
@@ -58,7 +60,10 @@ MataColumnFetcher::clockUpdate()
 
     // Land completed reads.
     while (!inflight_.empty() && now_ >= inflight_.front().first) {
-        arrived_[inflight_.front().second] = true;
+        const std::uint64_t pos = inflight_.front().second;
+        arrived_[pos] = true;
+        landed_.set((*tasks_)[pos].port);
+        landed_any_ = true;
         std::pop_heap(inflight_.begin(), inflight_.end(),
                       std::greater<Flight>{});
         inflight_.pop_back();

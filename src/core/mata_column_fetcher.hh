@@ -17,6 +17,11 @@
  * and when its head retires, the only two events that change it, and
  * the round-robin scan jumps over runs of ineligible ports a word at a
  * time. The issue order is the one a port-by-port scan produces.
+ *
+ * Each landing also sets a per-port landed bit. The multiplier parks
+ * ports whose head element has not arrived and wakes them from these
+ * bits (wakeLanded()), since a landing is the only event that can make
+ * a head arrive.
  */
 
 #ifndef SPARCH_CORE_MATA_COLUMN_FETCHER_HH
@@ -69,6 +74,20 @@ class MataColumnFetcher final : public hw::Clocked
         refreshEligible(port);
     }
 
+    /**
+     * Clear in `quiet` the bit of every port one of whose reads landed
+     * since the last call, then forget those landings.
+     */
+    void
+    wakeLanded(BitMask &quiet)
+    {
+        if (!landed_any_)
+            return;
+        quiet.clearBits(landed_);
+        landed_.clearAll();
+        landed_any_ = false;
+    }
+
     /** The port's eligible bit, as the issue scan sees it. */
     bool portEligible(unsigned port) const { return eligible_.test(port); }
 
@@ -108,6 +127,8 @@ class MataColumnFetcher final : public hw::Clocked
     std::vector<std::size_t> issued_;  //!< per-port issue cursor
     std::vector<std::size_t> retired_; //!< per-port retire count
     BitMask eligible_;                 //!< per port: canIssue()
+    BitMask landed_;                   //!< see wakeLanded()
+    bool landed_any_ = false;          //!< landed_ has a set bit
     unsigned rr_port_ = 0;
 
     /** Stream positions left to issue across all ports. Once zero the

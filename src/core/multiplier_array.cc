@@ -1,5 +1,8 @@
 #include "core/multiplier_array.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/annotations.hh"
 #include "common/logging.hh"
 #include "core/mata_column_fetcher.hh"
@@ -42,6 +45,10 @@ MultiplierArray::startRound(const std::vector<MultTask> *tasks,
     rr_port_ = 0;
     remaining_ = 0;
     head_ready_.resize(port_queues_->size());
+    quiet_.resize(port_queues_->size());
+    pending_.resize(port_queues_->size());
+    wake_at_.assign(port_queues_->size(), 0);
+    next_wake_ = kNever;
     seen_evictions_ = prefetcher_->evictions();
     for (const auto &q : *port_queues_)
         remaining_ += q.size();
@@ -69,7 +76,46 @@ MultiplierArray::syncEvictions()
     if (evictions != seen_evictions_) {
         seen_evictions_ = evictions;
         head_ready_.clearAll();
+        pending_.clearAll();
+        next_wake_ = kNever;
     }
+}
+
+void
+MultiplierArray::wakePending(Cycle now)
+{
+    Cycle next = kNever;
+    for (std::size_t w = 0; w < pending_.words(); ++w) {
+        for (std::uint64_t bits = pending_.word(w); bits != 0;
+             bits &= bits - 1) {
+            const std::size_t p =
+                w * 64 + static_cast<unsigned>(std::countr_zero(bits));
+            if (wake_at_[p] <= now)
+                pending_.clear(p);
+            else
+                next = std::min(next, wake_at_[p]);
+        }
+    }
+    next_wake_ = next;
+}
+
+bool
+MultiplierArray::parkedExactly(unsigned port, Cycle now) const
+{
+    const auto &queue = (*port_queues_)[port];
+    const std::size_t cursor = port_cursor_[port];
+    if (quiet_.test(port))
+        return cursor >= queue.size() ||
+               !fetcher_->arrivedAt(queue[cursor]);
+    if (cursor >= queue.size())
+        return false;
+    const std::uint64_t pos = queue[cursor];
+    if (pending_.test(port))
+        return !head_ready_.test(port) && fetcher_->arrivedAt(pos) &&
+               prefetcher_->pendingUntil(pos) > now;
+    // Blocked: latched ready behind a full leaf.
+    return tree_->leafFreeSpace(port) == 0 &&
+           prefetcher_->peekRowReady(pos);
 }
 
 SPARCH_HOT void
@@ -80,6 +126,10 @@ MultiplierArray::clockUpdate()
     if (!prefetcher_->windowWarm())
         return;
     syncEvictions();
+    fetcher_->wakeLanded(quiet_);
+    const Cycle now = prefetcher_->now();
+    if (now >= next_wake_)
+        wakePending(now);
 
     const auto n_ports =
         static_cast<unsigned>(port_queues_->size());
@@ -89,6 +139,12 @@ MultiplierArray::clockUpdate()
     const auto blocked_ports = [&](std::size_t w) {
         return head_ready_.word(w) & leaf_full.word(w);
     };
+    const auto pending_ports = [&](std::size_t w) {
+        return pending_.word(w);
+    };
+    const auto parked_ports = [&](std::size_t w) {
+        return blocked_ports(w) | quiet_.word(w) | pending_.word(w);
+    };
 
     // Round-robin over ports; each port consumes its own queue head
     // (in order within the port) when the element has arrived, its
@@ -97,32 +153,33 @@ MultiplierArray::clockUpdate()
         unsigned p = rr_port_ + scanned;
         if (p >= n_ports)
             p -= n_ports;
-        // A latched-ready head behind a full leaf would only stall
-        // again: skip the whole run, counting each port's stall.
+        // Parked ports would only stall or find nothing again: skip
+        // the whole run, counting each blocked or pending port's poll.
         const unsigned run =
-            wrappedRun(blocked_ports, p, n_ports, n_ports - scanned);
+            wrappedRun(parked_ports, p, n_ports, n_ports - scanned);
         if (run > 0) {
             for (unsigned k = 0, q = p; k < run; ++k) {
-                const auto &queue = (*port_queues_)[q];
-                SPARCH_DCHECK(port_cursor_[q] < queue.size() &&
-                                  tree_->leafFreeSpace(q) == 0 &&
-                                  prefetcher_->peekRowReady(
-                                      queue[port_cursor_[q]]),
-                              "port ", q, " skipped while not blocked");
+                SPARCH_DCHECK(parkedExactly(q, now), "port ", q,
+                              " skipped while it could progress");
                 q = q + 1 == n_ports ? 0 : q + 1;
             }
-            port_full_stalls_ += run;
+            port_full_stalls_ +=
+                wrappedCount(blocked_ports, p, n_ports, run);
+            row_wait_stalls_ +=
+                wrappedCount(pending_ports, p, n_ports, run);
             scanned += run;
             continue;
         }
         auto &cursor = port_cursor_[p];
         if (cursor >= (*port_queues_)[p].size()) {
+            quiet_.set(p);
             ++scanned;
             continue;
         }
         const std::uint64_t pos = (*port_queues_)[p][cursor];
         if (!head_ready_.test(p)) {
             if (!fetcher_->arrivedAt(pos)) {
+                quiet_.set(p);
                 ++scanned;
                 continue; // element not fetched from DRAM yet
             }
@@ -132,6 +189,12 @@ MultiplierArray::clockUpdate()
             syncEvictions();
             if (!ready) {
                 ++row_wait_stalls_;
+                const Cycle wake = prefetcher_->pendingUntil(pos);
+                if (wake != 0) {
+                    pending_.set(p);
+                    wake_at_[p] = wake;
+                    next_wake_ = std::min(next_wake_, wake);
+                }
                 ++scanned;
                 continue;
             }

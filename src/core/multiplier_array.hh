@@ -15,12 +15,27 @@
  * bit, cleared when the head retires and, for all ports, whenever the
  * prefetcher's eviction count moves (checked at cycle start and after
  * every rowReady() poll, since a demand fetch can evict mid-cycle).
- * Ports whose head is latched ready and whose leaf FIFO is full could
- * only stall again, so the round-robin scan jumps over runs of them a
- * word at a time and counts each as a port_full_stalls poll. The skip
- * is exact: rowReady() has no side effects when it returns true,
- * skipped ports consume no multiplier budget, and only this array
- * pushes into fresh leaves during its update.
+ *
+ * A port is parked in one of three states that a visit could only
+ * find again, and the round-robin scan jumps over runs of parked ports
+ * a word at a time (one fused skip word, blocked | quiet | pending):
+ *  - Blocked: head latched ready and leaf FIFO full. A visit would
+ *    count one port_full_stalls poll and push nothing. Only this array
+ *    pushes into fresh leaves during its update.
+ *  - Quiet: queue exhausted, or head element not yet landed. A visit
+ *    counts nothing. Exhaustion lasts the round and a head arrives only
+ *    when a read of its port lands, so the column fetcher's landed bits
+ *    wake the port at the next cycle start (wakeLanded()).
+ *  - Pending: the last poll returned false and every line of the head
+ *    row is issued, landing at RowPrefetcher::pendingUntil(). Until
+ *    then a poll returns false and fetches nothing, so a visit would
+ *    count one row_wait_stalls poll. The port wakes at that cycle, or
+ *    with all others as soon as evictions() moves.
+ * A skipped run adds the popcount of its blocked bits to
+ * port_full_stalls and of its pending bits to row_wait_stalls, so the
+ * counters still count polls. Skipped ports consume no multiplier
+ * budget, so the skip is exact; DCHECK builds re-check every skipped
+ * port against the predicate of its state.
  */
 
 #ifndef SPARCH_CORE_MULTIPLIER_ARRAY_HH
@@ -80,8 +95,15 @@ class MultiplierArray final : public hw::Clocked
     std::uint64_t activeCycles() const { return active_cycles_; }
 
   private:
-    /** Drop every latched ready bit if the prefetcher evicted. */
+    /** Drop every latched ready and pending bit if the prefetcher
+     *  evicted. */
     void syncEvictions();
+
+    /** Unpark every pending port whose row is ready at `now`. */
+    void wakePending(Cycle now);
+
+    /** A skipped port's state predicate holds (DCHECK builds). */
+    bool parkedExactly(unsigned port, Cycle now) const;
 
     const SpArchConfig *config_;
     MataColumnFetcher *fetcher_ = nullptr;
@@ -97,8 +119,17 @@ class MultiplierArray final : public hw::Clocked
     unsigned rr_port_ = 0;
     std::uint64_t remaining_ = 0;
 
+    static constexpr Cycle kNever = ~Cycle{0};
+
     /** Per port: head arrived and its row polled ready (latched). */
     BitMask head_ready_;
+    /** Per port: queue exhausted or head not landed (parked). */
+    BitMask quiet_;
+    /** Per port: head row fully issued, ready at wake_at_ (parked). */
+    BitMask pending_;
+    std::vector<Cycle> wake_at_;
+    /** Earliest wake_at_ of a pending port; kNever when none. */
+    Cycle next_wake_ = kNever;
     /** Prefetcher eviction count the latches were taken under. */
     std::uint64_t seen_evictions_ = 0;
 

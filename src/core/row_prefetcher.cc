@@ -366,6 +366,23 @@ RowPrefetcher::peekRowReady(std::uint64_t pos) const
                                      rs.line_ready + rs.prefix_len);
 }
 
+Cycle
+RowPrefetcher::pendingUntil(std::uint64_t pos) const
+{
+    if (!config_->rowPrefetcher)
+        return 0;
+    const Index row = (*tasks_)[pos].bRow;
+    const Index n_lines = rowLines(row);
+    if (n_lines == 0 || n_lines > config_->prefetchLines)
+        return 0;
+    const RowState &rs = rows_[row];
+    if (rs.epoch != epoch_ || rs.prefix_len != n_lines)
+        return 0;
+    const Cycle ready =
+        *std::max_element(rs.line_ready, rs.line_ready + n_lines);
+    return ready > now_ ? ready : 0;
+}
+
 SPARCH_HOT void
 RowPrefetcher::clockUpdate()
 {

@@ -20,11 +20,18 @@
  * missing lines in ascending order and evictOne() spills from the
  * tail — so a single prefix length replaces the per-row line map.
  *
- * The multiplier polls rowReady() for a port head until it first
- * returns true, then latches the answer until evictions() moves. The
- * latch is exact: rowReady() is peekRowReady() plus fetch side effects
- * on its false path only, and a fully resident row loses readiness
- * only by eviction.
+ * The multiplier polls rowReady() for a port head only while a poll
+ * can change something or return true:
+ *  - After a true poll it latches the answer until evictions() moves.
+ *    The latch is exact: rowReady() is peekRowReady() plus fetch side
+ *    effects on its false path only, and a fully resident row loses
+ *    readiness only by eviction.
+ *  - After a false poll it asks pendingUntil(). A nonzero answer T
+ *    means every line of the row is issued and the last lands at T;
+ *    until T, or until evictions() moves, every poll returns false and
+ *    starts no fetch, so the multiplier parks the port and counts each
+ *    skipped poll as a row_wait_stalls poll. Rows not fully issued are
+ *    still polled every cycle: their polls start demand fetches.
  */
 
 #ifndef SPARCH_CORE_ROW_PREFETCHER_HH
@@ -107,6 +114,19 @@ class RowPrefetcher final : public hw::Clocked
      * counts).
      */
     bool peekRowReady(std::uint64_t pos) const;
+
+    /**
+     * The cycle T > now() at which the row of stream entry `pos`
+     * becomes ready, when every one of its lines is already issued to
+     * the buffer; until T, rowReady(pos) returns false without side
+     * effects unless evictions() moves first. 0 when the row is not
+     * fully issued, is ready now, is streamed (oversized) or the
+     * prefetcher is off: then a poll may start a fetch.
+     */
+    Cycle pendingUntil(std::uint64_t pos) const;
+
+    /** The current cycle. */
+    Cycle now() const { return now_; }
 
     void clockUpdate();
     void clockApply();

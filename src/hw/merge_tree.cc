@@ -27,6 +27,7 @@ MergeTree::MergeTree(const MergeTreeConfig &config, std::string name,
             nodes_.emplace_back(config_.fifoCapacity);
     }
     cursor_.assign(config_.layers, 0);
+    bottom_level_ = 1u << (config_.layers - 1);
     leaf_full_.resize(leafCount());
     const std::string p = this->name() + ".";
     key_elements_merged_ = p + "elements_merged";
@@ -69,6 +70,7 @@ MergeTree::sweepEndOfStream()
         if (eosPending(i))
             nodes_[i].inputDone = true;
     }
+    dirty_levels_ = ~0u;
 }
 
 namespace
@@ -199,30 +201,37 @@ MergeTree::clockUpdate()
     // One shared merger per level, serving a single parent node per
     // cycle. Levels are processed root-side first so data advances one
     // level per cycle, like the registered pipeline in hardware.
+    // A clean level has no servable parent (see dirty_levels_).
     for (unsigned level = 0; level < config_.layers; ++level) {
+        const std::uint32_t level_bit = 1u << level;
         const unsigned first = 1u << level;
-        const unsigned count = 1u << level;
+        const unsigned mask = first - 1; // level width is a power of 2
+        if ((dirty_levels_ & level_bit) == 0) {
+            if (SPARCH_DCHECK_IS_ON) {
+                for (unsigned parent = first; parent <= first + mask;
+                     ++parent) {
+                    SPARCH_DCHECK(!servable(parent), "clean level ", level,
+                                  " skipped servable node ", parent);
+                }
+            }
+            continue;
+        }
         unsigned &cur = cursor_[level];
-        for (unsigned probe = 0; probe < count; ++probe) {
-            const unsigned parent = first + ((cur + probe) % count);
-            Node &p = nodes_[parent];
-            if (p.inputDone || p.fifo.full())
-                continue;
-            const bool left_ready =
-                !nodes_[2 * parent].fifo.empty() ||
-                nodeExhausted(2 * parent);
-            const bool right_ready =
-                !nodes_[2 * parent + 1].fifo.empty() ||
-                nodeExhausted(2 * parent + 1);
-            const bool any_data =
-                !nodes_[2 * parent].fifo.empty() ||
-                !nodes_[2 * parent + 1].fifo.empty();
-            if (left_ready && right_ready && any_data) {
+        bool served = false;
+        for (unsigned probe = 0; probe <= mask; ++probe) {
+            const unsigned parent = first + ((cur + probe) & mask);
+            if (servable(parent)) {
                 serveParent(parent);
-                cur = (parent - first + 1) % count;
+                cur = (parent - first + 1) & mask;
+                // The parent gained data (level L-1 reads it), its
+                // children lost some (levels L and L+1).
+                dirty_levels_ |= (7u << level) >> 1;
+                served = true;
                 break;
             }
         }
+        if (!served)
+            dirty_levels_ &= ~level_bit;
     }
 
     // Propagate end-of-stream (cheap control signals). Only a finished

@@ -30,6 +30,20 @@
  *    bottom-level merger, lets the multiplier's port scan jump over
  *    back-pressured leaves a word at a time instead of probing each
  *    leaf FIFO.
+ *  - Dirty levels: one bit per level marks that some parent on it may
+ *    have become servable since its last scan served nothing. A parent
+ *    is servable by its own inputDone and fullness and its children's
+ *    emptiness and exhaustion, and only these events change them:
+ *    pushLeaf() and finishLeaf() (bottom level; a finished empty leaf
+ *    lets its sibling drain), popRoot() (level 0), a serve at level L
+ *    (levels L-1, L and L+1), the end-of-stream sweep and startRound()
+ *    (all levels). A clean level is not scanned, a scan that serves
+ *    nothing cleans its level, and a fruitless scan leaves the
+ *    round-robin cursor where it was, so skipping it is exact; DCHECK
+ *    builds re-check every parent of every skipped level. This is not
+ *    the refuted per-parent "servable" bitmask, which recomputed
+ *    readiness on every push: an event here sets one bit and
+ *    recomputes nothing.
  */
 
 #ifndef SPARCH_HW_MERGE_TREE_HH
@@ -120,6 +134,7 @@ class MergeTree final : public Clocked
         node.fifo.push(element);
         if (node.fifo.full())
             leaf_full_.set(leaf);
+        dirty_levels_ |= bottom_level_;
     }
 
     /**
@@ -135,6 +150,8 @@ class MergeTree final : public Clocked
         SPARCH_DCHECK(leaf < leafCount(), "leaf index out of range");
         nodes_[leafCount() + leaf].inputDone = true;
         eos_dirty_ = true;
+        // An empty leaf is now exhausted: its sibling may drain.
+        dirty_levels_ |= bottom_level_;
     }
 
     /** True when the root FIFO has data to pop. */
@@ -158,7 +175,12 @@ class MergeTree final : public Clocked
     }
 
     /** Pop one element from the root. */
-    StreamElement popRoot() { return nodes_[1].fifo.pop(); }
+    StreamElement
+    popRoot()
+    {
+        dirty_levels_ |= 1; // the root may accept a serve again
+        return nodes_[1].fifo.pop();
+    }
 
     /** True when every input is exhausted and all FIFOs are empty. */
     bool done() const { return nodes_[1].inputDone && nodes_[1].fifo.empty(); }
@@ -212,6 +234,24 @@ class MergeTree final : public Clocked
                nodeExhausted(2 * idx + 1);
     }
 
+    /**
+     * The level merger can serve `parent` now: it is not finished and
+     * has room, each child has data or is exhausted, and one has data.
+     */
+    bool
+    servable(unsigned parent) const
+    {
+        const Node &p = nodes_[parent];
+        if (p.inputDone || p.fifo.full())
+            return false;
+        const Node &left = nodes_[2 * parent];
+        const Node &right = nodes_[2 * parent + 1];
+        const bool left_ready = !left.fifo.empty() || left.inputDone;
+        const bool right_ready = !right.fifo.empty() || right.inputDone;
+        const bool any_data = !left.fifo.empty() || !right.fifo.empty();
+        return left_ready && right_ready && any_data;
+    }
+
     /** One deepest-first end-of-stream propagation pass. */
     void sweepEndOfStream();
 
@@ -238,6 +278,10 @@ class MergeTree final : public Clocked
      * change anything.
      */
     bool eos_dirty_ = true;
+
+    /** Bit L: some level-L parent may be servable (see @file). */
+    std::uint32_t dirty_levels_ = ~0u;
+    std::uint32_t bottom_level_; //!< the bit of the leaves' parents
 
     /** Pre-composed stat keys (built once at construction). */
     std::string key_elements_merged_, key_additions_, key_cycles_,

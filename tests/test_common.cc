@@ -145,6 +145,34 @@ TEST(BitMask, WrappedRunMatchesBitByBitWalk)
     }
 }
 
+// The multiplier counts the blocked and pending ports of each skipped
+// run with wrappedCount(); it must agree with a bit-by-bit walk over
+// wrapped, multi-word and partial-word ranges.
+TEST(BitMask, WrappedCountMatchesBitByBitWalk)
+{
+    Rng rng(11);
+    for (const unsigned n : {1u, 3u, 63u, 64u, 65u, 128u, 200u}) {
+        for (int trial = 0; trial < 40; ++trial) {
+            BitMask m;
+            m.resize(n);
+            const double density =
+                trial % 4 == 0 ? 1.0 : 0.3 * (trial % 4);
+            for (unsigned i = 0; i < n; ++i)
+                m.assign(i, rng.nextBool(density));
+            const auto word = [&](std::size_t w) { return m.word(w); };
+            for (unsigned start = 0; start < n; ++start) {
+                const auto len =
+                    static_cast<unsigned>(rng.nextBounded(n + 1));
+                unsigned expect = 0;
+                for (unsigned k = 0; k < len; ++k)
+                    expect += m.test((start + k) % n) ? 1 : 0;
+                ASSERT_EQ(wrappedCount(word, start, n, len), expect)
+                    << "n " << n << " start " << start << " len " << len;
+            }
+        }
+    }
+}
+
 TEST(Stats, IncSetMaxGet)
 {
     StatSet s;

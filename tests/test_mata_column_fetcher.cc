@@ -3,7 +3,8 @@
  * Tests for the per-column MatA fetchers: every queued element arrives
  * exactly once, each port stays within its in-flight window, and the
  * eligible bitmask the issue scan jumps over always equals the scalar
- * per-port predicate.
+ * per-port predicate, and the landed bits that wake parked multiplier
+ * ports name exactly the ports whose reads landed.
  */
 
 #include <vector>
@@ -87,6 +88,69 @@ TEST(MataColumnFetcher, EligibleBitsMatchScalarPredicate)
         fetcher.recordStats(stats);
         EXPECT_EQ(stats.get("f.elements_fetched"),
                   static_cast<double>(total));
+    }
+}
+
+// The multiplier parks ports whose head has not arrived and wakes them
+// from the landed bits, so a landing the bits miss would stall a port
+// for good. Port counts span 64-bit word boundaries.
+TEST(MataColumnFetcher, LandedBitsMatchLandings)
+{
+    for (const unsigned ports : {1u, 5u, 64u, 65u, 130u}) {
+        SpArchConfig cfg;
+        cfg.aElementWindow = 3;
+        cfg.mataFetchWidth = 4;
+        mem::HbmBackend hbm(cfg.memory.hbm);
+        MataColumnFetcher fetcher(cfg, hbm, "f");
+        Rng rng(ports + 100);
+        std::vector<MultTask> tasks;
+        std::vector<std::vector<std::uint64_t>> queues;
+        for (int round = 0; round < 3; ++round) {
+            randomRound(rng, ports, tasks, queues);
+            fetcher.startRound(&tasks, &queues, 0);
+            std::vector<bool> arrived(tasks.size(), false);
+            std::vector<std::size_t> head(ports, 0);
+            std::size_t retired = 0;
+            std::size_t landings = 0;
+            BitMask quiet;
+            quiet.resize(ports);
+            for (int cycle = 0; cycle < 200000 && retired < tasks.size();
+                 ++cycle) {
+                fetcher.clockUpdate();
+                std::vector<bool> want(ports, false);
+                for (std::size_t pos = 0; pos < tasks.size(); ++pos) {
+                    if (!arrived[pos] && fetcher.arrivedAt(pos)) {
+                        arrived[pos] = true;
+                        want[tasks[pos].port] = true;
+                        ++landings;
+                    }
+                }
+                // Waking clears the quiet bits of exactly the landed
+                // ports, then forgets the landings.
+                for (unsigned p = 0; p < ports; ++p)
+                    quiet.set(p);
+                fetcher.wakeLanded(quiet);
+                for (unsigned p = 0; p < ports; ++p)
+                    ASSERT_EQ(quiet.test(p), !want[p]) << "port " << p;
+                for (unsigned p = 0; p < ports; ++p)
+                    quiet.set(p);
+                fetcher.wakeLanded(quiet);
+                for (unsigned p = 0; p < ports; ++p)
+                    ASSERT_TRUE(quiet.test(p)) << "port " << p;
+                for (unsigned p = 0; p < ports; ++p) {
+                    if (head[p] < queues[p].size() &&
+                        fetcher.arrivedAt(queues[p][head[p]]) &&
+                        rng.nextBool(0.3)) {
+                        ++head[p];
+                        ++retired;
+                        fetcher.noteConsumed(p);
+                    }
+                }
+                fetcher.clockApply();
+            }
+            ASSERT_EQ(retired, tasks.size()) << ports << " ports";
+            EXPECT_EQ(landings, tasks.size());
+        }
     }
 }
 

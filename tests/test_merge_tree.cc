@@ -35,16 +35,20 @@ struct RootPop
  * Feed the given arrays through `tree` and return every root pop.
  * Leaves are refilled greedily each cycle; the root is drained after
  * every cycle, or, with a `consumer` Rng, on half the cycles at random
- * (a back-pressured writer).
+ * (a back-pressured writer). A leaf is finished `finish_lag` cycles
+ * after its last push, so with a lag it is often finished while empty
+ * and on a cycle that pushes nothing.
  */
 std::vector<RootPop>
 driveTree(MergeTree &tree,
           const std::vector<std::vector<StreamElement>> &arrays,
-          Rng *consumer = nullptr)
+          Rng *consumer = nullptr, unsigned finish_lag = 0)
 {
     tree.startRound(static_cast<unsigned>(arrays.size()));
 
+    constexpr std::uint64_t kUnset = ~std::uint64_t{0};
     std::vector<std::size_t> cursor(arrays.size(), 0);
+    std::vector<std::uint64_t> finish_at(arrays.size(), kUnset);
     std::vector<RootPop> out;
     std::size_t guard = 0;
     for (std::uint64_t cycle = 0;; ++cycle) {
@@ -55,8 +59,12 @@ driveTree(MergeTree &tree,
                 tree.pushLeaf(i, arrays[i][cursor[i]++]);
             }
             if (cursor[i] == arrays[i].size()) {
-                cursor[i] = arrays[i].size() + 1; // finish once
-                tree.finishLeaf(i);
+                if (finish_at[i] == kUnset)
+                    finish_at[i] = cycle + finish_lag;
+                if (cycle >= finish_at[i]) {
+                    cursor[i] = arrays[i].size() + 1; // finish once
+                    tree.finishLeaf(i);
+                }
             }
             all_fed &= cursor[i] > arrays[i].size();
         }
@@ -79,11 +87,12 @@ driveTree(MergeTree &tree,
 /** Feed the given arrays through a tree and return the root stream. */
 std::vector<StreamElement>
 mergeArrays(const std::vector<std::vector<StreamElement>> &arrays,
-            const MergeTreeConfig &config)
+            const MergeTreeConfig &config, unsigned finish_lag = 0)
 {
     MergeTree tree(config, "tree");
     std::vector<StreamElement> out;
-    for (const RootPop &pop : driveTree(tree, arrays)) {
+    for (const RootPop &pop : driveTree(tree, arrays, nullptr,
+                                        finish_lag)) {
         const StreamElement &e = pop.element;
         if (!out.empty() && out.back().coord == e.coord)
             out.back().value += e.value;
@@ -249,13 +258,20 @@ TEST(MergeTree, TracksFifoTraffic)
     EXPECT_EQ(tree.fifoPushes(), tree.fifoPops() + 0u);
 }
 
-/** Property: random K-way merges across tree/merger geometries. */
+/**
+ * Property: random K-way merges across tree/merger geometries. gtest
+ * prints a parameter's raw bytes into the ctest name, so the struct
+ * must have no padding or the names change from build to build.
+ */
 struct TreeGeometry
 {
     unsigned layers;
     unsigned width;
-    std::size_t fifo;
+    std::uint32_t fifo;
+    /** Cycles between a leaf's last push and its finishLeaf(). */
+    std::uint32_t finishLag = 0;
 };
+static_assert(sizeof(TreeGeometry) == 16);
 
 class MergeTreeProperty
     : public ::testing::TestWithParam<TreeGeometry>
@@ -274,7 +290,7 @@ TEST_P(MergeTreeProperty, MatchesReferenceKWayMerge)
             1 + static_cast<unsigned>(
                     rng.nextBounded(1u << g.layers));
         auto arrays = randomArrays(rng, count, 60);
-        const auto out = mergeArrays(arrays, cfg);
+        const auto out = mergeArrays(arrays, cfg, g.finishLag);
         const auto expect = referenceMerge(arrays);
         ASSERT_EQ(out.size(), expect.size());
         for (std::size_t i = 0; i < out.size(); ++i) {
@@ -357,6 +373,7 @@ constexpr TimingPin kTimingPins[] = {
     {{6, 16, 64}, 0xc63279c4912f3df6ull, 0xfb84038a0128c8d7ull},
     {{2, 16, 2}, 0xe5051fd4cf6b3cd3ull, 0x4ac2f9ce9afb8357ull},
     {{5, 8, 32}, 0x1eaf02283ca34347ull, 0xe0f2be7ca610a923ull},
+    {{3, 8, 4, 16}, 0x1eeddf5132efdb55ull, 0x08b9304d1eb6c158ull},
 };
 
 TEST_P(MergeTreeProperty, RootPopCyclesAndCountersArePinned)
@@ -365,7 +382,8 @@ TEST_P(MergeTreeProperty, RootPopCyclesAndCountersArePinned)
     const TimingPin *pin = nullptr;
     for (const TimingPin &p : kTimingPins) {
         if (p.geometry.layers == g.layers &&
-            p.geometry.width == g.width && p.geometry.fifo == g.fifo)
+            p.geometry.width == g.width && p.geometry.fifo == g.fifo &&
+            p.geometry.finishLag == g.finishLag)
             pin = &p;
     }
     ASSERT_NE(pin, nullptr) << "no timing pin for this geometry";
@@ -388,7 +406,8 @@ TEST_P(MergeTreeProperty, RootPopCyclesAndCountersArePinned)
                         rng.nextBounded(1u << g.layers));
             const auto arrays = randomArrays(rng, count, 60);
             const auto pops =
-                driveTree(tree, arrays, trial % 2 ? &consumer : nullptr);
+                driveTree(tree, arrays, trial % 2 ? &consumer : nullptr,
+                          g.finishLag);
             for (const RootPop &pop : pops) {
                 add(pop.cycle);
                 add(pop.element.coord);
@@ -412,7 +431,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(TreeGeometry{1, 1, 4}, TreeGeometry{2, 2, 4},
                       TreeGeometry{3, 4, 8}, TreeGeometry{4, 16, 16},
                       TreeGeometry{6, 16, 64}, TreeGeometry{2, 16, 2},
-                      TreeGeometry{5, 8, 32}));
+                      TreeGeometry{5, 8, 32}, TreeGeometry{3, 8, 4, 16}));
 
 } // namespace
 } // namespace hw

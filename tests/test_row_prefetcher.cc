@@ -275,6 +275,84 @@ TEST(RowPrefetcher, PeekRowReadyPredictsEveryPoll)
     }
 }
 
+// The multiplier parks a port after a false poll until pendingUntil()
+// and counts each skipped poll as a stall. So every poll before the
+// wake cycle must return false and fetch nothing, and the poll at it
+// must succeed, unless a line was evicted in between.
+TEST(RowPrefetcher, PendingUntilPredictsPurePolls)
+{
+    CooMatrix coo(6, 64);
+    for (Index r = 0; r < 5; ++r) {
+        const Index len = r == 4 ? 40 : 12; // row 4 spans 5 lines
+        for (Index e = 0; e < len; ++e)
+            coo.add(r, e, 1.0);
+    }
+    coo.canonicalize();
+    const CsrMatrix b = CsrMatrix::fromCoo(coo); // row 5 is empty
+    const auto tasks =
+        trace({0, 1, 2, 3, 0, 5, 4, 1, 2, 3, 4, 0, 5, 2, 1, 3});
+    for (const std::size_t lines : {4u, 8u, 16u}) {
+        for (const bool prefetcher : {true, false}) {
+            SpArchConfig cfg =
+                smallConfig(lines, ReplacementPolicy::Belady);
+            cfg.rowPrefetcher = prefetcher;
+            mem::HbmBackend hbm(cfg.memory.hbm);
+            RowPrefetcher p(cfg, hbm, "p");
+            p.startRound(&tasks, &b, 0);
+            // Per position: the pending wake cycle (0 = none) and the
+            // eviction count it was taken under.
+            std::vector<Cycle> wake(tasks.size(), 0);
+            std::vector<std::uint64_t> taken(tasks.size(), 0);
+            unsigned pure = 0, woke = 0;
+            std::uint64_t consumed = 0;
+            for (int cycle = 0; cycle < 100000 && consumed < tasks.size();
+                 ++cycle) {
+                p.clockUpdate();
+                const std::uint64_t end =
+                    std::min<std::uint64_t>(consumed + 3, tasks.size());
+                for (std::uint64_t pos = consumed; pos < end; ++pos) {
+                    const bool parked =
+                        wake[pos] != 0 && taken[pos] == p.evictions();
+                    const std::uint64_t misses = p.misses();
+                    const std::uint64_t writes = p.bufferWrites();
+                    const std::uint64_t evictions = p.evictions();
+                    const bool ready = p.rowReady(pos);
+                    if (parked && p.now() < wake[pos]) {
+                        ASSERT_FALSE(ready) << "pos " << pos;
+                        ASSERT_EQ(p.misses(), misses) << "pos " << pos;
+                        ASSERT_EQ(p.bufferWrites(), writes)
+                            << "pos " << pos;
+                        ASSERT_EQ(p.evictions(), evictions)
+                            << "pos " << pos;
+                        ++pure;
+                    } else if (parked) {
+                        ASSERT_TRUE(ready) << "pos " << pos;
+                        ++woke;
+                    }
+                    wake[pos] = ready ? 0 : p.pendingUntil(pos);
+                    taken[pos] = p.evictions();
+                    if (!prefetcher) {
+                        ASSERT_EQ(wake[pos], 0u);
+                    } else if (wake[pos] != 0) {
+                        ASSERT_GT(wake[pos], p.now());
+                    }
+                }
+                while (consumed < tasks.size() && p.rowReady(consumed)) {
+                    p.noteConsumed(consumed);
+                    ++consumed;
+                }
+                p.clockApply();
+            }
+            ASSERT_EQ(consumed, tasks.size())
+                << lines << " lines, prefetcher " << prefetcher;
+            if (prefetcher) {
+                EXPECT_GT(pure, 0u) << lines << " lines";
+                EXPECT_GT(woke, 0u) << lines << " lines";
+            }
+        }
+    }
+}
+
 TEST(RowPrefetcher, HitRateReportedOverLifetime)
 {
     const CsrMatrix b = rowsMatrix(2, 8);

@@ -7,6 +7,9 @@
  * metrics.
  */
 
+#include <iterator>
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
@@ -21,7 +24,7 @@ namespace sparch
 namespace
 {
 
-void
+SpArchResult
 expectCorrect(const SpArchConfig &cfg, const CsrMatrix &a,
               const CsrMatrix &b, const char *label)
 {
@@ -33,6 +36,7 @@ expectCorrect(const SpArchConfig &cfg, const CsrMatrix &a,
     EXPECT_EQ(r.multiplies, counts.multiplies) << label;
     EXPECT_GT(r.cycles, 0u) << label;
     EXPECT_GT(r.bytesTotal, 0u) << label;
+    return r;
 }
 
 TEST(SpArchSimulator, SquaresUniformMatrix)
@@ -311,6 +315,17 @@ TEST(SpArchSimulator, GoldenCyclesAndTrafficUnderPrefetchThrashing)
                   15887, 15631, 2879, 162981, 191962, 191962, 10621},
                  "thrashing 16-way tree, denser operand");
 
+    // With a short look-ahead window the buffer evicts lines of rows
+    // that parked ports wait on before those rows land; such a port
+    // must be polled again right after the eviction, not at the
+    // landing cycle it was parked until.
+    SpArchConfig thrash_short = thrash;
+    thrash_short.lookaheadFifo = 64;
+    expectGolden(thrash_short, dense, dense,
+                 {20909, 1214076, 25777, 2, 41313, 15536, 15232, 253563,
+                  18641, 18513, 2879, 163041, 192022, 192022, 14644},
+                 "thrashing 16-way tree, short look-ahead");
+
     const CsrMatrix wide = generateUniform(100, 400, 8000, 17);
     const CsrMatrix b = generateUniform(400, 400, 2000, 19);
     SpArchConfig thrash_wide;
@@ -352,6 +367,38 @@ TEST(SpArchSimulator, GoldenCyclesAndTrafficOnMultiWordPortScans)
                  "256-way tree, 164 ports");
 }
 
+// Banked DRAM (Ddr4Backend/Lpddr4Backend) stalls the pipeline far
+// longer per miss than HBM, so ports wait on element and row reads
+// and the merge tree idles for most of the run.
+TEST(SpArchSimulator, GoldenCyclesAndTrafficOnBankedDram)
+{
+    const CsrMatrix a = rmatGenerate(1 << 9, 8, 21);
+    SpArchConfig ddr4;
+    ddr4.memory.kind = mem::MemoryKind::Ddr4;
+    expectGolden(ddr4, a, a,
+                 {51653, 662472, 46487, 3, 103096, 56609, 883444, 37622,
+                  432, 0, 3197, 441245, 488249, 488249, 36547},
+                 "ddr4");
+    SpArchConfig ddr4_l5 = ddr4;
+    ddr4_l5.mergeTree.layers = 5;
+    expectGolden(ddr4_l5, a, a,
+                 {61743, 746912, 46487, 6, 103096, 56609, 907990, 37334,
+                  608, 0, 3197, 399926, 449528, 449528, 47534},
+                 "ddr4, 32-way tree");
+    SpArchConfig lpddr4;
+    lpddr4.memory.kind = mem::MemoryKind::Lpddr4;
+    expectGolden(lpddr4, a, a,
+                 {117628, 662472, 46487, 3, 103096, 56609, 2037080, 80869,
+                  432, 0, 3197, 441270, 488274, 488274, 102529},
+                 "lpddr4");
+    SpArchConfig lpddr4_l5 = lpddr4;
+    lpddr4_l5.mergeTree.layers = 5;
+    expectGolden(lpddr4_l5, a, a,
+                 {137592, 746912, 46487, 6, 103096, 56609, 2058812, 68548,
+                  608, 0, 3197, 399831, 449433, 449433, 123529},
+                 "lpddr4, 32-way tree");
+}
+
 /** Parameterized sweep: config x workload grid, all must be exact. */
 struct SimCase
 {
@@ -378,6 +425,66 @@ PrintTo(const SimCase &c, std::ostream *os)
 class SimulatorGrid : public ::testing::TestWithParam<SimCase>
 {};
 
+/**
+ * Cycles, multiplier.row_wait_stalls, multiplier.port_full_stalls and
+ * merge_tree.idle_cycles of one grid config on one workload (an index
+ * into ExactOnAllWorkloads' workloads).
+ */
+struct GridPin
+{
+    const char *config;
+    unsigned workload;
+    Cycle cycles;
+    std::uint64_t rowWait;
+    std::uint64_t portFull;
+    std::uint64_t treeIdle;
+};
+
+constexpr GridPin kGridPins[] = {
+    {"table1_default", 0, 1790, 1066, 10226, 437},
+    {"table1_default", 1, 839, 529, 2750, 219},
+    {"table1_default", 2, 2885, 166, 21206, 291},
+    {"table1_default", 3, 523, 121, 309, 241},
+    {"tiny_tree", 0, 11699, 559, 2668, 8286},
+    {"tiny_tree", 1, 4250, 281, 523, 3053},
+    {"tiny_tree", 2, 19343, 1097, 4019, 14905},
+    {"tiny_tree", 3, 1422, 145, 417, 1088},
+    {"narrow_merger", 0, 16154, 757, 166789, 156},
+    {"narrow_merger", 1, 7850, 539, 47160, 135},
+    {"narrow_merger", 2, 23461, 200, 278421, 224},
+    {"narrow_merger", 3, 2578, 72, 8109, 118},
+    {"no_condense_seq", 0, 6619, 1548, 205, 3653},
+    {"no_condense_seq", 1, 4146, 3881, 0, 2885},
+    {"no_condense_seq", 2, 7254, 841, 4941, 3015},
+    {"no_condense_seq", 3, 2770, 3099, 0, 2124},
+    {"no_condense_rand_nopref", 0, 22495, 152729, 112, 16097},
+    {"no_condense_rand_nopref", 1, 14947, 110806, 0, 11540},
+    {"no_condense_rand_nopref", 2, 32051, 89206, 6551, 25371},
+    {"no_condense_rand_nopref", 3, 10133, 58600, 0, 8494},
+    {"tiny_buffer", 0, 3566, 18808, 16729, 1931},
+    {"tiny_buffer", 1, 1780, 7015, 2335, 1046},
+    {"tiny_buffer", 2, 2886, 320, 21390, 286},
+    {"tiny_buffer", 3, 1101, 2055, 215, 781},
+    {"tiny_lookahead", 0, 2052, 8883, 7380, 531},
+    {"tiny_lookahead", 1, 1934, 12652, 6, 1021},
+    {"tiny_lookahead", 2, 2849, 3798, 19046, 315},
+    {"tiny_lookahead", 3, 1125, 3555, 0, 655},
+    {"random_sched", 0, 5642, 1132, 17595, 914},
+    {"random_sched", 1, 2547, 4270, 4982, 1061},
+    {"random_sched", 2, 13063, 904, 9570, 4383},
+    {"random_sched", 3, 1081, 1999, 454, 675},
+};
+
+const GridPin *
+gridPin(const char *config, unsigned w)
+{
+    for (const GridPin &pin : kGridPins) {
+        if (pin.workload == w && std::string_view(pin.config) == config)
+            return &pin;
+    }
+    return nullptr;
+}
+
 TEST_P(SimulatorGrid, ExactOnAllWorkloads)
 {
     const SimCase &c = GetParam();
@@ -397,8 +504,20 @@ TEST_P(SimulatorGrid, ExactOnAllWorkloads)
         rmatGenerate(256, 6, 23),
         generateRoadNetwork(300, 24),
     };
-    for (const auto &a : workloads)
-        expectCorrect(cfg, a, a, c.name);
+    for (unsigned w = 0; w < std::size(workloads); ++w) {
+        const CsrMatrix &a = workloads[w];
+        const SpArchResult r = expectCorrect(cfg, a, a, c.name);
+        const GridPin *pin = gridPin(c.name, w);
+        ASSERT_NE(pin, nullptr) << c.name << " workload " << w;
+        SCOPED_TRACE(testing::Message() << c.name << " workload " << w);
+        const auto stat = [&](const char *key) {
+            return static_cast<std::uint64_t>(r.stats.get(key));
+        };
+        EXPECT_EQ(r.cycles, pin->cycles);
+        EXPECT_EQ(stat("multiplier.row_wait_stalls"), pin->rowWait);
+        EXPECT_EQ(stat("multiplier.port_full_stalls"), pin->portFull);
+        EXPECT_EQ(stat("merge_tree.idle_cycles"), pin->treeIdle);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
