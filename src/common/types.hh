@@ -13,7 +13,7 @@
 #define SPARCH_COMMON_TYPES_HH
 
 // The code base relies on C++20 (std::span in matrix/csr.hh,
-// std::bit_width in hw/zero_eliminator.cc, defaulted comparisons).
+// std::bit_width in core/row_prefetcher.cc, defaulted comparisons).
 // Fail here with a clear message instead of pages of template errors
 // deep inside the first <span> use. MSVC keeps __cplusplus at 199711L
 // unless /Zc:__cplusplus is passed, so check _MSVC_LANG too.

@@ -10,7 +10,9 @@
  * Adder slices after each merger sum adjacent same-coordinate elements
  * (Section II-A-4), modelled by coalescing into the parent FIFO's
  * newest element; the zero eliminator's effect is implicit in the
- * compacted output.
+ * compacted output. The comparator-array pick (B side wins ties), the
+ * adder slice and the zero eliminator have no separate units:
+ * serveParent() models all three.
  *
  * Table I: 6 layers of 16-wide array mergers = 64-way merge.
  *

@@ -1,6 +1,6 @@
 #include "model/energy_model.hh"
 
-#include "hw/hierarchical_merger.hh"
+#include <cstdint>
 
 namespace sparch
 {
@@ -38,13 +38,18 @@ constexpr double kPjFifoAccess = 40.0;      // 12-byte FIFO push or pop
 constexpr double kPjBufferElemRead = 20.0;  // prefetch buffer read/elem
 constexpr double kPjBufferLineWrite = 500.0; // prefetch line fill
 
-/** Comparators in a width-w merger (hierarchical when 4 | w). */
+/**
+ * Comparators in a width-w merger. When 4 | w (w >= 8) it is the
+ * paper's hierarchical merger (Fig. 4): c = w/4 chunks per side,
+ * 2c - 1 low-level 4x4 arrays plus one c x c array over the chunk
+ * lasts. Otherwise it is the flat w x w comparator array (Fig. 3).
+ */
 double
 comparatorsFor(unsigned width)
 {
     if (width >= 8 && width % 4 == 0) {
-        return static_cast<double>(
-            hw::HierarchicalMerger(width, 4).comparatorCount());
+        const std::uint64_t c = width / 4;
+        return static_cast<double>((2 * c - 1) * 16 + c * c);
     }
     return static_cast<double>(width) * width;
 }

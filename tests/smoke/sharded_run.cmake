@@ -5,35 +5,16 @@
 #   cmake -DSPARCH=<sparch binary> -DWORK_DIR=<scratch dir> \
 #         -P tests/smoke/sharded_run.cmake
 
-foreach(var SPARCH WORK_DIR)
-    if(NOT DEFINED ${var})
-        message(FATAL_ERROR "sharded_run.cmake: -D${var}=... is required")
-    endif()
-endforeach()
-
-file(REMOVE_RECURSE "${WORK_DIR}")
-file(MAKE_DIRECTORY "${WORK_DIR}")
+include(${CMAKE_CURRENT_LIST_DIR}/common.cmake)
 
 # A mid-size roadNet-CA proxy, generated in process from a fixed seed.
 set(workload --nnz 200000 --wseed 3 --shards 4 --policy nnz
     suite:roadNet-CA)
 
-function(sparch_run csv)
-    execute_process(
-        COMMAND "${SPARCH}" run ${ARGN} --csv "${WORK_DIR}/${csv}"
-                ${workload}
-        RESULT_VARIABLE rc
-        OUTPUT_VARIABLE out
-        ERROR_VARIABLE err)
-    if(NOT rc EQUAL 0)
-        string(JOIN " " flags ${ARGN})
-        message(FATAL_ERROR
-            "sparch run ${flags} exited with ${rc}\n${out}${err}")
-    endif()
-endfunction()
-
-sparch_run(serial.csv --threads 1)
-sparch_run(pooled.csv --threads 4 --check)
+run_ok("${SPARCH}" run --threads 1 --csv "${WORK_DIR}/serial.csv"
+    ${workload})
+run_ok("${SPARCH}" run --threads 4 --check
+    --csv "${WORK_DIR}/pooled.csv" ${workload})
 
 file(READ "${WORK_DIR}/serial.csv" serial)
 file(READ "${WORK_DIR}/pooled.csv" pooled)

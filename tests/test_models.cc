@@ -106,6 +106,44 @@ TEST(EnergyModel, AreaScalesWithStructures)
               def.area().rowPrefetcher);
 }
 
+TEST(EnergyModel, MergeTreeAreaPinnedPerMergerWidth)
+{
+    // Widths 1-64 (bench_fig17_dse sweeps 1/2/4/8/16) cover both the
+    // flat w x w comparator count and the hierarchical one (4 | w,
+    // w >= 8). No CSV carries area, so only this pins the comparator
+    // counts; the values must stay bit-identical.
+    constexpr double kMergeTreeMm2[64] = {
+        6.9889531250000001, 7.2318125000000002, 7.6365781249999998,
+        8.2032500000000006, 8.9318281250000009, 9.8223124999999989,
+        10.874703124999998, 11.1175625, 13.465203125,
+        15.0033125, 16.703328124999999, 14.112828124999998,
+        20.589078125, 22.774812499999999, 25.122453124999996,
+        17.27, 30.303453125000001, 33.136812500000005,
+        36.132078125, 20.589078125, 42.608328124999993,
+        46.089312499999991, 49.732203124999991, 24.070062499999995,
+        57.503703124999994, 61.632312499999991, 65.922828124999995,
+        27.712953124999995, 74.989578124999994, 79.76581250000001,
+        84.703953125000012, 31.517750000000003, 95.065953125000007,
+        100.48981250000001, 106.07557812500001, 35.484453125000002,
+        117.732828125, 123.80431249999999, 130.03770312500001,
+        39.613062499999991, 142.99020312499999, 149.70931249999998,
+        156.59032812499998, 43.903578124999996, 170.83807812500001,
+        178.2048125, 185.73345312499998, 48.355999999999995,
+        201.27645312499999, 209.29081249999999, 217.467078125,
+        52.970328124999995, 234.30532812499999, 242.96731249999999,
+        251.79120312500001, 57.746562499999996, 269.92470312500001,
+        279.23431249999999, 288.70582812499998, 62.684703124999992,
+        308.13457812499996, 318.0918125, 328.210953125,
+        67.784749999999988,
+    };
+    for (unsigned w = 1; w <= 64; ++w) {
+        SpArchConfig cfg;
+        cfg.mergeTree.mergerWidth = w;
+        EXPECT_EQ(EnergyModel(cfg).area().mergeTree, kMergeTreeMm2[w - 1])
+            << "mergerWidth " << w;
+    }
+}
+
 TEST(EnergyModel, EnergyFollowsSimulatedWork)
 {
     const CsrMatrix a = generateUniform(300, 300, 2400, 5);
