@@ -20,7 +20,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,8 +33,6 @@
 #include "core/sparch_simulator.hh"
 #include "driver/batch_runner.hh"
 #include "driver/thread_pool.hh"
-#include "exec/executor.hh"
-#include "exec/process_pool_executor.hh"
 
 namespace sparch
 {
@@ -92,13 +89,9 @@ makeRunner()
 }
 
 /**
- * Run a bench grid through the execution backend SPARCH_BENCH_EXEC
- * names (inline | threads | procs, default threads — see
- * exec/executor.hh; all three are byte-identical by contract).
- * `procs` additionally needs SPARCH_BENCH_WORKER pointing at the
- * built sparch binary, since a bench binary has no `worker`
- * subcommand of its own. Failed points abort the bench: a figure
- * with silently missing grid points would be worse than no figure.
+ * Run a bench grid on benchThreads() workers. Failed points abort the
+ * bench: a figure with silently missing grid points would be worse
+ * than no figure.
  */
 inline std::vector<driver::BatchRecord>
 runBatch(const driver::BatchRunner &runner)
@@ -109,30 +102,9 @@ runBatch(const driver::BatchRunner &runner)
     if (const char *deep = std::getenv("SPARCH_BENCH_CHECK"))
         check::setDeepChecks(deep[0] != '\0' && deep[0] != '0');
 
-    const char *env = std::getenv("SPARCH_BENCH_EXEC");
-    const std::string kind = env == nullptr ? "threads" : env;
-
-    exec::ProcessPoolOptions procs;
-    procs.procs = benchThreads();
-    if (kind == "procs") {
-        const char *worker = std::getenv("SPARCH_BENCH_WORKER");
-        if (worker == nullptr) {
-            fatal("SPARCH_BENCH_EXEC=procs needs "
-                  "SPARCH_BENCH_WORKER=/path/to/sparch (a bench "
-                  "binary cannot act as its own worker)");
-        }
-        procs.workerBinary = worker;
-    }
-    const std::unique_ptr<exec::Executor> executor =
-        exec::makeExecutor(kind, runner.threads(), procs);
-    if (!executor) {
-        fatal("SPARCH_BENCH_EXEC '", kind,
-              "' is not inline, threads or procs");
-    }
-
     driver::RunStats stats;
     const std::vector<driver::BatchRecord> records =
-        runner.run(*executor, nullptr, &stats);
+        runner.run(nullptr, &stats);
     for (const driver::FailedPoint &f : stats.failures) {
         warn("grid point ", f.id, " (", f.configLabel, " x ",
              f.workloadName, ") failed: ", f.error);

@@ -11,7 +11,8 @@
  * density regimes the suite workloads produce) is scored by a panel
  * of Fig. 17-style configurations: single-threaded first — that
  * number is the gate — then fanned config-parallel across the
- * ThreadPool the way runSurrogateSweep does, to report scaling.
+ * ThreadPool the way the CLI's --surrogate sweep does, to report
+ * scaling.
  *
  * Knobs: SPARCH_BENCH_SURROGATE_POINTS (stats entries, default
  * 100000), SPARCH_BENCH_REPS (repetitions, default 5; median
@@ -161,7 +162,7 @@ main()
         static_cast<double>(points) * static_cast<double>(panel.size());
 
     // Evaluators are built outside the clock: one per config, exactly
-    // as runSurrogateSweep amortizes them across the whole grid.
+    // as the --surrogate sweep amortizes them across the whole grid.
     std::vector<dse::SurrogateEvaluator> evaluators;
     evaluators.reserve(panel.size());
     for (const SpArchConfig &config : panel)

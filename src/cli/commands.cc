@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iomanip>
 #include <iostream>
 #include <map>
@@ -13,6 +14,7 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <numeric>
 
 #include "baselines/benchmarks.hh"
 #include "check/invariants.hh"
@@ -156,21 +158,6 @@ resolveThreads(unsigned requested)
                           : requested;
 }
 
-/** Write records where asked: a file, or '-' for stdout. */
-void
-emitCsv(const std::vector<BatchRecord> &records,
-        const std::string &path, std::ostream &out)
-{
-    if (path == "-") {
-        BatchRunner::writeCsv(records, out);
-        return;
-    }
-    std::ofstream file(path);
-    if (!file)
-        fatal("cannot write CSV to '", path, "'");
-    BatchRunner::writeCsv(records, file);
-}
-
 /** The CI-greppable accounting line every cached run ends with. */
 void
 reportStats(const RunStats &stats, const ResultCache *cache,
@@ -194,86 +181,31 @@ reportStats(const RunStats &stats, const ResultCache *cache,
     err << "\n";
 }
 
-/** Build the executor `--exec`/`--procs` ask for. */
-std::unique_ptr<sparch::exec::Executor>
-makeExecutor(const std::string &kind, unsigned threads,
-             unsigned procs)
+/**
+ * File workloads are named by their file stem, so two different files
+ * with one stem would be indistinguishable in the CSV. Reject such a
+ * grid up front, naming both paths.
+ */
+void
+checkFileWorkloadNames(const std::vector<driver::Workload> &workloads)
 {
-    sparch::exec::ProcessPoolOptions options;
-    options.procs = procs;
-    std::unique_ptr<sparch::exec::Executor> executor =
-        sparch::exec::makeExecutor(kind, threads, options);
-    if (!executor)
-        fatal("--exec '", kind, "' is not inline, threads or procs");
-    return executor;
-}
-
-int
-cmdRun(const std::vector<std::string> &args, std::ostream &out,
-       std::ostream &err)
-{
-    const FlagSet flags(args,
-                        {"config", "label", "nnz", "wseed", "seed",
-                         "shards", "policy", "threads", "csv",
-                         "cache"},
-                        {"check", "profile"});
-    if (flags.positional().empty())
-        fatal("run: no workload specs (try 'sparch workloads')");
-    check::setDeepChecks(flags.has("check"));
-    profile::setEnabled(flags.has("profile"));
-
-    WorkloadDefaults defaults;
-    defaults.nnz = flags.getU64("nnz", defaults.nnz);
-    defaults.seed = flags.getU64("wseed", defaults.seed);
-
-    const std::string overrides = flags.get("config");
-    const SpArchConfig config = parseConfigOverrides(overrides);
-    const std::string label =
-        flags.get("label", overrides.empty() ? "table-I" : overrides);
-
-    const unsigned shards = flags.getUnsigned("shards", 1);
-    const driver::ShardPolicy policy =
-        parseShardPolicy(flags.get("policy", "nnz"));
-
-    BatchRunner runner(resolveThreads(flags.getUnsigned("threads", 0)),
-                       flags.getU64("seed", 0x5eed5eedULL));
-    for (const std::string &spec : flags.positional()) {
-        for (driver::Workload &w :
-             parseWorkloadSpec(spec, defaults))
-            runner.add(label, config, std::move(w), shards, policy);
-    }
-
-    ResultCache cache(flags.get("cache"));
-    ResultCache *cache_ptr =
-        flags.has("cache") ? &cache : nullptr;
-    RunStats stats;
-    const std::vector<BatchRecord> records =
-        runner.run(cache_ptr, &stats);
-    if (cache_ptr != nullptr)
-        cache_ptr->save();
-
-    const std::string csv = flags.get("csv");
-    if (!csv.empty())
-        emitCsv(records, csv, out);
-    if (csv != "-")
-        BatchRunner::toTable(records, "sparch run").print(out);
-    if (flags.has("profile")) {
-        // Wall-clock phase breakdown (summed across shards). The
-        // per-module cycle/occupancy counters are in the stats set.
-        for (const BatchRecord &r : records) {
-            const StatSet &s = r.sim.stats;
-            out << "profile " << r.configLabel << " x "
-                << r.workloadName << ": total "
-                << s.get("profile.total_seconds") << "s = leaves "
-                << s.get("profile.leaves_seconds") << "s + plan "
-                << s.get("profile.plan_seconds") << "s + rounds "
-                << s.get("profile.rounds_seconds") << "s + convert "
-                << s.get("profile.convert_seconds") << "s ("
-                << r.sim.cycles << " cycles)\n";
+    std::map<std::string, std::string> path_of;
+    for (const driver::Workload &w : workloads) {
+        if (!w.hasSpec())
+            continue;
+        const std::string &text = w.spec().text;
+        const std::size_t colon = text.find(':');
+        const std::string family = text.substr(0, colon);
+        if (family != "mtx" && family != "scsr")
+            continue;
+        const std::string path = text.substr(colon + 1);
+        const auto [it, fresh] = path_of.emplace(w.name(), path);
+        if (!fresh && it->second != path) {
+            fatal("workloads '", it->second, "' and '", path,
+                  "' share the name '", w.name(),
+                  "'; rename one of the files");
         }
     }
-    reportStats(stats, cache_ptr, err);
-    return stats.failed == 0 ? 0 : 3;
 }
 
 /** Round a nonnegative surrogate estimate into an integer column. */
@@ -340,23 +272,17 @@ struct CalibrationError
 };
 
 /**
- * The --surrogate sweep: score the whole grid with the batched
- * analytic evaluator, Pareto-filter on (cycles, energy, DRAM bytes),
- * simulate only the survivors — with the seeds and ids of the
- * untiered grid, so survivor records (and cache keys) are
- * byte-identical to a plain sweep's — and emit both tiers into one
- * CSV plus a calibration report of surrogate-vs-simulated error.
+ * The stats, surrogate and Pareto stages of a --surrogate grid: score
+ * every point with the batched analytic evaluator into `scored` (one
+ * surrogate record per grid id, ids ascending) and return the
+ * per-group Pareto survivors' ids, ascending.
  */
-int
-runSurrogateSweep(const GridSpec &grid, const std::string &grid_path,
-                  const FlagSet &flags, std::ostream &out,
-                  std::ostream &err)
+std::vector<std::size_t>
+surrogateSurvivors(const GridSpec &grid, unsigned threads,
+                   const FlagSet &flags, std::vector<BatchRecord> &scored,
+                   std::ostream &err)
 {
     namespace dse = sparch::dse;
-    const unsigned threads =
-        resolveThreads(flags.has("threads")
-                           ? flags.getUnsigned("threads", 0)
-                           : grid.threads);
     const std::size_t total = gridPointCount(grid);
 
     // Stats tier: one extraction per unique workload, persisted in a
@@ -406,16 +332,14 @@ runSurrogateSweep(const GridSpec &grid, const std::string &grid_path,
     std::vector<dse::ParetoFilter> filters(
         groups,
         dse::ParetoFilter(flags.getDouble("surrogate-eps", 0.0)));
-    std::vector<BatchRecord> surrogate_records;
-    surrogate_records.reserve(total);
+    scored.reserve(total);
     for (std::size_t id = 0; id < total; ++id) {
         const GridPointRef ref = gridPointAt(grid, id);
         const dse::SurrogateEstimate est =
             batches[ref.configIdx].get(ref.workloadIdx);
         filters[ref.workloadIdx * grid.shards.size() + ref.shardIdx]
             .offer(id, {est.cycles, est.energyJ, est.bytesTotal});
-        surrogate_records.push_back(
-            makeSurrogateRecord(grid, ref, est));
+        scored.push_back(makeSurrogateRecord(grid, ref, est));
     }
 
     // --surrogate-keep is the total simulation budget, split evenly
@@ -429,16 +353,14 @@ runSurrogateSweep(const GridSpec &grid, const std::string &grid_path,
     const std::size_t keep_per_group =
         keep == 0 ? 0 : std::max<std::size_t>(1, keep / groups);
     std::size_t frontier_size = 0;
-    std::vector<dse::ParetoPoint> survivors;
+    std::vector<std::size_t> survivors;
     for (const dse::ParetoFilter &filter : filters) {
         frontier_size += filter.size();
         for (const dse::ParetoPoint &p :
              filter.survivors(keep_per_group))
-            survivors.push_back(p);
+            survivors.push_back(p.id);
     }
-    std::sort(survivors.begin(), survivors.end(),
-              [](const dse::ParetoPoint &a,
-                 const dse::ParetoPoint &b) { return a.id < b.id; });
+    std::sort(survivors.begin(), survivors.end());
     err << "sparch: surrogate tier: " << total
         << " points evaluated, frontier=" << frontier_size
         << ", survivors=" << survivors.size() << " ("
@@ -449,80 +371,164 @@ runSurrogateSweep(const GridSpec &grid, const std::string &grid_path,
                                 static_cast<double>(total),
                1)
         << "% simulated)\n";
+    return survivors;
+}
 
-    // Cycle-accurate tier: a dense runner over the survivors only.
-    // addWithSeed pins each task to its *original* grid id's seed;
-    // runner-internal ids are dense 0..K-1 in ascending original-id
-    // order, restamped back after the run.
+/** Prints a command's own view of the simulated records. */
+using Presenter = std::function<void(const std::vector<BatchRecord> &)>;
+
+/**
+ * The one grid pipeline behind `run` and `sweep`: the stats and
+ * surrogate stages with the Pareto filter (under --surrogate only),
+ * execute, calibrate, emit. A plain grid is the same pipeline with
+ * every point surviving. `present` prints the command's own view of
+ * the simulated records between the CSV and the summary line. Returns
+ * the exit code: 0, or 3 when grid points failed.
+ */
+int
+runGrid(const GridSpec &grid, const FlagSet &flags, std::ostream &out,
+        std::ostream &err, const Presenter &present)
+{
+    checkFileWorkloadNames(grid.workloads);
+    const unsigned threads = resolveThreads(grid.threads);
+    const bool tiered = flags.has("surrogate");
+
+    std::vector<BatchRecord> scored;
+    std::vector<std::size_t> survivors;
+    if (tiered) {
+        survivors = surrogateSurvivors(grid, threads, flags, scored, err);
+    } else {
+        survivors.resize(gridPointCount(grid));
+        std::iota(survivors.begin(), survivors.end(), std::size_t{0});
+    }
+
+    // Execute. Runner task k is survivor k, simulated with (and
+    // recording) the seed of its grid id and restamped back to that
+    // id afterwards, so a survivor's record and cache key are a plain
+    // sweep's. With every point surviving these are exactly
+    // addShardSweep's tasks.
     BatchRunner runner(threads, grid.seed);
-    for (const dse::ParetoPoint &p : survivors) {
-        const GridPointRef ref = gridPointAt(grid, p.id);
+    for (const std::size_t id : survivors) {
+        const GridPointRef ref = gridPointAt(grid, id);
         runner.addWithSeed(grid.configs[ref.configIdx].first,
                            grid.configs[ref.configIdx].second,
                            grid.workloads[ref.workloadIdx],
-                           BatchRunner::taskSeed(grid.seed, p.id),
+                           BatchRunner::taskSeed(grid.seed, id),
                            grid.shards[ref.shardIdx], grid.policy);
     }
-
+    const std::string kind = flags.get("exec", "threads");
+    sparch::exec::ProcessPoolOptions procs;
+    procs.procs = resolveThreads(flags.getUnsigned("procs", 0));
     const std::unique_ptr<sparch::exec::Executor> executor =
-        makeExecutor(flags.get("exec", "threads"), threads,
-                     resolveThreads(flags.getUnsigned("procs", 0)));
-    ResultCache cache(cache_path);
+        sparch::exec::makeExecutor(kind, threads, procs);
+    if (!executor)
+        fatal("--exec '", kind, "' is not inline, threads or procs");
+    ResultCache cache(flags.get("cache"));
     ResultCache *cache_ptr = flags.has("cache") ? &cache : nullptr;
     RunStats stats;
-    std::vector<BatchRecord> sim_records =
+    std::vector<BatchRecord> simulated =
         runner.run(*executor, cache_ptr, &stats);
     if (cache_ptr != nullptr)
         cache_ptr->save();
-    for (BatchRecord &r : sim_records)
-        r.id = survivors[r.id].id;
+    for (BatchRecord &r : simulated)
+        r.id = survivors[r.id];
     for (driver::FailedPoint &f : stats.failures)
-        f.id = survivors[f.id].id;
+        f.id = survivors[f.id];
 
-    // Calibration: surrogate-vs-simulated relative error on the
+    // Calibrate: surrogate-vs-simulated relative error on the
     // survivors that actually simulated.
-    CalibrationError cycles_err;
-    CalibrationError bytes_err;
-    for (const BatchRecord &r : sim_records) {
-        const BatchRecord &est = surrogate_records[r.id];
-        cycles_err.sample(static_cast<double>(est.sim.cycles),
-                          static_cast<double>(r.sim.cycles));
-        bytes_err.sample(static_cast<double>(est.sim.bytesTotal),
-                         static_cast<double>(r.sim.bytesTotal));
+    if (tiered) {
+        CalibrationError cycles_err;
+        CalibrationError bytes_err;
+        for (const BatchRecord &r : simulated) {
+            const BatchRecord &est = scored[r.id];
+            cycles_err.sample(static_cast<double>(est.sim.cycles),
+                              static_cast<double>(r.sim.cycles));
+            bytes_err.sample(static_cast<double>(est.sim.bytesTotal),
+                             static_cast<double>(r.sim.bytesTotal));
+        }
+        err << "sparch: surrogate calibration (" << simulated.size()
+            << " survivors): cycles mean="
+            << TablePrinter::num(100.0 * cycles_err.mean(), 1)
+            << "% max=" << TablePrinter::num(100.0 * cycles_err.max, 1)
+            << "%; dram-bytes mean="
+            << TablePrinter::num(100.0 * bytes_err.mean(), 1)
+            << "% max=" << TablePrinter::num(100.0 * bytes_err.max, 1)
+            << "%\n";
     }
-    err << "sparch: surrogate calibration (" << sim_records.size()
-        << " survivors): cycles mean="
-        << TablePrinter::num(100.0 * cycles_err.mean(), 1)
-        << "% max=" << TablePrinter::num(100.0 * cycles_err.max, 1)
-        << "%; dram-bytes mean="
-        << TablePrinter::num(100.0 * bytes_err.mean(), 1)
-        << "% max=" << TablePrinter::num(100.0 * bytes_err.max, 1)
-        << "%\n";
 
-    // One CSV, both tiers: the full surrogate grid first (ids
-    // ascending), then the simulated survivors (ids ascending).
-    std::vector<BatchRecord> all_records;
-    all_records.reserve(surrogate_records.size() +
-                        sim_records.size());
-    for (BatchRecord &r : surrogate_records)
-        all_records.push_back(std::move(r));
-    for (BatchRecord &r : sim_records)
-        all_records.push_back(std::move(r));
+    // Emit one CSV: the surrogate tier, if scored, then the simulated
+    // records, each with ids ascending.
     const std::string csv = flags.get("csv");
-    if (!csv.empty())
-        emitCsv(all_records, csv, out);
-    if (csv.empty() || flags.has("table")) {
-        const std::vector<BatchRecord> sim_view(
-            all_records.begin() +
-                static_cast<std::ptrdiff_t>(total),
-            all_records.end());
-        BatchRunner::toTable(sim_view, "sparch sweep (surrogate "
-                                       "survivors): " +
-                                           grid_path)
-            .print(out);
+    if (!csv.empty()) {
+        std::vector<BatchRecord> rows = std::move(scored);
+        rows.insert(rows.end(), simulated.begin(), simulated.end());
+        std::ofstream file;
+        if (csv != "-") {
+            file.open(csv);
+            if (!file)
+                fatal("cannot write CSV to '", csv, "'");
+        }
+        BatchRunner::writeCsv(rows, csv == "-" ? out : file);
     }
+    present(simulated);
     reportStats(stats, cache_ptr, err);
     return stats.failed == 0 ? 0 : 3;
+}
+
+int
+cmdRun(const std::vector<std::string> &args, std::ostream &out,
+       std::ostream &err)
+{
+    const FlagSet flags(args,
+                        {"config", "label", "nnz", "wseed", "seed",
+                         "shards", "policy", "threads", "csv",
+                         "cache"},
+                        {"check", "profile"});
+    if (flags.positional().empty())
+        fatal("run: no workload specs (try 'sparch workloads')");
+    check::setDeepChecks(flags.has("check"));
+    profile::setEnabled(flags.has("profile"));
+
+    // A run is a one-config sweep: {label, config} x the specs'
+    // workloads x {--shards}.
+    GridSpec grid;
+    grid.defaults.nnz = flags.getU64("nnz", grid.defaults.nnz);
+    grid.defaults.seed = flags.getU64("wseed", grid.defaults.seed);
+    const std::string overrides = flags.get("config");
+    const SpArchConfig config = parseConfigOverrides(overrides);
+    const std::string label =
+        flags.get("label", overrides.empty() ? "table-I" : overrides);
+    grid.configs = {{label, config}};
+    grid.shards = {flags.getUnsigned("shards", 1)};
+    grid.policy = parseShardPolicy(flags.get("policy", "nnz"));
+    grid.threads = flags.getUnsigned("threads", 0);
+    grid.seed = flags.getU64("seed", grid.seed);
+    for (const std::string &spec : flags.positional()) {
+        for (driver::Workload &w : parseWorkloadSpec(spec, grid.defaults))
+            grid.workloads.push_back(std::move(w));
+    }
+
+    const auto present = [&](const std::vector<BatchRecord> &records) {
+        if (flags.get("csv") != "-")
+            BatchRunner::toTable(records, "sparch run").print(out);
+        if (!flags.has("profile"))
+            return;
+        // Wall-clock phase breakdown (summed across shards). The
+        // per-module cycle/occupancy counters are in the stats set.
+        for (const BatchRecord &r : records) {
+            const StatSet &s = r.sim.stats;
+            out << "profile " << r.configLabel << " x "
+                << r.workloadName << ": total "
+                << s.get("profile.total_seconds") << "s = leaves "
+                << s.get("profile.leaves_seconds") << "s + plan "
+                << s.get("profile.plan_seconds") << "s + rounds "
+                << s.get("profile.rounds_seconds") << "s + convert "
+                << s.get("profile.convert_seconds") << "s ("
+                << r.sim.cycles << " cycles)\n";
+        }
+    };
+    return runGrid(grid, flags, out, err, present);
 }
 
 int
@@ -542,42 +548,22 @@ cmdSweep(const std::vector<std::string> &args, std::ostream &out,
     if (grid_path.empty())
         fatal("sweep: --grid FILE is required");
 
-    const GridSpec grid = parseGridSpecFile(grid_path);
-    if (flags.has("surrogate"))
-        return runSurrogateSweep(grid, grid_path, flags, out, err);
-    if (flags.has("surrogate-keep") || flags.has("surrogate-eps"))
+    GridSpec grid = parseGridSpecFile(grid_path);
+    if (!flags.has("surrogate") &&
+        (flags.has("surrogate-keep") || flags.has("surrogate-eps")))
         fatal("sweep: --surrogate-keep/--surrogate-eps need "
               "--surrogate");
-    const unsigned threads = flags.has("threads")
-                                 ? flags.getUnsigned("threads", 0)
-                                 : grid.threads;
+    if (flags.has("threads"))
+        grid.threads = flags.getUnsigned("threads", 0);
 
-    BatchRunner runner(resolveThreads(threads), grid.seed);
-    runner.addShardSweep(grid.configs, grid.workloads, grid.shards,
-                         grid.policy);
-
-    const std::unique_ptr<sparch::exec::Executor> executor =
-        makeExecutor(flags.get("exec", "threads"),
-                     resolveThreads(threads),
-                     resolveThreads(flags.getUnsigned("procs", 0)));
-
-    ResultCache cache(flags.get("cache"));
-    ResultCache *cache_ptr = flags.has("cache") ? &cache : nullptr;
-    RunStats stats;
-    const std::vector<BatchRecord> records =
-        runner.run(*executor, cache_ptr, &stats);
-    if (cache_ptr != nullptr)
-        cache_ptr->save();
-
-    const std::string csv = flags.get("csv");
-    if (!csv.empty())
-        emitCsv(records, csv, out);
-    if (csv.empty() || flags.has("table")) {
-        BatchRunner::toTable(records, "sparch sweep: " + grid_path)
-            .print(out);
-    }
-    reportStats(stats, cache_ptr, err);
-    return stats.failed == 0 ? 0 : 3;
+    const std::string title =
+        flags.has("surrogate") ? "sparch sweep (surrogate survivors): "
+                               : "sparch sweep: ";
+    const auto present = [&](const std::vector<BatchRecord> &records) {
+        if (flags.get("csv").empty() || flags.has("table"))
+            BatchRunner::toTable(records, title + grid_path).print(out);
+    };
+    return runGrid(grid, flags, out, err, present);
 }
 
 const char *
@@ -626,22 +612,20 @@ cmdCache(const std::vector<std::string> &args, std::ostream &out)
         fatal("cache: expected one action, stats or clear");
 
     const std::string &action = flags.positional()[0];
+    if (action != "stats" && action != "clear") {
+        fatal("cache: unknown action '", action,
+              "'; expected stats or clear");
+    }
+    ResultCache cache(path);
     if (action == "stats") {
-        ResultCache cache(path);
         out << "cache '" << path << "': " << cache.size()
             << " entries\n";
         return 0;
     }
-    if (action == "clear") {
-        ResultCache cache(path);
-        const std::size_t n = cache.size();
-        cache.clear();
-        out << "cache '" << path << "': dropped " << n
-            << " entries\n";
-        return 0;
-    }
-    fatal("cache: unknown action '", action,
-          "'; expected stats or clear");
+    const std::size_t n = cache.size();
+    cache.clear();
+    out << "cache '" << path << "': dropped " << n << " entries\n";
+    return 0;
 }
 
 /**

@@ -4,6 +4,7 @@
  *
  * Commands:
  *   run        simulate ad-hoc workload specs at one configuration
+ *              (a one-config sweep)
  *   sweep      run a grid-spec file (configs x workloads x shards)
  *   workloads  list the built-in suite and the spec grammar
  *   cache      inspect or clear a persistent result cache
@@ -11,10 +12,13 @@
  * The entry point takes argv-style strings plus explicit output
  * streams and returns a process exit code, so tests drive the whole
  * CLI in-process and assert on its bytes; src/cli/main.cc is a thin
- * argv adapter around it. All simulation goes through BatchRunner —
- * the CLI owns no simulation loop of its own — and both `run` and
- * `sweep` accept `--cache PATH` so repeated sweeps only simulate grid
- * points the cache has never seen.
+ * argv adapter around it. `run` and `sweep` only turn flags into a
+ * GridSpec and print; both run it through one grid pipeline: stats,
+ * surrogate scoring and the Pareto filter (under `sweep --surrogate`
+ * only), then execute through BatchRunner, calibrate and emit. The
+ * CLI owns no simulation loop of its own, and both commands accept
+ * `--cache PATH` so repeated sweeps only simulate grid points the
+ * cache has never seen.
  */
 
 #ifndef SPARCH_CLI_COMMANDS_HH

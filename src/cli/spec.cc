@@ -499,8 +499,7 @@ parseWorkloadSpec(const std::string &raw,
         parseWorkloadSpecUnchecked(raw, defaults);
     // Run the eager validators (for .mtx: the reader's own header
     // parse) here, so a bad file fails at spec-parse time instead of
-    // minutes later on a batch worker thread — the CLI builds grids
-    // directly, without a WorkloadRegistry to do this for it.
+    // minutes later on a batch worker thread.
     for (const driver::Workload &w : parsed)
         w.validate();
     return parsed;

@@ -141,11 +141,9 @@ BatchRunner::run() const
 std::vector<BatchRecord>
 BatchRunner::run(ResultCache *cache, RunStats *stats) const
 {
-    if (threads_ <= 1) {
-        exec::InlineExecutor serial;
-        return run(serial, cache, stats);
-    }
-    exec::ThreadPoolExecutor pooled(threads_);
+    // ThreadPoolExecutor runs one thread inline; 0 would mean all
+    // cores.
+    exec::ThreadPoolExecutor pooled(std::max(threads_, 1u));
     return run(pooled, cache, stats);
 }
 

@@ -185,7 +185,6 @@ class BatchRunner
 
     std::size_t size() const { return tasks_.size(); }
     const std::vector<BatchTask> &tasks() const { return tasks_; }
-    unsigned threads() const { return threads_; }
 
     /** Retain product matrices in the records (default: dropped). */
     void keepProducts(bool keep) { keep_products_ = keep; }
@@ -221,9 +220,9 @@ class BatchRunner
     /**
      * Run the grid through an explicit execution backend (see
      * exec/executor.hh for the three backends and the determinism
-     * contract). The two-argument run() is this with an
-     * InlineExecutor or ThreadPoolExecutor picked from the
-     * constructor's thread count. An in-process executor runs each
+     * contract). The two-argument run() is this with a
+     * ThreadPoolExecutor of the constructor's thread count (one
+     * thread runs inline). An in-process executor runs each
      * sharded task's row blocks on max(1, threads / tasks to
      * simulate) workers, with threads the constructor's count;
      * out-of-process executors run them serially. keepProducts(true)

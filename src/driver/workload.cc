@@ -168,14 +168,16 @@ namespace
 {
 
 /**
- * Display name of a file workload: the path minus its extension, so
- * the same matrix sweeps under the same name — and produces the same
- * CSV bytes — whether it is read from data/m.mtx or data/m.scsr.
+ * Display name of a file workload: the file's stem, so the same
+ * matrix sweeps under the same name — and produces the same CSV
+ * bytes — whether it is read from data/m.mtx or data/m.scsr, and
+ * from whichever directory the sweep runs in. The cache identity
+ * keeps the full path.
  */
 std::string
 fileWorkloadName(const std::string &path)
 {
-    return std::filesystem::path(path).replace_extension("").string();
+    return std::filesystem::path(path).stem().string();
 }
 
 } // namespace
@@ -274,34 +276,6 @@ dnnLayerWorkload(Index hidden, Index batch, double density,
                    std::to_string(batch) + ":" + fmtDouble(density),
                0, seed);
     return w;
-}
-
-Workload
-WorkloadRegistry::add(Workload workload)
-{
-    SPARCH_ASSERT(workload.valid(), "registering an empty workload");
-    if (contains(workload.name()))
-        fatal("duplicate workload '", workload.name(), "'");
-    workload.validate(); // fail fast, not mid-batch
-
-    index_[workload.name()] = workloads_.size();
-    workloads_.push_back(std::move(workload));
-    return workloads_.back();
-}
-
-const Workload &
-WorkloadRegistry::find(const std::string &name) const
-{
-    auto it = index_.find(name);
-    if (it == index_.end())
-        fatal("unknown workload '", name, "'");
-    return workloads_[it->second];
-}
-
-bool
-WorkloadRegistry::contains(const std::string &name) const
-{
-    return index_.contains(name);
 }
 
 } // namespace driver

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -122,10 +121,10 @@ class Workload
     Workload &withValidator(std::function<void()> validator);
 
     /**
-     * Run the attached validator, if any. WorkloadRegistry::add calls
+     * Run the attached validator, if any. The CLI spec parser calls
      * this so a workload that cannot possibly materialize — a missing
-     * or malformed input file — throws FatalError at registration
-     * time instead of failing mid-batch on a worker thread.
+     * or malformed input file — throws FatalError when it is parsed
+     * instead of failing mid-batch on a worker thread.
      */
     void validate() const;
 
@@ -169,17 +168,19 @@ Workload uniformWorkload(Index rows, Index cols, std::uint64_t nnz,
                          std::uint64_t seed);
 
 /**
- * Matrix Market file squared. Parsing stays lazy, but the workload
+ * Matrix Market file squared, named by the file's stem (the cache
+ * identity keeps the path). Parsing stays lazy, but the workload
  * carries a validator that probes the file (readable, Matrix Market
- * banner) so registration fails fast on a bad path.
+ * banner) so a bad path fails when the workload is parsed.
  */
 Workload matrixMarketWorkload(const std::string &path);
 
 /**
- * Binary .scsr file squared. Loading goes through the mmap-backed
- * MappedCsr view, the header is validated (checksummed) at
- * registration, and the cache identity pins the header checksum so a
- * re-converted file never serves stale cached results.
+ * Binary .scsr file squared, named by the file's stem like
+ * matrixMarketWorkload. Loading goes through the mmap-backed
+ * MappedCsr view, the header is validated (checksummed) when the
+ * workload is parsed, and the cache identity pins the header checksum
+ * so a re-converted file never serves stale cached results.
  */
 Workload scsrWorkload(const std::string &path);
 
@@ -190,31 +191,6 @@ Workload scsrWorkload(const std::string &path);
  */
 Workload dnnLayerWorkload(Index hidden, Index batch, double density,
                           std::uint64_t seed);
-
-/** Insertion-ordered, name-keyed collection of workloads. */
-class WorkloadRegistry
-{
-  public:
-    /**
-     * Register a workload; throws FatalError on a duplicate name.
-     * Returns a handle sharing the registered workload's storage.
-     */
-    Workload add(Workload workload);
-
-    /** Look up by name; throws FatalError if unknown. */
-    const Workload &find(const std::string &name) const;
-
-    bool contains(const std::string &name) const;
-
-    /** All workloads in registration order. */
-    const std::vector<Workload> &all() const { return workloads_; }
-
-    std::size_t size() const { return workloads_.size(); }
-
-  private:
-    std::vector<Workload> workloads_;
-    std::map<std::string, std::size_t> index_;
-};
 
 } // namespace driver
 } // namespace sparch

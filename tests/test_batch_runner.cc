@@ -1,13 +1,11 @@
 /**
  * @file
  * Tests for the batch-simulation driver: the work-stealing thread
- * pool, the workload registry, and — the load-bearing property — that
+ * pool, the workload factories, and — the load-bearing property — that
  * a multi-threaded BatchRunner reproduces a serial run bit for bit.
  */
 
 #include <atomic>
-#include <cstdio>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -15,14 +13,12 @@
 
 #include <gtest/gtest.h>
 
-#include "common/logging.hh"
 #include "driver/batch_runner.hh"
 #include "driver/thread_pool.hh"
 #include "driver/workload.hh"
 #include "exec/local_executors.hh"
 #include "matrix/generators.hh"
 #include "matrix/reference_spgemm.hh"
-#include "temp_path.hh"
 
 namespace sparch
 {
@@ -33,7 +29,6 @@ using driver::BatchRecord;
 using driver::BatchRunner;
 using driver::ThreadPool;
 using driver::Workload;
-using driver::WorkloadRegistry;
 
 // ---------------------------------------------------------------- pool
 
@@ -122,56 +117,6 @@ TEST(Workload, DnnLayerShapesMatch)
     EXPECT_EQ(layer.left().cols(), 64u);
     EXPECT_EQ(layer.right().rows(), 64u);
     EXPECT_EQ(layer.right().cols(), 16u);
-}
-
-TEST(WorkloadRegistry, MatrixMarketLoadErrorSurfacesAtAddTime)
-{
-    WorkloadRegistry registry;
-    // A missing file must be rejected when registered, not later on a
-    // batch worker thread.
-    EXPECT_THROW(
-        registry.add(driver::matrixMarketWorkload("/no/such/file.mtx")),
-        FatalError);
-    EXPECT_EQ(registry.size(), 0u);
-
-    // A malformed file (no Matrix Market banner) is rejected too.
-    const std::string bogus =
-        uniqueTempPath("sparch_bogus_workload.mtx");
-    {
-        std::ofstream out(bogus);
-        out << "not a matrix market file\n";
-    }
-    EXPECT_THROW(registry.add(driver::matrixMarketWorkload(bogus)),
-                 FatalError);
-
-    // A well-formed file registers and still loads lazily.
-    const std::string good =
-        uniqueTempPath("sparch_good_workload.mtx");
-    {
-        std::ofstream out(good);
-        out << "%%MatrixMarket matrix coordinate real general\n"
-            << "2 2 2\n"
-            << "1 1 1.5\n"
-            << "2 2 2.5\n";
-    }
-    const Workload w = registry.add(driver::matrixMarketWorkload(good));
-    EXPECT_EQ(registry.size(), 1u);
-    EXPECT_EQ(w.left().nnz(), 2u);
-    std::remove(bogus.c_str());
-    std::remove(good.c_str());
-}
-
-TEST(WorkloadRegistry, FindsAndRejectsDuplicates)
-{
-    WorkloadRegistry registry;
-    registry.add(driver::uniformWorkload(16, 16, 40, 5));
-    registry.add(driver::rmatWorkload(64, 4, 6));
-    EXPECT_EQ(registry.size(), 2u);
-    EXPECT_TRUE(registry.contains("rmat-64-x4"));
-    EXPECT_EQ(registry.find("rmat-64-x4").name(), "rmat-64-x4");
-    EXPECT_THROW(registry.find("nope"), FatalError);
-    EXPECT_THROW(registry.add(driver::rmatWorkload(64, 4, 7)),
-                 FatalError);
 }
 
 // -------------------------------------------------------- batch runner

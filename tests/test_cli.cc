@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -322,10 +323,11 @@ TEST(CliGridSpec, SeedsAxisDoesNotReplicateMatrixMarketFiles)
     std::remove(path.c_str());
     // 3 uniform replicates + 1 mtx instance.
     ASSERT_EQ(grid.workloads.size(), 4u);
-    // File workloads are named by path minus extension, so .mtx and
-    // .scsr inputs of the same matrix sweep under one name.
-    EXPECT_EQ(grid.workloads[3].name(),
-              path.substr(0, path.size() - 4));
+    // File workloads are named by their file stem, so .mtx and .scsr
+    // inputs of the same matrix sweep under one name from any
+    // directory.
+    const std::filesystem::path stem = uniqueTempPath("sparch_cli_seeds");
+    EXPECT_EQ(grid.workloads[3].name(), stem.filename().string());
 }
 
 TEST(CliGridSpec, MemoryBackendsAsConfigAxes)
@@ -370,9 +372,9 @@ TEST(CliGridSpec, RejectsMalformedInput)
 
 TEST(CliWorkloadSpec, BadMatrixMarketFileFailsAtParseTime)
 {
-    // The CLI has no WorkloadRegistry, so the spec parser itself must
-    // run the eager validators: a bad .mtx path (or a file the reader
-    // would reject) fails before any grid point simulates.
+    // The spec parser runs the eager validators: a bad .mtx path (or
+    // a file the reader would reject) fails before any grid point
+    // simulates.
     const cli::WorkloadDefaults defaults;
     EXPECT_THROW(cli::parseWorkloadSpec("mtx:/nonexistent.mtx",
                                         defaults),
@@ -557,6 +559,76 @@ TEST(Cli, SweepShardAxisMatchesAddShardSweep)
     EXPECT_NE(csv.find(",uniform-128x128-900,"), std::string::npos);
     std::remove(grid_path.c_str());
     std::remove(csv_path.c_str());
+}
+
+/**
+ * `run` is a one-config sweep: its flags build the grid a grid file
+ * would spell out, and both go through one pipeline — same CSV bytes,
+ * same cache keys.
+ */
+TEST(Cli, RunIsAOneConfigSweep)
+{
+    const std::string run_csv = uniqueTempPath("sparch_run.csv");
+    const std::string sweep_csv = uniqueTempPath("sparch_run_sweep.csv");
+    const std::string cache_path = uniqueTempPath("sparch_run_cache.csv");
+    const std::string grid_path = writeFile(
+        "sparch_run.grid",
+        "nnz = 1500\nshards = 2\n[config merge_layers=5]\n"
+        "merge_layers = 5\n[workloads]\nsuite:wiki-Vote\n"
+        "uniform:96x96:600\n");
+
+    std::string err;
+    ASSERT_EQ(runCli({"run", "--config", "merge_layers=5", "--shards",
+                      "2", "--nnz", "1500", "--csv", run_csv,
+                      "--cache", cache_path, "suite:wiki-Vote",
+                      "uniform:96x96:600"},
+                     nullptr, &err),
+              0);
+    EXPECT_NE(err.find("simulated=2, cache-hits=0, "), std::string::npos)
+        << err;
+    ASSERT_EQ(runCli({"sweep", "--grid", grid_path, "--csv", sweep_csv,
+                      "--cache", cache_path},
+                     nullptr, &err),
+              0);
+    EXPECT_NE(err.find("simulated=0, cache-hits=2, "), std::string::npos)
+        << err;
+    EXPECT_FALSE(fileContents(run_csv).empty());
+    EXPECT_EQ(fileContents(run_csv), fileContents(sweep_csv));
+    std::remove(run_csv.c_str());
+    std::remove(sweep_csv.c_str());
+    std::remove(cache_path.c_str());
+    std::remove(grid_path.c_str());
+}
+
+TEST(Cli, FileWorkloadsSharingAStemAreRejected)
+{
+    const std::filesystem::path dir_a = uniqueTempPath("a");
+    const std::filesystem::path dir_b = uniqueTempPath("b");
+    const std::string text =
+        "%%MatrixMarket matrix coordinate real general\n"
+        "2 2 2\n1 1 1.0\n2 2 2.0\n";
+    for (const std::filesystem::path &dir : {dir_a, dir_b}) {
+        std::filesystem::create_directories(dir);
+        std::ofstream(dir / "m.mtx") << text;
+    }
+    const std::string a = (dir_a / "m.mtx").string();
+    const std::string b = (dir_b / "m.mtx").string();
+    const std::string grid_path = writeFile(
+        "sparch_stems.grid", "[workloads]\n" + a + "\n" + b + "\n");
+
+    std::string err;
+    EXPECT_EQ(runCli({"sweep", "--grid", grid_path}, nullptr, &err), 1);
+    EXPECT_NE(err.find("'" + a + "' and '" + b + "'"), std::string::npos)
+        << err;
+    EXPECT_EQ(runCli({"run", a, b}, nullptr, &err), 1);
+    EXPECT_NE(err.find("share the name 'm'"), std::string::npos) << err;
+
+    // The same file twice is one matrix under one name, not a clash.
+    EXPECT_EQ(runCli({"run", "--threads", "1", a, a}, nullptr, &err), 0)
+        << err;
+    std::filesystem::remove_all(dir_a);
+    std::filesystem::remove_all(dir_b);
+    std::remove(grid_path.c_str());
 }
 
 // ------------------------------------------- surrogate-first sweep

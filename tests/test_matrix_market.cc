@@ -243,8 +243,7 @@ TEST_F(MatrixMarketValidator, RejectsArrayFormatAtRegistration)
     const std::string path = writeFile(
         "sparch_mm_array.mtx",
         "%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n");
-    driver::WorkloadRegistry registry;
-    EXPECT_THROW(registry.add(driver::matrixMarketWorkload(path)),
+    EXPECT_THROW(driver::matrixMarketWorkload(path).validate(),
                  FatalError);
     std::remove(path.c_str());
 }
@@ -255,8 +254,7 @@ TEST_F(MatrixMarketValidator, RejectsComplexFieldAtRegistration)
         "sparch_mm_complex.mtx",
         "%%MatrixMarket matrix coordinate complex general\n"
         "1 1 1\n1 1 1.0 0.0\n");
-    driver::WorkloadRegistry registry;
-    EXPECT_THROW(registry.add(driver::matrixMarketWorkload(path)),
+    EXPECT_THROW(driver::matrixMarketWorkload(path).validate(),
                  FatalError);
     std::remove(path.c_str());
 }
@@ -267,8 +265,7 @@ TEST_F(MatrixMarketValidator, RejectsOversizedDimensionsAtRegistration)
         "sparch_mm_huge.mtx",
         "%%MatrixMarket matrix coordinate real general\n"
         "4294967296 2 1\n1 1 1.0\n");
-    driver::WorkloadRegistry registry;
-    EXPECT_THROW(registry.add(driver::matrixMarketWorkload(path)),
+    EXPECT_THROW(driver::matrixMarketWorkload(path).validate(),
                  FatalError);
     std::remove(path.c_str());
 }
@@ -281,9 +278,8 @@ TEST_F(MatrixMarketValidator, AcceptsWhatTheReaderAccepts)
         "% comment\n"
         "\n"
         "2 2 2\n1 1 1.0\n2 2 2.0\n");
-    driver::WorkloadRegistry registry;
-    const driver::Workload w =
-        registry.add(driver::matrixMarketWorkload(path));
+    const driver::Workload w = driver::matrixMarketWorkload(path);
+    EXPECT_NO_THROW(w.validate());
     EXPECT_EQ(w.left().nnz(), 2u);
     std::remove(path.c_str());
 }

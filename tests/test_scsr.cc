@@ -10,12 +10,15 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "driver/batch_runner.hh"
+#include "driver/result_cache.hh"
 #include "driver/sharded_simulator.hh"
 #include "driver/workload.hh"
 #include "matrix/generators.hh"
@@ -469,7 +472,9 @@ TEST(ScsrWorkload, NameIsThePathStemAndIdentityPinsTheChecksum)
     writeScsr(generateUniform(20, 20, 80, 37), path);
 
     const driver::Workload w = driver::scsrWorkload(path);
-    EXPECT_EQ(w.name(), uniqueTempPath("scsr_wl"));
+    // The stem alone: no directory, no extension.
+    EXPECT_EQ(w.name(), std::filesystem::path(path).stem().string());
+    EXPECT_EQ(w.name().find('/'), std::string::npos);
     EXPECT_NE(w.identity().find("scsr:"), std::string::npos);
     EXPECT_NE(w.identity().find("|sum="), std::string::npos);
     const std::string before = w.identity();
@@ -502,9 +507,55 @@ TEST(ScsrWorkload, MtxIdentityTracksContentNotSizeOrMtime)
     EXPECT_NE(driver::matrixMarketWorkload(path).identity(), before);
 
     // Both spellings of the same matrix sweep under the same name.
+    const std::filesystem::path stem = uniqueTempPath("scsr_wl_mtx");
     EXPECT_EQ(driver::matrixMarketWorkload(path).name(),
-              uniqueTempPath("scsr_wl_mtx"));
+              stem.filename().string());
     std::filesystem::remove(path);
+}
+
+TEST(ScsrWorkload, FileNamesDropTheDirectoryButKeysKeepThePath)
+{
+    // One matrix in two directories: the same name, so a sweep's CSV
+    // does not depend on where it runs...
+    const std::filesystem::path dir_a = uniqueTempPath("dir_a");
+    const std::filesystem::path dir_b = uniqueTempPath("dir_b");
+    const std::string text =
+        "%%MatrixMarket matrix coordinate real general\n"
+        "2 2 2\n1 1 1.0\n2 1 2.0\n";
+    for (const std::filesystem::path &dir : {dir_a, dir_b}) {
+        std::filesystem::create_directories(dir);
+        std::ofstream(dir / "m.mtx") << text;
+        writeScsr(readMatrixMarketFile((dir / "m.mtx").string()),
+                  (dir / "m.scsr").string());
+    }
+    const std::string mtx_a = (dir_a / "m.mtx").string();
+    const std::string scsr_a = (dir_a / "m.scsr").string();
+    const driver::Workload a = driver::matrixMarketWorkload(mtx_a);
+    const driver::Workload b =
+        driver::matrixMarketWorkload((dir_b / "m.mtx").string());
+    const driver::Workload s = driver::scsrWorkload(scsr_a);
+    EXPECT_EQ(a.name(), "m");
+    EXPECT_EQ(b.name(), "m");
+    EXPECT_EQ(s.name(), "m");
+
+    // ...while the cache identity, and so every result-cache key,
+    // carries the full path and the content hash: on-disk caches stay
+    // valid, and two files never share a key.
+    EXPECT_EQ(a.identity(), "mtx:" + mtx_a + "|fnv=867917f97b93fb53");
+    std::ostringstream sum;
+    sum << std::hex << readScsrHeader(scsr_a).header_checksum;
+    EXPECT_EQ(s.identity(), "scsr:" + scsr_a + "|sum=" + sum.str());
+    using driver::ResultCache;
+    driver::BatchTask task;
+    task.workload = a;
+    EXPECT_EQ(ResultCache::taskKey(task),
+              ResultCache::key(SpArchConfig{}, a.identity(), 0, 1,
+                               driver::ShardPolicy::NnzBalanced));
+    driver::BatchTask other = task;
+    other.workload = b;
+    EXPECT_NE(ResultCache::taskKey(task), ResultCache::taskKey(other));
+    std::filesystem::remove_all(dir_a);
+    std::filesystem::remove_all(dir_b);
 }
 
 TEST(ScsrWorkload, GeneratorIdentityFormatsAreStable)
@@ -528,8 +579,7 @@ TEST(ScsrWorkload, RegistrationRejectsCorruptFilesLoudly)
     writeScsr(generateUniform(10, 10, 30, 41), path);
     std::filesystem::resize_file(
         path, std::filesystem::file_size(path) / 2);
-    driver::WorkloadRegistry registry;
-    EXPECT_THROW(registry.add(driver::scsrWorkload(path)), FatalError);
+    EXPECT_THROW(driver::scsrWorkload(path).validate(), FatalError);
     std::filesystem::remove(path);
 }
 
