@@ -52,13 +52,14 @@ MataColumnFetcher::startRound(
         mem_->read(DramStream::MatA, 0, rowptr_bytes, now_);
 }
 
-void
+bool
 MataColumnFetcher::clockUpdate()
 {
     if (tasks_ == nullptr || port_queues_ == nullptr)
-        return;
+        return false;
 
     // Land completed reads.
+    bool moved = false;
     while (!inflight_.empty() && now_ >= inflight_.front().first) {
         const std::uint64_t pos = inflight_.front().second;
         arrived_[pos] = true;
@@ -67,13 +68,14 @@ MataColumnFetcher::clockUpdate()
         std::pop_heap(inflight_.begin(), inflight_.end(),
                       std::greater<Flight>{});
         inflight_.pop_back();
+        moved = true;
     }
 
     // Issue new element reads, round-robin across the column
     // fetchers; each runs a bounded window ahead of its consumer.
     const auto n_ports = static_cast<unsigned>(port_queues_->size());
     if (n_ports == 0)
-        return;
+        return moved;
     if (issued_total_ < queued_total_) {
         unsigned budget = config_->mataFetchWidth;
         unsigned scanned = 0;
@@ -112,11 +114,14 @@ MataColumnFetcher::clockUpdate()
             --budget;
             issued_any = true;
         }
-        if (issued_any)
+        if (issued_any) {
             ++issue_cycles_;
+            moved = true;
+        }
     }
     if (++rr_port_ >= n_ports)
         rr_port_ = 0;
+    return moved;
 }
 
 void

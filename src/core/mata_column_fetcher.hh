@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/bit_mask.hh"
@@ -102,9 +103,30 @@ class MataColumnFetcher final : public hw::Clocked
                issued_[port] - retired_[port] < config_->aElementWindow;
     }
 
-    void clockUpdate();
+    bool clockUpdate();
     void clockApply();
     void recordStats(StatSet &stats) const;
+
+    /** The earliest in-flight landing. */
+    Cycle
+    nextEventCycle() const
+    {
+        return inflight_.empty() ? hw::kNoEvent : inflight_.front().first;
+    }
+
+    /** (now, round-robin port) after k cycles without progress. */
+    std::tuple<Cycle, unsigned>
+    skipped(Cycle k) const
+    {
+        if (tasks_ == nullptr || port_queues_ == nullptr ||
+            port_queues_->empty())
+            return {now_ + k, rr_port_};
+        const std::size_t n_ports = port_queues_->size();
+        return {now_ + k,
+                static_cast<unsigned>((rr_port_ + k % n_ports) % n_ports)};
+    }
+
+    void skip(Cycle k) { std::tie(now_, rr_port_) = skipped(k); }
 
     /** Cycles in which at least one element read was issued. */
     std::uint64_t issueCycles() const { return issue_cycles_; }

@@ -118,13 +118,31 @@ MultiplierArray::parkedExactly(unsigned port, Cycle now) const
            prefetcher_->peekRowReady(pos);
 }
 
-SPARCH_HOT void
+std::tuple<unsigned, std::uint64_t, std::uint64_t>
+MultiplierArray::skipped(Cycle k) const
+{
+    if (tasks_ == nullptr || remaining_ == 0 ||
+        !prefetcher_->windowWarm())
+        return {rr_port_, port_full_stalls_, row_wait_stalls_};
+    const BitMask &leaf_full = tree_->leafFull();
+    std::uint64_t blocked = 0, pending = 0;
+    for (std::size_t w = 0; w < pending_.words(); ++w) {
+        blocked += std::popcount(head_ready_.word(w) & leaf_full.word(w));
+        pending += std::popcount(pending_.word(w));
+    }
+    const std::size_t n_ports = port_queues_->size();
+    return {static_cast<unsigned>((rr_port_ + k % n_ports) % n_ports),
+            port_full_stalls_ + k * blocked,
+            row_wait_stalls_ + k * pending};
+}
+
+SPARCH_HOT bool
 MultiplierArray::clockUpdate()
 {
     if (tasks_ == nullptr || remaining_ == 0)
-        return;
+        return false;
     if (!prefetcher_->windowWarm())
-        return;
+        return false;
     syncEvictions();
     fetcher_->wakeLanded(quiet_);
     const Cycle now = prefetcher_->now();
@@ -145,6 +163,7 @@ MultiplierArray::clockUpdate()
     const auto parked_ports = [&](std::size_t w) {
         return blocked_ports(w) | quiet_.word(w) | pending_.word(w);
     };
+    bool visited = false;
 
     // Round-robin over ports; each port consumes its own queue head
     // (in order within the port) when the element has arrived, its
@@ -170,6 +189,7 @@ MultiplierArray::clockUpdate()
             scanned += run;
             continue;
         }
+        visited = true;
         auto &cursor = port_cursor_[p];
         if (cursor >= (*port_queues_)[p].size()) {
             quiet_.set(p);
@@ -244,6 +264,7 @@ MultiplierArray::clockUpdate()
         ++active_cycles_;
     if (++rr_port_ >= n_ports)
         rr_port_ = 0;
+    return visited;
 }
 
 SPARCH_HOT void

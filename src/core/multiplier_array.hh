@@ -43,6 +43,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/bit_mask.hh"
@@ -84,9 +85,29 @@ class MultiplierArray final : public hw::Clocked
     /** All tasks consumed and all fresh ports finished. */
     bool done() const;
 
-    void clockUpdate();
+    /** True when a port was visited: any visit polls or moves. */
+    bool clockUpdate();
     void clockApply();
     void recordStats(StatSet &stats) const;
+
+    /** The earliest wake of a pending port. */
+    Cycle nextEventCycle() const { return next_wake_; }
+
+    /**
+     * (round-robin port, port_full_stalls, row_wait_stalls) after k
+     * cycles without progress. Such a cycle visits no port: its scan
+     * skips every port as parked, counting one poll per blocked and
+     * per pending port.
+     */
+    std::tuple<unsigned, std::uint64_t, std::uint64_t>
+    skipped(Cycle k) const;
+
+    void
+    skip(Cycle k)
+    {
+        std::tie(rr_port_, port_full_stalls_, row_wait_stalls_) =
+            skipped(k);
+    }
 
     /** Scalar multiplications performed. */
     std::uint64_t multiplies() const { return multiplies_; }

@@ -40,9 +40,21 @@ PartialMatrixFetcher::done() const
     return true;
 }
 
-void
+Cycle
+PartialMatrixFetcher::nextEventCycle() const
+{
+    Cycle next = hw::kNoEvent;
+    for (const auto &s : inputs_) {
+        if (!s.finished && s.fetched < s.burst_end)
+            next = std::min(next, s.burst_ready);
+    }
+    return next;
+}
+
+bool
 PartialMatrixFetcher::clockUpdate()
 {
+    bool moved = false;
     for (auto &s : inputs_) {
         if (s.finished)
             continue;
@@ -59,9 +71,12 @@ PartialMatrixFetcher::clockUpdate()
                 DramStream::PartialRead, addr,
                 static_cast<Bytes>(burst) * bytesPerElement, now_);
             s.burst_end = s.fetched + burst;
+            moved = true;
         }
-        if (s.fetched < s.burst_end && now_ >= s.burst_ready)
+        if (s.fetched < s.burst_end && now_ >= s.burst_ready) {
             s.fetched = s.burst_end;
+            moved = true;
+        }
 
         // Stream landed elements into the leaf port.
         unsigned width = config_->mergeTree.mergerWidth;
@@ -72,12 +87,15 @@ PartialMatrixFetcher::clockUpdate()
             ++s.delivered;
             ++elements_streamed_;
             --width;
+            moved = true;
         }
         if (s.delivered == total) {
             s.finished = true;
             tree_->finishLeaf(s.input.port);
+            moved = true;
         }
     }
+    return moved;
 }
 
 void
@@ -150,7 +168,7 @@ PartialMatrixWriter::writeBurst(std::size_t elems)
     ++bursts_;
 }
 
-void
+bool
 PartialMatrixWriter::clockUpdate()
 {
     // Drain the root; coalesce same-coordinate elements that slipped
@@ -169,7 +187,8 @@ PartialMatrixWriter::clockUpdate()
         }
         --width;
     }
-    if (width < config_->mergeTree.mergerWidth)
+    const bool drained_any = width < config_->mergeTree.mergerWidth;
+    if (drained_any)
         ++busy_cycles_;
 
     // Write a full burst, or flush the tail once the tree is done.
@@ -179,7 +198,9 @@ PartialMatrixWriter::clockUpdate()
         std::min(config_->writerBurst, config_->writerFifo);
     if (pending_ >= burst) {
         writeBurst(burst);
-    } else if (pending_ > 0 && tree_->done() && !tree_->rootHasData()) {
+        return true;
+    }
+    if (pending_ > 0 && tree_->done() && !tree_->rootHasData()) {
         writeBurst(pending_);
         if (final_round_ && rowptr_bytes_ > 0) {
             // CSR conversion also emits the row-pointer array.
@@ -189,7 +210,9 @@ PartialMatrixWriter::clockUpdate()
                             base_addr_ + rowptr_bytes_, rowptr_bytes_,
                             now_));
         }
+        return true;
     }
+    return drained_any;
 }
 
 void

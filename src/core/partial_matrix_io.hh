@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/round_stream.hh"
@@ -40,9 +41,17 @@ class PartialMatrixFetcher final : public hw::Clocked
     /** All stored inputs fully delivered. */
     bool done() const;
 
-    void clockUpdate();
+    bool clockUpdate();
     void clockApply();
     void recordStats(StatSet &stats) const;
+
+    /** The earliest landing of an outstanding burst. */
+    Cycle nextEventCycle() const;
+
+    /** (now) after k cycles without progress. */
+    std::tuple<Cycle> skipped(Cycle k) const { return {now_ + k}; }
+
+    void skip(Cycle k) { now_ += k; }
 
   private:
     struct InputState
@@ -103,9 +112,24 @@ class PartialMatrixWriter final : public hw::Clocked
     /** Move the captured output out (end of round). */
     std::vector<StreamElement> takeCaptured();
 
-    void clockUpdate();
+    bool clockUpdate();
     void clockApply();
     void recordStats(StatSet &stats) const;
+
+    /**
+     * The completion of the last write, while it is still ahead: the
+     * round's drained() flips there.
+     */
+    Cycle
+    nextEventCycle() const
+    {
+        return last_write_done_ >= now_ ? last_write_done_ : hw::kNoEvent;
+    }
+
+    /** (now) after k cycles without progress. */
+    std::tuple<Cycle> skipped(Cycle k) const { return {now_ + k}; }
+
+    void skip(Cycle k) { now_ += k; }
 
     /** Same-coordinate additions performed while draining. */
     std::uint64_t additions() const { return additions_; }

@@ -383,11 +383,14 @@ RowPrefetcher::pendingUntil(std::uint64_t pos) const
     return ready > now_ ? ready : 0;
 }
 
-SPARCH_HOT void
+SPARCH_HOT bool
 RowPrefetcher::clockUpdate()
 {
     if (!config_->rowPrefetcher || tasks_ == nullptr)
-        return;
+        return false;
+    const std::uint64_t window_before = window_end_;
+    const std::uint64_t cursor_before = cursor_;
+    bool retried = false;
 
     // Extend the look-ahead window: the distance-list builder
     // processes up to mataFetchWidth stream entries per cycle, and the
@@ -458,6 +461,8 @@ RowPrefetcher::clockUpdate()
                 budget = budget > 1 ? budget - 1 : 0;
             }
         } else if (!prefetchRow(row, budget, /*count_misses=*/true)) {
+            // A failed fill still stamped the row's recency.
+            retried = true;
             stalled = true;
             break;
         } else {
@@ -475,6 +480,8 @@ RowPrefetcher::clockUpdate()
     }
     if (stalled)
         ++stall_cycles_;
+    return retried || window_end_ != window_before ||
+           cursor_ != cursor_before;
 }
 
 SPARCH_HOT void

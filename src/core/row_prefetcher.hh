@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -128,9 +129,34 @@ class RowPrefetcher final : public hw::Clocked
     /** The current cycle. */
     Cycle now() const { return now_; }
 
-    void clockUpdate();
+    bool clockUpdate();
     void clockApply();
     void recordStats(StatSet &stats) const;
+
+    /**
+     * None: the update never reads the clock. A row landing is seen
+     * only by a multiplier poll, and a port waiting on one is either
+     * parked until pendingUntil() (the multiplier's event) or polled
+     * every cycle, which is progress.
+     */
+    Cycle nextEventCycle() const { return hw::kNoEvent; }
+
+    /**
+     * (now, stall_cycles) after k cycles without progress. Such a
+     * cycle stalls exactly when the cursor is behind the window: its
+     * entry is held back by the rows-ahead limit, since every other
+     * outcome moves the cursor or touches a row.
+     */
+    std::tuple<Cycle, std::uint64_t>
+    skipped(Cycle k) const
+    {
+        const bool stalls = config_->rowPrefetcher && tasks_ != nullptr &&
+                            config_->rowFetchers > 0 &&
+                            cursor_ < window_end_;
+        return {now_ + k, stall_cycles_ + (stalls ? k : 0)};
+    }
+
+    void skip(Cycle k) { std::tie(now_, stall_cycles_) = skipped(k); }
 
     /** Line lookups that found the line resident. */
     std::uint64_t hits() const { return hits_; }

@@ -195,7 +195,7 @@ MergeTree::serveParent(unsigned parent)
         eos_dirty_ = true;
 }
 
-SPARCH_HOT void
+SPARCH_HOT bool
 MergeTree::clockUpdate()
 {
     // One shared merger per level, serving a single parent node per
@@ -241,12 +241,15 @@ MergeTree::clockUpdate()
     if (eos_dirty_) {
         sweepEndOfStream();
         eos_dirty_ = false;
-    } else if (SPARCH_DCHECK_IS_ON) {
+        return true;
+    }
+    if (SPARCH_DCHECK_IS_ON) {
         for (unsigned i = leafCount() - 1; i != 0; --i) {
             SPARCH_DCHECK(!eosPending(i), "end-of-stream sweep skipped ",
                           "while node ", i, " is newly exhausted");
         }
     }
+    return moved_this_cycle_;
 }
 
 SPARCH_HOT void

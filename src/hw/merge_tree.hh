@@ -53,6 +53,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/arena.hh"
@@ -187,9 +188,23 @@ class MergeTree final : public Clocked
     /** True when every input is exhausted and all FIFOs are empty. */
     bool done() const { return nodes_[1].inputDone && nodes_[1].fifo.empty(); }
 
-    void clockUpdate();
+    /** True when a level moved an element or the end-of-stream
+     *  sweep ran. */
+    bool clockUpdate();
     void clockApply();
     void recordStats(StatSet &stats) const;
+
+    /** None: the tree moves only on input from its neighbours. */
+    Cycle nextEventCycle() const { return kNoEvent; }
+
+    /** (cycles, idle_cycles) after k cycles without progress. */
+    std::tuple<std::uint64_t, std::uint64_t>
+    skipped(Cycle k) const
+    {
+        return {cycles_ + k, idle_cycles_ + k};
+    }
+
+    void skip(Cycle k) { std::tie(cycles_, idle_cycles_) = skipped(k); }
 
     /** Elements that crossed any level merger (switching activity). */
     std::uint64_t elementsMerged() const { return elements_merged_; }

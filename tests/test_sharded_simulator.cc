@@ -282,6 +282,26 @@ TEST(ShardedSimulator, MergedRatiosStayRatiosOnBankedDram)
     expectDerivedHitRate(c.stats, "dram.row_");
 }
 
+TEST(ShardedSimulator, SkipStatisticsSumAcrossShards)
+{
+    // Each shard's cycle loop jumps over its own quiet spans; the
+    // merged result reports the fleet's total host-side savings.
+    SpArchConfig cfg;
+    cfg.memory.kind = mem::MemoryKind::Ddr4;
+    const CsrMatrix a = rmatGenerate(512, 6, 5);
+    const ShardedSimulator sharded(cfg, ShardPolicy::NnzBalanced, 4);
+    const ShardedResult r = sharded.multiply(a, a);
+    double skipped = 0.0, spans = 0.0;
+    for (const SpArchResult &s : r.shards) {
+        skipped += s.stats.get("kernel.skipped_cycles");
+        spans += s.stats.get("kernel.skip_spans");
+    }
+    EXPECT_GT(spans, 0.0);
+    EXPECT_GT(skipped, spans);
+    EXPECT_EQ(r.combined.stats.get("kernel.skipped_cycles"), skipped);
+    EXPECT_EQ(r.combined.stats.get("kernel.skip_spans"), spans);
+}
+
 TEST(ShardedSimulator, BlockDiagonalMatchesMonolithic)
 {
     const CsrMatrix a = generateBlockDiagonal(200, 25, 6.0, 0.8, 7);

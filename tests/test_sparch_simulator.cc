@@ -208,9 +208,17 @@ struct Golden
     std::uint64_t treeFifoPushes;
     std::uint64_t treeFifoPops;
     std::uint64_t treeIdleCycles;
+    // Per-cycle counters: the cycles a next-event skip jumps over must
+    // add exactly what ticking through them would.
+    std::uint64_t prefetchStallCycles;
+    std::uint64_t issueCycles;
+    std::uint64_t multiplierActiveCycles;
+    std::uint64_t writerBusyCycles;
+    std::uint64_t writerBursts;
+    std::uint64_t treeCycles;
 };
 
-void
+SpArchResult
 expectGolden(const SpArchConfig &cfg, const CsrMatrix &a,
              const CsrMatrix &b, const Golden &want, const char *label)
 {
@@ -241,6 +249,16 @@ expectGolden(const SpArchConfig &cfg, const CsrMatrix &a,
     EXPECT_EQ(stat("merge_tree.fifo_pops"), want.treeFifoPops) << label;
     EXPECT_EQ(stat("merge_tree.idle_cycles"), want.treeIdleCycles)
         << label;
+    EXPECT_EQ(stat("row_prefetcher.stall_cycles"), want.prefetchStallCycles)
+        << label;
+    EXPECT_EQ(stat("mata_fetcher.issue_cycles"), want.issueCycles)
+        << label;
+    EXPECT_EQ(stat("multiplier.active_cycles"), want.multiplierActiveCycles)
+        << label;
+    EXPECT_EQ(stat("writer.busy_cycles"), want.writerBusyCycles) << label;
+    EXPECT_EQ(stat("writer.bursts"), want.writerBursts) << label;
+    EXPECT_EQ(stat("merge_tree.cycles"), want.treeCycles) << label;
+    return r;
 }
 
 // Absolute cycle, traffic and poll-counter pins: any change to module
@@ -252,7 +270,8 @@ TEST(SpArchSimulator, GoldenCyclesAndTrafficOnUniformSquare)
     const CsrMatrix a = generateUniform(300, 300, 2400, 11);
     expectGolden(SpArchConfig{}, a, a,
                  {2204, 263632, 17039, 1, 18848, 1809, 13698, 1270, 300, 0,
-                  2365, 107430, 124469, 124469, 547},
+                  2365, 107430, 124469, 124469, 547,
+                  0, 887, 1529, 1452, 67, 2204},
                  "uniform");
 }
 
@@ -261,7 +280,8 @@ TEST(SpArchSimulator, GoldenCyclesAndTrafficOnRmat)
     const CsrMatrix a = rmatGenerate(1 << 9, 8, 21);
     expectGolden(SpArchConfig{}, a, a,
                  {15235, 662472, 46487, 3, 103096, 56609, 307542, 733, 432,
-                  0, 3197, 441211, 488215, 488215, 642},
+                  0, 3197, 441211, 488215, 488215, 642,
+                  0, 1176, 13585, 5929, 185, 15235},
                  "rmat");
 }
 
@@ -272,19 +292,22 @@ TEST(SpArchSimulator, GoldenCyclesAndTrafficAcrossAblations)
     no_prefetch.rowPrefetcher = false;
     expectGolden(no_prefetch, a, a,
                  {17980, 372012, 13583, 1, 15294, 1711, 47949, 140995,
-                  1957, 0, 1957, 86399, 99982, 99982, 14202},
+                  1957, 0, 1957, 86399, 99982, 99982, 14202,
+                  0, 1245, 2325, 1329, 54, 17980},
                  "no-prefetcher");
     SpArchConfig no_condense;
     no_condense.matrixCondensing = false;
     expectGolden(no_condense, a, a,
                  {4444, 418672, 13583, 4, 15294, 1711, 4925, 1082, 250, 0,
-                  1957, 140702, 162897, 162897, 769},
+                  1957, 140702, 162897, 162897, 769,
+                  0, 124, 1036, 2021, 89, 4444},
                  "no-condense");
     SpArchConfig small_tree;
     small_tree.mergeTree.layers = 4;
     expectGolden(small_tree, a, a,
                  {1890, 213384, 13583, 2, 15294, 1711, 8507, 803, 256, 0,
-                  1957, 59245, 72867, 72867, 565},
+                  1957, 59245, 72867, 72867, 565,
+                  0, 689, 1207, 1133, 55, 1890},
                  "16-way tree");
 }
 
@@ -301,7 +324,8 @@ TEST(SpArchSimulator, GoldenCyclesAndTrafficUnderPrefetchThrashing)
     thrash.prefetchLineElems = 4;
     expectGolden(thrash, a, a,
                  {13613, 482220, 13583, 2, 15294, 1711, 22662, 125162,
-                  7247, 7171, 1957, 59251, 72873, 72873, 11162},
+                  7247, 7171, 1957, 59251, 72873, 72873, 11162,
+                  150, 1026, 1772, 1235, 55, 13613},
                  "thrashing 16-way tree");
 
     // Here a demand fetch evicts the row of a port that the same scan
@@ -312,7 +336,8 @@ TEST(SpArchSimulator, GoldenCyclesAndTrafficUnderPrefetchThrashing)
     thrash_dense.prefetchLines = 128;
     expectGolden(thrash_dense, dense, dense,
                  {15705, 1112520, 25777, 2, 41313, 15536, 11095, 185706,
-                  15887, 15631, 2879, 162981, 191962, 191962, 10621},
+                  15887, 15631, 2879, 162981, 191962, 191962, 10621,
+                  443, 1601, 3379, 2708, 114, 15705},
                  "thrashing 16-way tree, denser operand");
 
     // With a short look-ahead window the buffer evicts lines of rows
@@ -323,7 +348,8 @@ TEST(SpArchSimulator, GoldenCyclesAndTrafficUnderPrefetchThrashing)
     thrash_short.lookaheadFifo = 64;
     expectGolden(thrash_short, dense, dense,
                  {20909, 1214076, 25777, 2, 41313, 15536, 15232, 253563,
-                  18641, 18513, 2879, 163041, 192022, 192022, 14644},
+                  18641, 18513, 2879, 163041, 192022, 192022, 14644,
+                  172, 1721, 3792, 2851, 114, 20909},
                  "thrashing 16-way tree, short look-ahead");
 
     const CsrMatrix wide = generateUniform(100, 400, 8000, 17);
@@ -334,7 +360,8 @@ TEST(SpArchSimulator, GoldenCyclesAndTrafficUnderPrefetchThrashing)
     thrash_wide.prefetchLineElems = 2;
     expectGolden(thrash_wide, wide, b,
                  {6817, 731124, 23729, 1, 36008, 12279, 200, 427983, 16367,
-                  15855, 7290, 231302, 255031, 255031, 2820},
+                  15855, 7290, 231302, 255031, 255031, 2820,
+                  414, 1290, 2697, 2246, 93, 6817},
                  "thrashing 128-way tree");
 }
 
@@ -352,7 +379,8 @@ TEST(SpArchSimulator, GoldenCyclesAndTrafficOnMultiWordPortScans)
     layers7.mergeTree.layers = 7;
     expectGolden(layers7, wide, b,
                  {3589, 396852, 23729, 1, 36008, 12279, 53814, 0, 397, 0,
-                  7290, 231282, 255011, 255011, 499},
+                  7290, 231282, 255011, 255011, 499,
+                  0, 1079, 2407, 2235, 93, 3589},
                  "128-way tree, 95 ports");
 
     const CsrMatrix wider = generateUniform(60, 1000, 9000, 23);
@@ -363,7 +391,8 @@ TEST(SpArchSimulator, GoldenCyclesAndTrafficOnMultiWordPortScans)
     layers8.mergeTree.layers = 8;
     expectGolden(layers8, wider, c,
                  {3342, 299608, 13590, 1, 25154, 11564, 1842, 79947, 955,
-                  0, 8350, 179099, 192689, 192689, 1010},
+                  0, 8350, 179099, 192689, 192689, 1010,
+                  2077, 522, 1582, 1256, 54, 3342},
                  "256-way tree, 164 ports");
 }
 
@@ -377,25 +406,44 @@ TEST(SpArchSimulator, GoldenCyclesAndTrafficOnBankedDram)
     ddr4.memory.kind = mem::MemoryKind::Ddr4;
     expectGolden(ddr4, a, a,
                  {51653, 662472, 46487, 3, 103096, 56609, 883444, 37622,
-                  432, 0, 3197, 441245, 488249, 488249, 36547},
+                  432, 0, 3197, 441245, 488249, 488249, 36547,
+                  0, 1171, 13811, 5960, 185, 51653},
                  "ddr4");
     SpArchConfig ddr4_l5 = ddr4;
     ddr4_l5.mergeTree.layers = 5;
     expectGolden(ddr4_l5, a, a,
                  {61743, 746912, 46487, 6, 103096, 56609, 907990, 37334,
-                  608, 0, 3197, 399926, 449528, 449528, 47534},
+                  608, 0, 3197, 399926, 449528, 449528, 47534,
+                  0, 1165, 13012, 6084, 197, 61743},
                  "ddr4, 32-way tree");
+    // Four rows ahead per fetcher: the prefetch cursor sits at the
+    // rows-ahead limit through most quiet spans, so each skipped cycle
+    // must count as a prefetcher stall.
+    SpArchConfig ddr4_ahead4 = ddr4;
+    ddr4_ahead4.prefetchRowsAhead = 4;
+    expectGolden(ddr4_ahead4, a, a,
+                 {48794, 662472, 46487, 3, 103096, 56609, 625765, 392010,
+                  432, 0, 3197, 440435, 487439, 487439, 36857,
+                  40207, 1159, 10868, 5331, 185, 48794},
+                 "ddr4, 4 rows ahead per fetcher");
     SpArchConfig lpddr4;
     lpddr4.memory.kind = mem::MemoryKind::Lpddr4;
-    expectGolden(lpddr4, a, a,
+    const SpArchResult lp = expectGolden(lpddr4, a, a,
                  {117628, 662472, 46487, 3, 103096, 56609, 2037080, 80869,
-                  432, 0, 3197, 441270, 488274, 488274, 102529},
+                  432, 0, 3197, 441270, 488274, 488274, 102529,
+                  0, 1178, 13830, 5935, 185, 117628},
                  "lpddr4");
+    // The kernel jumps over 82% of these cycles, in 2332 spans between
+    // module events. SPARCH_DCHECK builds tick through the same spans,
+    // check them, and report the same figures.
+    EXPECT_EQ(lp.stats.get("kernel.skipped_cycles"), 97014);
+    EXPECT_EQ(lp.stats.get("kernel.skip_spans"), 2332);
     SpArchConfig lpddr4_l5 = lpddr4;
     lpddr4_l5.mergeTree.layers = 5;
     expectGolden(lpddr4_l5, a, a,
                  {137592, 746912, 46487, 6, 103096, 56609, 2058812, 68548,
-                  608, 0, 3197, 399831, 449433, 449433, 123529},
+                  608, 0, 3197, 399831, 449433, 449433, 123529,
+                  0, 1166, 12939, 6069, 197, 137592},
                  "lpddr4, 32-way tree");
 }
 
