@@ -3,11 +3,12 @@
  * Monotonic per-run arena (bump allocator).
  *
  * One simulation (`SpArchSimulator::multiply`) allocates its hot-path
- * state — FIFO rings, prefetcher line arrays, distance-list nodes,
- * eviction-rank nodes — from a single Arena that is reset between
- * multiplies. The tables indexed by B row id are the exception: they
- * are ZeroedTables (common/zeroed_table.hh), sized once per round
- * outside the cycle loop and resident only where touched. Reset
+ * state — FIFO rings, prefetcher line arrays and demand-position
+ * buffers, distance-list nodes — from a single Arena that is reset
+ * between multiplies. The tables indexed by B row id are the
+ * exception: they are ZeroedTables (common/zeroed_table.hh), sized
+ * once per round outside the cycle loop and resident only where
+ * touched. Reset
  * retains the high-water chunk, so after a warmup run the steady
  * state performs zero heap allocations inside the cycle loop
  * (asserted in debug builds via common/alloc_hook.hh).
@@ -16,8 +17,9 @@
  *  - allocate()/alloc<T>()/allocArray<T>(): pure bump, freed only by
  *    reset(). For buffers whose lifetime is the whole run.
  *  - poolAlloc()/poolFree(): bump backed by per-size free lists, for
- *    node-based containers (ArenaAllocator) that churn inside the
- *    cycle loop. Freed blocks are recycled without touching the heap.
+ *    blocks that are freed and re-requested inside the cycle loop
+ *    (the prefetcher's growing demand-position buffers). Freed blocks
+ *    are recycled without touching the heap.
  */
 
 #ifndef SPARCH_COMMON_ARENA_HH
@@ -196,49 +198,6 @@ class Arena
     std::size_t merge_hint_ = 0;
     std::uint64_t chunk_allocs_ = 0;
     void *free_[kClasses + 1] = {};
-};
-
-/**
- * Minimal STL allocator over Arena::poolAlloc, for node-based
- * containers (e.g. the prefetcher's eviction-rank std::set) whose
- * nodes would otherwise hit the heap on every insert inside the cycle
- * loop. The arena must outlive the container.
- */
-template <typename T>
-class ArenaAllocator
-{
-  public:
-    using value_type = T;
-
-    explicit ArenaAllocator(Arena &arena) : arena_(&arena) {}
-
-    template <typename U>
-    ArenaAllocator(const ArenaAllocator<U> &other) : arena_(other.arena())
-    {}
-
-    T *
-    allocate(std::size_t n)
-    {
-        return static_cast<T *>(arena_->poolAlloc(n * sizeof(T)));
-    }
-
-    void
-    deallocate(T *p, std::size_t n)
-    {
-        arena_->poolFree(p, n * sizeof(T));
-    }
-
-    Arena *arena() const { return arena_; }
-
-    template <typename U>
-    bool
-    operator==(const ArenaAllocator<U> &other) const
-    {
-        return arena_ == other.arena();
-    }
-
-  private:
-    Arena *arena_;
 };
 
 } // namespace sparch

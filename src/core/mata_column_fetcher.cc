@@ -33,8 +33,9 @@ MataColumnFetcher::startRound(
     eligible_.resize(port_queues ? port_queues->size() : 0);
     landed_.resize(port_queues ? port_queues->size() : 0);
     landed_any_ = false;
+    // A port has at most aElementWindow elements in flight.
+    std::size_t window = 0;
     if (port_queues != nullptr) {
-        std::size_t window = 0;
         for (unsigned p = 0; p < port_queues->size(); ++p) {
             const auto &queue = (*port_queues)[p];
             queued_total_ += queue.size();
@@ -42,9 +43,8 @@ MataColumnFetcher::startRound(
                                             config_->aElementWindow);
             refreshEligible(p);
         }
-        inflight_.reserve(window);
     }
-    inflight_.clear();
+    inflight_.reset(window);
 
     // Row-pointer metadata for the selected columns streams in at the
     // start of the round.
@@ -59,17 +59,11 @@ MataColumnFetcher::clockUpdate()
         return false;
 
     // Land completed reads.
-    bool moved = false;
-    while (!inflight_.empty() && now_ >= inflight_.front().first) {
-        const std::uint64_t pos = inflight_.front().second;
+    bool moved = inflight_.land(now_, [this](std::uint64_t pos) {
         arrived_[pos] = true;
         landed_.set((*tasks_)[pos].port);
-        landed_any_ = true;
-        std::pop_heap(inflight_.begin(), inflight_.end(),
-                      std::greater<Flight>{});
-        inflight_.pop_back();
-        moved = true;
-    }
+    });
+    landed_any_ |= moved;
 
     // Issue new element reads, round-robin across the column
     // fetchers; each runs a bounded window ahead of its consumer.
@@ -104,9 +98,7 @@ MataColumnFetcher::clockUpdate()
             const Cycle ready = mem_->read(
                 DramStream::MatA, (*tasks_)[pos].addr, bytesPerElement,
                 now_);
-            inflight_.emplace_back(ready, pos);
-            std::push_heap(inflight_.begin(), inflight_.end(),
-                           std::greater<Flight>{});
+            inflight_.add(now_, ready, pos);
             ++issued_[p];
             refreshEligible(p);
             ++issued_total_;

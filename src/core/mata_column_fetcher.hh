@@ -22,17 +22,28 @@
  * ports whose head element has not arrived and wakes them from these
  * bits (wakeLanded()), since a landing is the only event that can make
  * a head arrive.
+ *
+ * In-flight reads wait in a LandingCalendar, bucketed by landing
+ * cycle, so issuing and landing an element cost O(1) instead of a
+ * heap push and pop; nextEventCycle() still reports the earliest
+ * landing for the cycle loop's quiet-span skip.
  */
 
 #ifndef SPARCH_CORE_MATA_COLUMN_FETCHER_HH
 #define SPARCH_CORE_MATA_COLUMN_FETCHER_HH
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/bit_mask.hh"
+#include "common/logging.hh"
 #include "core/round_stream.hh"
 #include "core/sparch_config.hh"
 #include "mem/memory_model.hh"
@@ -40,6 +51,132 @@
 
 namespace sparch
 {
+
+/**
+ * In-flight element reads keyed by landing cycle: one bucket per cycle
+ * over the kHorizon cycles ahead of the clock (an intrusive list
+ * through a node pool sized for the most reads that can be in flight),
+ * and a min-heap for landings beyond it. Adding and landing a read in
+ * the horizon cost O(1); reads that land on one cycle land in no
+ * particular order.
+ *
+ * The owner calls land(now) on every cycle it ticks, and never lets
+ * its clock pass earliest() without ticking it.
+ */
+class LandingCalendar
+{
+  public:
+    /** Drop every read and size the pool for `max_inflight` reads. */
+    void
+    reset(std::size_t max_inflight)
+    {
+        nodes_.resize(max_inflight);
+        free_ = kNil;
+        for (std::size_t i = max_inflight; i-- > 0;) {
+            nodes_[i].next = free_;
+            free_ = static_cast<std::uint32_t>(i);
+        }
+        head_.fill(kNil);
+        busy_.fill(0);
+        far_.clear();
+        far_.reserve(max_inflight);
+    }
+
+    /** A read issued at `now` lands at `ready` (no earlier than now+1). */
+    void
+    add(Cycle now, Cycle ready, std::uint64_t pos)
+    {
+        const Cycle at = std::max(ready, now + 1);
+        if (at - now >= kHorizon) {
+            far_.emplace_back(at, pos);
+            std::push_heap(far_.begin(), far_.end(), std::greater<>{});
+            return;
+        }
+        SPARCH_ASSERT(free_ != kNil, "more reads in flight than the "
+                      "calendar was sized for (", nodes_.size(), ")");
+        const std::uint32_t n = free_;
+        free_ = nodes_[n].next;
+        const auto b = static_cast<std::size_t>(at % kHorizon);
+        nodes_[n] = {pos, head_[b]};
+        head_[b] = n;
+        busy_[b / 64] |= std::uint64_t{1} << (b % 64);
+    }
+
+    /** Call on_land(pos) for every read that lands at `now`; true if
+     *  any did. */
+    template <typename OnLand>
+    bool
+    land(Cycle now, OnLand &&on_land)
+    {
+        bool any = false;
+        const auto b = static_cast<std::size_t>(now % kHorizon);
+        if ((busy_[b / 64] >> (b % 64)) & 1) {
+            busy_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+            for (std::uint32_t n = head_[b]; n != kNil;) {
+                const std::uint32_t next = nodes_[n].next;
+                on_land(nodes_[n].pos);
+                nodes_[n].next = free_;
+                free_ = n;
+                n = next;
+            }
+            head_[b] = kNil;
+            any = true;
+        }
+        while (!far_.empty() && far_.front().first <= now) {
+            on_land(far_.front().second);
+            std::pop_heap(far_.begin(), far_.end(), std::greater<>{});
+            far_.pop_back();
+            any = true;
+        }
+        return any;
+    }
+
+    /** The earliest landing at or after `now`, or hw::kNoEvent. */
+    Cycle
+    earliest(Cycle now) const
+    {
+        Cycle next = far_.empty() ? hw::kNoEvent : far_.front().first;
+        const auto start = static_cast<std::size_t>(now % kHorizon);
+        // Scan the bucket bits from `start` round to start - 1.
+        for (std::size_t k = 0; k <= kWords; ++k) {
+            const std::size_t w = (start / 64 + k) % kWords;
+            std::uint64_t bits = busy_[w];
+            if (k == 0)
+                bits &= ~std::uint64_t{0} << (start % 64);
+            else if (k == kWords)
+                bits &= ~(~std::uint64_t{0} << (start % 64));
+            if (bits != 0) {
+                const std::size_t b =
+                    w * 64 +
+                    static_cast<std::size_t>(std::countr_zero(bits));
+                return std::min(next,
+                                now + (b + kHorizon - start) % kHorizon);
+            }
+        }
+        return next;
+    }
+
+  private:
+    static constexpr std::size_t kHorizon = 1024;
+    static constexpr std::size_t kWords = kHorizon / 64;
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+    struct Node
+    {
+        std::uint64_t pos;
+        std::uint32_t next;
+    };
+
+    /** Node pool: each node is on the free list or in one bucket. */
+    std::vector<Node> nodes_;
+    std::uint32_t free_ = kNil;
+    /** Bucket b holds the reads landing on cycles congruent to b. */
+    std::array<std::uint32_t, kHorizon> head_{};
+    /** One bit per nonempty bucket. */
+    std::array<std::uint64_t, kWords> busy_{};
+    /** Reads landing kHorizon or more cycles after their issue. */
+    std::vector<std::pair<Cycle, std::uint64_t>> far_;
+};
 
 /** The per-column left-matrix element fetchers. */
 class MataColumnFetcher final : public hw::Clocked
@@ -108,11 +245,7 @@ class MataColumnFetcher final : public hw::Clocked
     void recordStats(StatSet &stats) const;
 
     /** The earliest in-flight landing. */
-    Cycle
-    nextEventCycle() const
-    {
-        return inflight_.empty() ? hw::kNoEvent : inflight_.front().first;
-    }
+    Cycle nextEventCycle() const { return inflight_.earliest(now_); }
 
     /** (now, round-robin port) after k cycles without progress. */
     std::tuple<Cycle, unsigned>
@@ -159,11 +292,9 @@ class MataColumnFetcher final : public hw::Clocked
     std::uint64_t queued_total_ = 0;
     std::uint64_t issued_total_ = 0;
 
-    /** In-flight reads, a min-heap ordered by completion time. The
-     *  heap lives in a member vector so its storage is reused across
-     *  rounds instead of reallocated. */
-    using Flight = std::pair<Cycle, std::uint64_t>;
-    std::vector<Flight> inflight_;
+    /** In-flight reads by landing cycle; storage is reused across
+     *  rounds. */
+    LandingCalendar inflight_;
 
     std::uint64_t elements_fetched_ = 0;
     std::uint64_t issue_cycles_ = 0;

@@ -13,9 +13,11 @@
 #define SPARCH_CORE_ROUND_STREAM_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.hh"
+#include "core/condensed_matrix.hh"
 
 namespace sparch
 {
@@ -37,6 +39,28 @@ struct StoredInput
     unsigned port = 0;
     Bytes baseAddr = 0;
 };
+
+/**
+ * Build the left-element stream of a round's fresh inputs in the
+ * Fig. 7 load order: row-major over the selected condensed columns,
+ * ascending column within a row. Port p serves condensed column
+ * `columns[p]`; its queue receives the stream positions of its
+ * elements in order. Condensed column j holds exactly the rows with
+ * more than j nonzeros, so the selected columns' row sets are nested:
+ * the stream visits the rows of the first (smallest) column, and each
+ * such row reaches a prefix of the ports.
+ *
+ * @param condensed    Condensed view of the left matrix.
+ * @param columns      Selected condensed columns, strictly ascending.
+ * @param a_base       DRAM base address of the left matrix.
+ * @param tasks        Cleared, then filled with the stream.
+ * @param port_queues  Resized to one queue per column and filled.
+ * @return Left rows the stream visits (each holds an element of it).
+ */
+Index buildCondensedStream(
+    const CondensedMatrix &condensed, std::span<const Index> columns,
+    Bytes a_base, std::vector<MultTask> &tasks,
+    std::vector<std::vector<std::uint64_t>> &port_queues);
 
 } // namespace sparch
 

@@ -15,8 +15,7 @@ RowPrefetcher::RowPrefetcher(const SpArchConfig &config,
     : Clocked(std::move(name)), config_(&config), mem_(&mem),
       own_arena_(arena == nullptr ? std::make_unique<Arena>() : nullptr),
       arena_(arena == nullptr ? own_arena_.get() : arena),
-      distances_(arena_),
-      rank_(std::less<RankEntry>{}, ArenaAllocator<RankEntry>(*arena_))
+      distances_(arena_)
 {
     const std::string p = this->name() + ".";
     key_hits_ = p + "hits";
@@ -43,7 +42,8 @@ RowPrefetcher::startRound(const std::vector<MultTask> *tasks,
     retired_count_ = 0;
     demand_budget_ = 0;
     resident_count_ = 0;
-    rank_.clear();
+    // Ranked rows hold at least one resident line each.
+    rank_.reset(config_->prefetchLines);
     if (++epoch_ == 0) {
         // Epoch wrap (2^32 rounds): lazily-stamped row states could
         // alias; wipe the table once and restart the epoch sequence.
@@ -179,16 +179,10 @@ void
 RowPrefetcher::reRankRow(Index row)
 {
     RowState &rs = state(row);
-    if (rs.ranked) {
-        rank_.erase({rs.rank_key, row});
-        rs.ranked = false;
-    }
-    if (rs.prefix_len > 0) {
-        const std::uint64_t key = rankKey(row, rs);
-        rank_.insert({key, row});
-        rs.rank_key = key;
-        rs.ranked = true;
-    }
+    if (rs.prefix_len > 0)
+        rank_.rank(row, rs.rank, rankKey(row, rs), rankSlot());
+    else
+        EvictionRank::unrank(rs.rank);
 }
 
 bool
@@ -198,33 +192,22 @@ RowPrefetcher::evictOne(std::uint64_t protect_pos)
     // filled (a row must never evict its own lines while fetching)
     // and rows a blocked port head is waiting on (their global stream
     // position overstates their next use under out-of-order port
-    // consumption; evicting them livelocks the merge tree).
-    auto it = rank_.rbegin();
-    while (it != rank_.rend() &&
-           (static_cast<SIndex>(it->second) == pinned_row_ ||
-            state(it->second).dem_len > 0)) {
-        ++it;
-    }
+    // consumption; evicting them livelocks the merge tree). Buffers
+    // smaller than the working set of port heads fall back to the
+    // demanded row with the farthest pending position: the earliest
+    // heads stay resident, so the pipeline thrashes (as a too-small
+    // buffer must) but never deadlocks. Belady never evicts a row
+    // whose next use is at or before protect_pos.
     const bool belady =
         config_->replacement == ReplacementPolicy::Belady;
-    if (it == rank_.rend() || (belady && it->first <= protect_pos)) {
-        // Fallback for buffers smaller than the working set of port
-        // heads: sacrifice the demanded row with the farthest pending
-        // position. The earliest heads stay resident, so the pipeline
-        // thrashes (as a too-small buffer must) but never deadlocks.
-        it = rank_.rbegin();
-        while (it != rank_.rend() &&
-               (static_cast<SIndex>(it->second) == pinned_row_ ||
-                (belady && it->first <= protect_pos))) {
-            ++it;
-        }
-        if (it == rank_.rend())
-            return false;
-    }
-    const auto victim = *it;
-    if (belady && victim.first <= protect_pos)
+    const SIndex victim = rank_.victim(
+        rankSlot(), pinned_row_,
+        [this](Index r) { return rows_[r].dem_len > 0; },
+        belady ? std::optional<std::uint64_t>(protect_pos)
+               : std::nullopt);
+    if (victim < 0)
         return false;
-    const Index row = victim.second;
+    const auto row = static_cast<Index>(victim);
     RowState &rs = state(row);
     SPARCH_ASSERT(rs.prefix_len > 0, "ranked row has no resident lines");
     // Spill line by line from the tail (Fig. 9 spills partial rows so

@@ -10,6 +10,9 @@
  * evicted row refetches only its missing lines. Replacement evicts the
  * line whose owning row has the farthest next use according to the
  * distance list — Belady's policy restricted to the look-ahead horizon.
+ * The ranking behind that choice is a flat max-heap with lazily
+ * invalidated entries (core/eviction_rank.hh), re-keyed as each
+ * left-matrix element retires.
  *
  * Per-row bookkeeping lives in one flat, epoch-stamped RowState table
  * indexed by row id (residency, readiness, recency, demand-fetch
@@ -39,7 +42,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
@@ -47,6 +49,7 @@
 #include "common/arena.hh"
 #include "common/zeroed_table.hh"
 #include "core/distance_list.hh"
+#include "core/eviction_rank.hh"
 #include "core/round_stream.hh"
 #include "core/sparch_config.hh"
 #include "mem/memory_model.hh"
@@ -61,9 +64,10 @@ class RowPrefetcher final : public hw::Clocked
 {
   public:
     /**
-     * @param arena Backing store for the line-ready arrays,
-     *        distance-list nodes and eviction-rank nodes (the per-row
-     *        tables are ZeroedTables, resident only where touched).
+     * @param arena Backing store for the line-ready arrays, the
+     *        demand-position buffers and the distance-list nodes (the
+     *        per-row tables are ZeroedTables, resident only where
+     *        touched).
      *        Null (standalone/unit-test use) makes the prefetcher own
      *        a private arena.
      */
@@ -198,9 +202,8 @@ class RowPrefetcher final : public hw::Clocked
         std::uint64_t last_touch = 0;
         /** FIFO tick the row became resident; 0 = never. */
         std::uint64_t insert_tick = 0;
-        /** Key under which the row currently sits in rank_. */
-        std::uint64_t rank_key = 0;
-        bool ranked = false;
+        /** The row's entry in rank_. */
+        EvictionRank::Slot rank;
         /** Data-ready cycle per line; capacity line_cap. */
         Cycle *line_ready = nullptr;
         Index line_cap = 0;
@@ -260,6 +263,16 @@ class RowPrefetcher final : public hw::Clocked
      */
     std::uint64_t rankKey(Index row, const RowState &rs) const;
 
+    /** Maps a row id to its rank_ slot (every row in rank_ has a
+     *  current-epoch state). */
+    auto
+    rankSlot()
+    {
+        return [this](Index row) -> EvictionRank::Slot & {
+            return rows_[row].rank;
+        };
+    }
+
     /** Evict one victim line; false if nothing is evictable. */
     bool evictOne(std::uint64_t protect_pos);
 
@@ -299,11 +312,9 @@ class RowPrefetcher final : public hw::Clocked
 
     std::size_t resident_count_ = 0;
 
-    /** Eviction ranking: (next use, row). One entry per cached row.
-     *  Nodes on the arena pool — no heap traffic in the cycle loop. */
-    using RankEntry = std::pair<std::uint64_t, Index>;
-    std::set<RankEntry, std::less<RankEntry>, ArenaAllocator<RankEntry>>
-        rank_;
+    /** Eviction ranking: (rankKey, row) of every cached row, sized
+     *  for prefetchLines rows when a round starts. */
+    EvictionRank rank_;
 
     /** Rows with un-retired uses, counted via RowState::ahead. */
     std::size_t ahead_rows_count_ = 0;

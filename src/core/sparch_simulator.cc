@@ -193,55 +193,25 @@ class RunContext
         // Build the shared left-element stream in Fig. 7 load order,
         // plus each port's queue of stream positions. The containers
         // are members so their capacity carries across rounds.
-        tasks_.clear();
-        port_queues_.resize(fresh.size());
-        for (auto &queue : port_queues_)
-            queue.clear();
         Bytes rowptr_bytes = 0;
         std::uint64_t total_inputs = 0;
 
         if (config_.matrixCondensing) {
-            // Row-major across the selected condensed columns.
-            row_col_.clear();
-            for (unsigned p = 0; p < fresh.size(); ++p) {
-                const Index j = plan_.nodes[fresh[p]].column;
-                for (Index row : condensed_.columnRows(j))
-                    row_col_.emplace_back(row, p);
-            }
-            std::sort(row_col_.begin(), row_col_.end(),
-                      [&](const auto &x, const auto &y) {
-                          if (x.first != y.first)
-                              return x.first < y.first;
-                          // Within a row, ascending condensed column.
-                          return plan_.nodes[fresh[x.second]].column <
-                                 plan_.nodes[fresh[y.second]].column;
-                      });
-            tasks_.reserve(row_col_.size());
-            Index visited_rows = 0;
-            Index last_row = ~Index{0};
-            for (const auto &[row, p] : row_col_) {
-                const Index j = plan_.nodes[fresh[p]].column;
-                MultTask t;
-                t.aRow = row;
-                t.bRow = a_.rowCols(row)[j];
-                t.aValue = a_.rowVals(row)[j];
-                t.port = p;
-                t.addr = a_base_ +
-                         (static_cast<Bytes>(a_.rowPtr()[row]) + j) *
-                             bytesPerElement;
-                port_queues_[p].push_back(tasks_.size());
-                tasks_.push_back(t);
-                if (row != last_row) {
-                    ++visited_rows;
-                    last_row = row;
-                }
-            }
+            std::vector<Index> columns;
+            for (const std::uint32_t f : fresh)
+                columns.push_back(plan_.nodes[f].column);
+            const Index visited_rows = buildCondensedStream(
+                condensed_, columns, a_base_, tasks_, port_queues_);
             rowptr_bytes = static_cast<Bytes>(visited_rows) *
                            bytesPerRowPtr;
         } else {
             // Plain outer product: one original column per port. The
             // plan's leaf column is an index into leaf_columns (empty
             // columns were skipped), so translate back.
+            tasks_.clear();
+            port_queues_.resize(fresh.size());
+            for (auto &queue : port_queues_)
+                queue.clear();
             for (unsigned p = 0; p < fresh.size(); ++p) {
                 const Index k =
                     leaf_columns_[plan_.nodes[fresh[p]].column];
@@ -360,7 +330,6 @@ class RunContext
     {
         decltype(tasks_)().swap(tasks_);
         decltype(port_queues_)().swap(port_queues_);
-        decltype(row_col_)().swap(row_col_);
         decltype(spares_)().swap(spares_);
     }
 
@@ -431,7 +400,6 @@ class RunContext
     // ---- per-round scratch, reused across rounds ----
     std::vector<MultTask> tasks_;
     std::vector<std::vector<std::uint64_t>> port_queues_;
-    std::vector<std::pair<Index, unsigned>> row_col_;
     std::vector<std::vector<StreamElement>> spares_;
 
     /** Stored partial results: node id -> (data, DRAM address). */

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
-#include <set>
 
 #include <gtest/gtest.h>
 
@@ -184,28 +183,6 @@ TEST(Arena, PoolRecyclesFreedBlocks)
         arena.poolFree(p, 128);
     }
     EXPECT_EQ(arena.bytesInUse(), used);
-}
-
-TEST(Arena, ArenaAllocatorRunsNodeContainersWithoutHeapChurn)
-{
-    Arena arena;
-    std::set<int, std::less<int>, ArenaAllocator<int>> s{
-        std::less<int>{}, ArenaAllocator<int>(arena)};
-    for (int i = 0; i < 256; ++i)
-        s.insert(i);
-    for (int i = 0; i < 256; i += 2)
-        s.erase(i);
-    const auto allocs_before = heapAllocations();
-    const auto used = arena.bytesInUse();
-    for (int round = 0; round < 100; ++round) {
-        for (int i = 0; i < 256; i += 2)
-            s.insert(i);
-        for (int i = 0; i < 256; i += 2)
-            s.erase(i);
-    }
-    EXPECT_EQ(heapAllocations(), allocs_before);
-    EXPECT_EQ(arena.bytesInUse(), used);
-    EXPECT_EQ(s.size(), 128u);
 }
 
 TEST(ZeroedTable, GrowthKeepsSlotsAndZeroFillsTheTail)

@@ -4,9 +4,12 @@
  * exactly once, each port stays within its in-flight window, and the
  * eligible bitmask the issue scan jumps over always equals the scalar
  * per-port predicate, and the landed bits that wake parked multiplier
- * ports name exactly the ports whose reads landed.
+ * ports name exactly the ports whose reads landed. The landing
+ * calendar that holds the in-flight reads must land each read on its
+ * cycle and report the earliest landing, near and far alike.
  */
 
+#include <map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -151,6 +154,66 @@ TEST(MataColumnFetcher, LandedBitsMatchLandings)
             ASSERT_EQ(retired, tasks.size()) << ports << " ports";
             EXPECT_EQ(landings, tasks.size());
         }
+    }
+}
+
+// Reads land at random distances, some past the calendar's bucket
+// horizon; the clock either ticks or jumps to earliest(), as the
+// cycle loop does. Each cycle must land exactly the reads a
+// landing-ordered multimap says are due. The busy pass keeps up to 96
+// reads in flight; the sparse pass at most two, so that every bucket
+// of the horizon, and the heap beyond it, in turn holds the earliest
+// landing.
+TEST(LandingCalendar, LandsEveryReadOnItsCycle)
+{
+    struct Pass
+    {
+        std::size_t max_inflight;
+        std::uint64_t adds_per_cycle;
+        std::uint64_t near, far;
+    };
+    const Pass busy{96, 4, 300, 5000};
+    const Pass sparse{2, 2, 2500, 2500};
+    for (const Pass &pass : {busy, sparse}) {
+        Rng rng(5 + pass.max_inflight);
+        LandingCalendar calendar;
+        calendar.reset(pass.max_inflight);
+        std::multimap<Cycle, std::uint64_t> model;
+        std::uint64_t next_pos = 0;
+        std::uint64_t landed = 0;
+        Cycle now = 0;
+        for (int step = 0; step < 20000; ++step) {
+            std::vector<std::uint64_t> got, want;
+            calendar.land(now,
+                          [&](std::uint64_t pos) { got.push_back(pos); });
+            while (!model.empty() && model.begin()->first <= now) {
+                want.push_back(model.begin()->second);
+                model.erase(model.begin());
+            }
+            std::sort(got.begin(), got.end());
+            std::sort(want.begin(), want.end());
+            ASSERT_EQ(got, want) << "cycle " << now;
+            landed += got.size();
+
+            for (auto k = rng.nextBounded(pass.adds_per_cycle);
+                 k > 0 && model.size() < pass.max_inflight; --k) {
+                const auto dist = rng.nextBounded(8) == 0
+                                      ? rng.nextBounded(pass.far)
+                                      : rng.nextBounded(pass.near);
+                calendar.add(now, now + dist, next_pos);
+                model.emplace(std::max(now + dist, now + 1), next_pos);
+                ++next_pos;
+            }
+            const Cycle next = ++now;
+            const Cycle earliest = calendar.earliest(next);
+            ASSERT_EQ(earliest, model.empty() ? hw::kNoEvent
+                                              : model.begin()->first)
+                << "cycle " << next;
+            // Jump over quiet spans half of the time.
+            if (!model.empty() && rng.nextBounded(2) == 0)
+                now = earliest;
+        }
+        EXPECT_GT(landed, 5000u);
     }
 }
 

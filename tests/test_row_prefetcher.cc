@@ -3,11 +3,19 @@
  * Direct unit tests for the MatB row prefetcher: readiness, hit/miss
  * accounting on crafted traces, and the replacement-policy ablation
  * (Belady must beat LRU on adversarial cyclic reuse — the essence of
- * the paper's "near-optimal replacement" claim).
+ * the paper's "near-optimal replacement" claim), and a differential
+ * test of the eviction ranking against an ordered-set model.
  */
+
+#include <map>
+#include <optional>
+#include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
+#include "core/eviction_rank.hh"
 #include "core/row_prefetcher.hh"
 #include "matrix/generators.hh"
 #include "mem/hbm_backend.hh"
@@ -376,6 +384,199 @@ TEST(RowPrefetcher, HitRateReportedOverLifetime)
     p.recordStats(stats);
     EXPECT_DOUBLE_EQ(stats.get("p.hit_rate"), 0.5);
     EXPECT_DOUBLE_EQ(stats.get("p.hits"), 2.0);
+}
+
+/**
+ * Reference eviction ranking: an ordered set of (key, row) pairs,
+ * scanned from the largest down with the prefetcher's victim rules.
+ */
+class SetRank
+{
+  public:
+    void
+    rank(Index row, std::uint64_t key)
+    {
+        unrank(row);
+        set_.insert({key, row});
+        key_[row] = key;
+    }
+
+    void
+    unrank(Index row)
+    {
+        const auto it = key_.find(row);
+        if (it != key_.end()) {
+            set_.erase({it->second, row});
+            key_.erase(it);
+        }
+    }
+
+    template <typename Demanded>
+    SIndex
+    victim(SIndex pinned, Demanded demanded,
+           std::optional<std::uint64_t> floor, bool &fell_back) const
+    {
+        const auto below = [&](std::uint64_t key) {
+            return floor && key <= *floor;
+        };
+        auto it = set_.rbegin();
+        while (it != set_.rend() &&
+               (static_cast<SIndex>(it->second) == pinned ||
+                demanded(it->second))) {
+            ++it;
+        }
+        fell_back = false;
+        if (it == set_.rend() || below(it->first)) {
+            fell_back = true;
+            it = set_.rbegin();
+            while (it != set_.rend() &&
+                   (static_cast<SIndex>(it->second) == pinned ||
+                    below(it->first))) {
+                ++it;
+            }
+            if (it == set_.rend())
+                return -1;
+        }
+        return static_cast<SIndex>(it->second);
+    }
+
+  private:
+    std::set<std::pair<std::uint64_t, Index>> set_;
+    std::map<Index, std::uint64_t> key_;
+};
+
+/**
+ * A small line buffer under each replacement policy, driven by a
+ * random row stream: each stream entry pins its row and fills its
+ * missing lines, evicting one line per victim, then re-keys the row.
+ * Random rows are demanded (a port head waits on them) and a random
+ * protection floor makes Belady refuse near uses, so both the
+ * fallback to demanded rows and the no-victim stall occur. Every
+ * victim must equal the ordered-set model's.
+ */
+TEST(EvictionRank, VictimsMatchAnOrderedSetModel)
+{
+    constexpr Index kRows = 48;
+    constexpr std::size_t kStream = 4000;
+    constexpr std::uint64_t kInfinite = DistanceList::kInfinite;
+    for (const ReplacementPolicy policy :
+         {ReplacementPolicy::Belady, ReplacementPolicy::Lru,
+          ReplacementPolicy::Fifo}) {
+        for (const std::size_t capacity : {6u, 12u, 24u}) {
+            SCOPED_TRACE(std::string(replacementPolicyName(policy)) +
+                         ", " + std::to_string(capacity) + " lines");
+            Rng rng(capacity * 31 + static_cast<unsigned>(policy));
+            // Skewed reuse: a hot third of the rows takes most uses.
+            std::vector<Index> stream(kStream);
+            for (Index &r : stream) {
+                r = static_cast<Index>(rng.nextBounded(4) == 0
+                                           ? rng.nextBounded(kRows)
+                                           : rng.nextBounded(kRows / 3));
+            }
+            std::vector<Index> lines(kRows);
+            for (Index &l : lines)
+                l = static_cast<Index>(1 + rng.nextBounded(3));
+
+            std::vector<EvictionRank::Slot> slots(kRows);
+            const auto slot_of = [&](Index r) -> EvictionRank::Slot & {
+                return slots[r];
+            };
+            EvictionRank rank;
+            rank.reset(capacity);
+            SetRank model;
+            std::vector<Index> prefix(kRows, 0);
+            std::vector<std::uint64_t> last_touch(kRows, 0);
+            std::vector<std::uint64_t> insert_tick(kRows, 0);
+            std::vector<bool> demanded(kRows, false);
+            std::size_t resident = 0;
+            std::uint64_t tick = 0;
+            std::uint64_t evictions = 0, fallbacks = 0, refusals = 0;
+
+            const auto nextUse = [&](Index row, std::size_t after) {
+                for (std::size_t i = after + 1;
+                     i < std::min(kStream, after + 64); ++i) {
+                    if (stream[i] == row)
+                        return static_cast<std::uint64_t>(i);
+                }
+                return kInfinite;
+            };
+            const auto rekey = [&](Index row, std::size_t pos) {
+                if (prefix[row] == 0) {
+                    EvictionRank::unrank(slots[row]);
+                    model.unrank(row);
+                    return;
+                }
+                std::uint64_t key = 0;
+                switch (policy) {
+                  case ReplacementPolicy::Belady:
+                    key = nextUse(row, pos);
+                    break;
+                  case ReplacementPolicy::Lru:
+                    key = kInfinite - last_touch[row];
+                    break;
+                  default:
+                    key = kInfinite - insert_tick[row];
+                    break;
+                }
+                rank.rank(row, slots[row], key, slot_of);
+                model.rank(row, key);
+            };
+
+            for (std::size_t pos = 0; pos < kStream; ++pos) {
+                // Port heads come and go.
+                demanded[rng.nextBounded(kRows)] =
+                    rng.nextBounded(2) == 0;
+                const Index row = stream[pos];
+                const bool belady = policy == ReplacementPolicy::Belady;
+                const std::optional<std::uint64_t> floor =
+                    belady ? std::optional<std::uint64_t>(
+                                 pos + rng.nextBounded(24))
+                           : std::nullopt;
+                if (prefix[row] == 0)
+                    insert_tick[row] = ++tick;
+                last_touch[row] = ++tick;
+                while (prefix[row] < lines[row]) {
+                    bool stalled = false;
+                    while (resident >= capacity) {
+                        const auto is_demanded = [&](Index r) {
+                            return static_cast<bool>(demanded[r]);
+                        };
+                        bool fell_back = false;
+                        const SIndex want = model.victim(
+                            row, is_demanded, floor, fell_back);
+                        const SIndex got =
+                            rank.victim(slot_of, row, is_demanded, floor);
+                        ASSERT_EQ(got, want) << "stream entry " << pos;
+                        if (got < 0) {
+                            ++refusals;
+                            stalled = true;
+                            break;
+                        }
+                        fallbacks += fell_back ? 1 : 0;
+                        ++evictions;
+                        const auto victim = static_cast<Index>(got);
+                        --prefix[victim];
+                        --resident;
+                        if (prefix[victim] == 0) {
+                            insert_tick[victim] = 0;
+                            rekey(victim, pos);
+                        }
+                    }
+                    if (stalled)
+                        break;
+                    ++prefix[row];
+                    ++resident;
+                }
+                rekey(row, pos);
+            }
+            EXPECT_GT(evictions, 1000u);
+            EXPECT_GT(fallbacks, 0u);
+            // Belady's floor leaves the small buffers without a victim.
+            if (policy == ReplacementPolicy::Belady && capacity <= 12) {
+                EXPECT_GT(refusals, 0u);
+            }
+        }
+    }
 }
 
 } // namespace

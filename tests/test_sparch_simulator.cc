@@ -365,6 +365,83 @@ TEST(SpArchSimulator, GoldenCyclesAndTrafficUnderPrefetchThrashing)
                  "thrashing 128-way tree");
 }
 
+// The recency policies rank rows by their last touch (LRU) or by when
+// they became resident (FIFO) instead of by their next use, so under
+// the thrashing buffers above they pick other victims than Belady and
+// refetch more of B.
+TEST(SpArchSimulator, GoldenCyclesAndTrafficUnderLruAndFifo)
+{
+    const CsrMatrix a = generateUniform(250, 250, 2000, 13);
+    const CsrMatrix dense = generateUniform(200, 200, 3000, 5);
+    const CsrMatrix wide = generateUniform(100, 400, 8000, 17);
+    const CsrMatrix b = generateUniform(400, 400, 2000, 19);
+    SpArchConfig thrash;
+    thrash.mergeTree.layers = 4;
+    thrash.prefetchLines = 64;
+    thrash.prefetchLineElems = 4;
+    SpArchConfig thrash_dense = thrash;
+    thrash_dense.prefetchLines = 128;
+    SpArchConfig thrash_wide;
+    thrash_wide.mergeTree.layers = 7;
+    thrash_wide.prefetchLines = 512;
+    thrash_wide.prefetchLineElems = 2;
+
+    struct Row
+    {
+        const SpArchConfig *config;
+        ReplacementPolicy policy;
+        const CsrMatrix *a;
+        const CsrMatrix *b;
+        Golden want;
+        std::uint64_t hits;
+        Bytes bytesMatB;
+        const char *label;
+    };
+    const Row rows[] = {
+        {&thrash, ReplacementPolicy::Lru, &a, &a,
+         {19254, 519228, 13583, 2, 15294, 1711, 49659, 156190, 8170,
+          8094, 1957, 59259, 72881, 72881, 16485,
+          147, 1165, 2207, 1285, 55, 19254},
+         427, 329796, "lru, 16-way tree"},
+        {&thrash, ReplacementPolicy::Fifo, &a, &a,
+         {19147, 519660, 13583, 2, 15294, 1711, 49767, 156031, 8180,
+          8104, 1957, 59266, 72888, 72888, 16184,
+          145, 1169, 2225, 1309, 55, 19147},
+         430, 330228, "fifo, 16-way tree"},
+        {&thrash_dense, ReplacementPolicy::Lru, &dense, &dense,
+         {21754, 1250664, 25777, 2, 41313, 15536, 23989, 249240, 19064,
+          18808, 2879, 163087, 192068, 192068, 16100,
+          447, 1683, 3869, 2789, 114, 21754},
+         1866, 827976, "lru, 16-way tree, denser operand"},
+        {&thrash_dense, ReplacementPolicy::Fifo, &dense, &dense,
+         {21831, 1250388, 25777, 2, 41313, 15536, 23884, 247836, 19052,
+          18796, 2879, 163049, 192030, 192030, 16229,
+          458, 1667, 3877, 2778, 114, 21831},
+         1850, 827700, "fifo, 16-way tree, denser operand"},
+        {&thrash_wide, ReplacementPolicy::Lru, &wide, &b,
+         {8861, 856368, 23729, 1, 36008, 12279, 7960, 567339, 22072,
+          21560, 7290, 231329, 255058, 255058, 3253,
+          458, 1478, 3255, 2283, 93, 8861},
+         8144, 483336, "lru, 128-way tree"},
+        {&thrash_wide, ReplacementPolicy::Fifo, &wide, &b,
+         {8916, 858576, 23729, 1, 36008, 12279, 10076, 565576, 22174,
+          21662, 7290, 231357, 255086, 255086, 3231,
+          476, 1504, 3267, 2293, 93, 8916},
+         8064, 485544, "fifo, 128-way tree"},
+    };
+    for (const Row &row : rows) {
+        SpArchConfig cfg = *row.config;
+        cfg.replacement = row.policy;
+        const SpArchResult r =
+            expectGolden(cfg, *row.a, *row.b, row.want, row.label);
+        EXPECT_EQ(static_cast<std::uint64_t>(
+                      r.stats.get("row_prefetcher.hits")),
+                  row.hits)
+            << row.label;
+        EXPECT_EQ(r.bytesMatB, row.bytesMatB) << row.label;
+    }
+}
+
 // Trees wider than 64 leaves keep their per-port state in several
 // 64-bit words; these rounds use a port count that spans more than
 // one word and ends inside a partial word.
