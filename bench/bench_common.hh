@@ -6,7 +6,7 @@
  * evaluation. Workload scale is controlled by SPARCH_BENCH_NNZ
  * (target nonzeros per benchmark matrix, default 60000): the paper's
  * SuiteSparse matrices are replaced by structural proxies at that
- * scale (DESIGN.md section 2, substitution 1), so *shapes* — who
+ * scale (README "Benches", substitution 1), so *shapes* — who
  * wins, rough factors, where crossovers fall — are the reproduction
  * target, not absolute numbers.
  */
@@ -16,11 +16,13 @@
 
 #include <algorithm>
 #include <array>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -40,23 +42,30 @@ namespace bench
 {
 
 /**
- * Parse an unsigned-integer environment knob. A set-but-malformed
- * value ("abc", "12x", "", out of range) aborts loudly: a bench run
- * that silently fell back to the default scale would produce numbers
- * that look valid but measure the wrong workload.
+ * Parse the unsigned integer `text` of the knob `name`. A malformed
+ * value ("abc", "12x", "-1", "", out of range) aborts loudly: a bench
+ * run that silently fell back to a default would produce numbers that
+ * look valid but measure the wrong workload.
  */
+inline std::uint64_t
+parseU64(const char *name, const std::string &text)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+    const bool digit =
+        !text.empty() && std::isdigit(static_cast<unsigned char>(text[0]));
+    if (!digit || *end != '\0' || errno == ERANGE)
+        fatal(name, "='", text, "' is not an unsigned integer");
+    return v;
+}
+
+/** An unsigned-integer environment knob, parsed by parseU64(). */
 inline std::uint64_t
 envU64(const char *name, std::uint64_t fallback)
 {
     const char *env = std::getenv(name);
-    if (env == nullptr)
-        return fallback;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0' || errno == ERANGE)
-        fatal(name, "='", env, "' is not an unsigned integer");
-    return v;
+    return env == nullptr ? fallback : parseU64(name, env);
 }
 
 /** Target nonzeros per proxy matrix (SPARCH_BENCH_NNZ). */
@@ -118,7 +127,7 @@ runBatch(const driver::BatchRunner &runner)
  * Dump a batch's records as CSV when SPARCH_BENCH_CSV names a path.
  * The same writeCsv schema backs the sparch CLI and the result cache,
  * so a bench's grid can be diffed bit for bit against a CLI sweep of
- * the same grid (the CI cli-smoke job does exactly that).
+ * the same grid (the ctest case smoke_fig12_sweep does exactly that).
  */
 inline void
 maybeWriteCsv(const std::vector<driver::BatchRecord> &records)
@@ -132,51 +141,6 @@ maybeWriteCsv(const std::vector<driver::BatchRecord> &records)
         return;
     }
     driver::BatchRunner::writeCsv(records, out);
-}
-
-/**
- * Dump a batch's records as JSON when SPARCH_BENCH_JSON names a path.
- * The shared JsonWriter (json_writer.hh) also backs bench_hotpath's
- * BENCH_simulator.json entries, so scripts/bench_trajectory.sh can
- * parse every bench's output with one schema. Unlike the best-effort
- * CSV dump, an unwritable path aborts: a perf-trajectory run whose
- * output silently vanished would be mistaken for a missing data point.
- */
-inline void
-maybeWriteJson(const std::vector<driver::BatchRecord> &records)
-{
-    const char *path = std::getenv("SPARCH_BENCH_JSON");
-    if (path == nullptr)
-        return;
-    if (path[0] == '\0')
-        fatal("SPARCH_BENCH_JSON is set but empty; give it a path");
-    JsonWriter json;
-    json.beginObject();
-    json.field("schema", "sparch-bench-records-v1");
-    json.key("records");
-    json.beginArray();
-    for (const driver::BatchRecord &r : records) {
-        json.beginObject();
-        json.field("id", static_cast<std::uint64_t>(r.id));
-        json.field("config", r.configLabel);
-        json.field("workload", r.workloadName);
-        json.field("seed", r.seed);
-        json.field("shards", r.shards);
-        json.field("cycles", r.sim.cycles);
-        json.field("seconds", r.sim.seconds);
-        json.field("flops", r.sim.flops);
-        json.field("bytes_total", r.sim.bytesTotal);
-        json.field("multiplies", r.sim.multiplies);
-        json.field("additions", r.sim.additions);
-        json.field("result_nnz", static_cast<std::uint64_t>(r.resultNnz));
-        json.endObject();
-    }
-    json.endArray();
-    json.endObject();
-    std::ofstream out(path);
-    if (!out)
-        fatal("SPARCH_BENCH_JSON: cannot write '", path, "'");
-    out << json.str() << "\n";
 }
 
 /** Seconds elapsed since `start` on the steady clock. */
@@ -194,7 +158,7 @@ secondsSince(std::chrono::steady_clock::time_point start)
  * trajectory-writing bench divides its timing by this so two machines
  * of different speed can be compared ratio-to-ratio, which is what
  * lets CI regression-gate against a trajectory recorded elsewhere
- * (scripts/bench_trajectory.sh, ci.yml perf-smoke). One ~50 ms sample
+ * (scripts/bench_gate.py, ci.yml perf-smoke). One ~50 ms sample
  * drifts by up to 1.6x between back-to-back runs on a shared VM, so
  * this returns the median of five.
  */
@@ -250,18 +214,86 @@ hostName()
     return buf;
 }
 
-/** The shared "machine" block of a trajectory JSON entry. */
-inline void
-writeMachineBlock(JsonWriter &json)
+/** The direction in which a trajectory metric improves. */
+enum class Better
 {
+    Lower,
+    Higher,
+};
+
+/** One measured value of a bench, as the trajectory records it. */
+struct Metric
+{
+    template <typename T>
+    Metric(std::string name, std::string unit, Better better, T value,
+           std::vector<double> samples = {})
+        : name(std::move(name)), unit(std::move(unit)), better(better),
+          value(static_cast<double>(value)), samples(std::move(samples))
+    {
+    }
+
+    std::string name;
+    std::string unit;
+    Better better;
+    double value;
+    /** Per-rep times behind a median; empty for every other metric. */
+    std::vector<double> samples;
+};
+
+/**
+ * Write one trajectory entry when SPARCH_BENCH_JSON names a path: the
+ * machine fingerprint plus one record per metric, all under (bench,
+ * workload). scripts/bench_gate.py is the one reader: it validates the
+ * entry, gates its machine-normalized metrics against the latest
+ * BENCH_simulator.json record of the same (bench, workload, metric),
+ * and appends it to the trajectory (scripts/bench_trajectory.sh). A
+ * workload names its scale when the scale changes the gated metric.
+ * An empty or unwritable path aborts: a perf-trajectory run whose
+ * output silently vanished would be mistaken for a missing data point.
+ */
+inline void
+writeEntry(const std::string &bench, const std::string &workload,
+           const std::vector<Metric> &metrics)
+{
+    const char *path = std::getenv("SPARCH_BENCH_JSON");
+    if (path == nullptr)
+        return;
+    if (path[0] == '\0')
+        fatal("SPARCH_BENCH_JSON is set but empty; give it a path");
+    JsonWriter json;
+    json.beginObject();
     json.key("machine");
     json.beginObject();
     json.field("host", hostName());
     json.field("cpu", cpuModel());
-    json.field("hardware_threads",
-               driver::ThreadPool::hardwareThreads());
+    json.field("hardware_threads", driver::ThreadPool::hardwareThreads());
     json.field("compiler", __VERSION__);
     json.endObject();
+    json.key("records");
+    json.beginArray();
+    for (const Metric &m : metrics) {
+        json.beginObject();
+        json.field("bench", bench);
+        json.field("workload", workload);
+        json.field("metric", m.name);
+        json.field("unit", m.unit);
+        json.field("better",
+                   m.better == Better::Lower ? "lower" : "higher");
+        json.field("value", m.value);
+        if (!m.samples.empty()) {
+            json.key("samples");
+            json.beginArray();
+            for (const double s : m.samples)
+                json.value(s);
+            json.endArray();
+        }
+        json.endObject();
+    }
+    json.endArray();
+    json.endObject();
+    std::ofstream out(path);
+    if (!out || !(out << json.str() << "\n"))
+        fatal("SPARCH_BENCH_JSON: cannot write '", path, "'");
 }
 
 /** Generate the proxy for one suite entry at the bench scale. */

@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -40,9 +41,9 @@ main()
     using namespace sparch;
     using namespace sparch::bench;
 
-    unsigned div = 8;
-    if (const char *env = std::getenv("SPARCH_BENCH_RMAT_DIV"))
-        div = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
+    const std::uint64_t div = envU64("SPARCH_BENCH_RMAT_DIV", 8);
+    if (div == 0)
+        fatal("SPARCH_BENCH_RMAT_DIV=0: need a positive divisor");
 
     TablePrinter table("Figure 14: FLOPS on rMAT benchmarks "
                        "(vertex counts / " +
@@ -65,7 +66,8 @@ main()
     driver::BatchRunner runner = makeRunner();
     std::vector<driver::Workload> workloads;
     for (const Point &pt : points) {
-        const Index vertices = pt.kilo_vertices * 1000u / div;
+        const auto vertices =
+            static_cast<Index>(pt.kilo_vertices * 1000u / div);
         workloads.push_back(
             driver::rmatWorkload(vertices, pt.edge_factor, 1234));
         runner.add("table-I", SpArchConfig{}, workloads.back());
@@ -114,16 +116,19 @@ main()
     const char *shards_env = std::getenv("SPARCH_BENCH_SHARDS");
     if (!shards_env)
         return 0;
+    // Every token must be a positive count: a silently dropped typo
+    // would print a scaling table without the point that was asked for.
     std::vector<unsigned> shard_counts;
     std::istringstream shard_list(shards_env);
     for (std::string tok; std::getline(shard_list, tok, ',');) {
-        const unsigned n =
-            static_cast<unsigned>(std::strtoul(tok.c_str(), nullptr, 10));
-        if (n > 0)
-            shard_counts.push_back(n);
+        const std::uint64_t n = parseU64("SPARCH_BENCH_SHARDS", tok);
+        if (n == 0 || n > std::numeric_limits<unsigned>::max())
+            fatal("SPARCH_BENCH_SHARDS: '", tok,
+                  "' is not a positive shard count");
+        shard_counts.push_back(static_cast<unsigned>(n));
     }
     if (shard_counts.empty())
-        return 0;
+        fatal("SPARCH_BENCH_SHARDS is set but empty; give shard counts");
     // The monolithic point anchors every speedup column.
     if (std::find(shard_counts.begin(), shard_counts.end(), 1u) ==
         shard_counts.end()) {

@@ -13,24 +13,22 @@
  * SPARCH_BENCH_REPS (repetitions, default 5; the median is reported).
  *
  * With SPARCH_BENCH_JSON=<path> the result is written as one
- * BENCH_simulator.json trajectory entry (schema
- * sparch-bench-hotpath-v1). `normalized_cost` divides the median by a
- * fixed-work calibration loop timed in the same process, so two
+ * BENCH_simulator.json trajectory entry (bench::writeEntry) under the
+ * workload "fig12-suite@nnz<N>". `normalized_cost` divides the median
+ * by a fixed-work calibration loop timed in the same process, so two
  * machines of different speed can still be compared ratio-to-ratio —
  * that is what lets CI regression-gate against a trajectory recorded
- * elsewhere (scripts/bench_trajectory.sh, .github/workflows/ci.yml
+ * elsewhere (scripts/bench_gate.py, .github/workflows/ci.yml
  * perf-smoke).
  */
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.hh"
-#include "bench/json_writer.hh"
 
 namespace
 {
@@ -108,33 +106,16 @@ main()
     table.row({"normalized cost", TablePrinter::num(median / calib)});
     table.print(std::cout);
 
-    if (const char *path = std::getenv("SPARCH_BENCH_JSON")) {
-        if (path[0] == '\0')
-            fatal("SPARCH_BENCH_JSON is set but empty; give it a path");
-        JsonWriter json;
-        json.beginObject();
-        json.field("schema", "sparch-bench-hotpath-v1");
-        json.field("workload", "fig12-suite");
-        json.field("nnz_target", target);
-        json.field("reps", reps);
-        json.field("median_seconds", median);
-        json.key("rep_seconds");
-        json.beginArray();
-        for (const double s : rep_seconds)
-            json.value(s);
-        json.endArray();
-        json.field("simulated_cycles",
-                   static_cast<std::uint64_t>(total_cycles));
-        json.field("sim_cycles_per_second", cycles_per_sec);
-        json.field("result_nnz", total_nnz_out);
-        json.field("calibration_seconds", calib);
-        json.field("normalized_cost", median / calib);
-        writeMachineBlock(json);
-        json.endObject();
-        std::ofstream out(path);
-        if (!out)
-            fatal("SPARCH_BENCH_JSON: cannot write '", path, "'");
-        out << json.str() << "\n";
-    }
+    const std::vector<Metric> metrics = {
+        {"median_seconds", "s", Better::Lower, median, rep_seconds},
+        {"reps", "count", Better::Higher, reps},
+        {"simulated_cycles", "cycles", Better::Lower, total_cycles},
+        {"sim_cycles_per_second", "1/s", Better::Higher, cycles_per_sec},
+        {"result_nnz", "count", Better::Lower, total_nnz_out},
+        {"calibration_seconds", "s", Better::Lower, calib},
+        {"normalized_cost", "ratio", Better::Lower, median / calib},
+    };
+    writeEntry("bench_hotpath", "fig12-suite@nnz" + std::to_string(target),
+               metrics);
     return 0;
 }

@@ -20,11 +20,13 @@
  * Knobs: SPARCH_BENCH_IO_NNZ (generated nonzeros, default 2000000),
  * SPARCH_BENCH_REPS (repetitions, default 3; medians are reported).
  *
- * With SPARCH_BENCH_JSON=<path> the result is written as one
- * BENCH_simulator.json trajectory entry (schema sparch-bench-io-v1).
- * `convert_mb_per_calibration` multiplies converter throughput by the
- * fixed-work calibration time so two machines can be compared
- * ratio-to-ratio (scripts/bench_trajectory.sh, ci.yml perf-smoke).
+ * Below 10 MB/s of convert throughput the bench fails. With
+ * SPARCH_BENCH_JSON=<path> the result is written as one
+ * BENCH_simulator.json trajectory entry (bench::writeEntry) under the
+ * workload "uniform-1pct-square". `convert_mb_per_calibration`
+ * multiplies converter throughput by the fixed-work calibration time
+ * so two machines can be compared ratio-to-ratio (scripts/
+ * bench_gate.py, ci.yml perf-smoke).
  */
 
 #include <algorithm>
@@ -38,7 +40,6 @@
 #include <vector>
 
 #include "bench/bench_common.hh"
-#include "bench/json_writer.hh"
 #include "matrix/coo.hh"
 #include "matrix/generators.hh"
 #include "matrix/matrix_market.hh"
@@ -174,35 +175,29 @@ main()
                TablePrinter::num(convert_mb_s * calib)});
     table.print(std::cout);
 
-    if (const char *path = std::getenv("SPARCH_BENCH_JSON")) {
-        if (path[0] == '\0')
-            fatal("SPARCH_BENCH_JSON is set but empty; give it a path");
-        JsonWriter json;
-        json.beginObject();
-        json.field("schema", "sparch-bench-io-v1");
-        json.field("workload", "uniform-1pct-square");
-        json.field("nnz", m.nnz());
-        json.field("mtx_mb", file_mb);
-        json.field("scsr_mb", scsr_mb);
-        json.field("reps", reps);
-        json.field("istream_parse_seconds", istream_med);
-        json.field("from_chars_parse_seconds", from_chars_med);
-        json.field("parse_speedup_vs_istream", speedup);
-        json.field("convert_seconds", convert_med);
-        json.field("convert_mb_per_second", convert_mb_s);
-        json.field("load_seconds", load_med);
-        json.field("load_mb_per_second", load_mb_s);
-        json.field("calibration_seconds", calib);
-        json.field("convert_mb_per_calibration", convert_mb_s * calib);
-        writeMachineBlock(json);
-        json.endObject();
-        std::ofstream out(path);
-        if (!out)
-            fatal("SPARCH_BENCH_JSON: cannot write '", path, "'");
-        out << json.str() << "\n";
-    }
-
     std::remove(mtx.c_str());
     std::remove(scsr.c_str());
+    if (convert_mb_s < 10.0) {
+        fatal("convert throughput ", convert_mb_s,
+              " MB/s is below the 10 MB/s floor");
+    }
+
+    const std::vector<Metric> metrics = {
+        {"nnz", "count", Better::Higher, m.nnz()},
+        {"mtx_mb", "MB", Better::Lower, file_mb},
+        {"scsr_mb", "MB", Better::Lower, scsr_mb},
+        {"reps", "count", Better::Higher, reps},
+        {"istream_parse_seconds", "s", Better::Lower, istream_med},
+        {"from_chars_parse_seconds", "s", Better::Lower, from_chars_med},
+        {"parse_speedup_vs_istream", "ratio", Better::Higher, speedup},
+        {"convert_seconds", "s", Better::Lower, convert_med},
+        {"convert_mb_per_second", "MB/s", Better::Higher, convert_mb_s},
+        {"load_seconds", "s", Better::Lower, load_med},
+        {"load_mb_per_second", "MB/s", Better::Higher, load_mb_s},
+        {"calibration_seconds", "s", Better::Lower, calib},
+        {"convert_mb_per_calibration", "MB", Better::Higher,
+         convert_mb_s * calib},
+    };
+    writeEntry("bench_io", "uniform-1pct-square", metrics);
     return 0;
 }

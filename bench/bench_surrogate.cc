@@ -16,25 +16,24 @@
  *
  * Knobs: SPARCH_BENCH_SURROGATE_POINTS (stats entries, default
  * 100000), SPARCH_BENCH_REPS (repetitions, default 5; median
- * reported). With SPARCH_BENCH_JSON=<path> the result is written as
- * one BENCH_simulator.json trajectory entry (schema
- * sparch-bench-surrogate-v1); points_per_calibration normalizes by
- * the same fixed-work loop as the hot-path bench so CI can gate the
- * >= 1e6 points/s floor machine-independently.
+ * reported). Below 1e6 points/s single-threaded the bench fails. With
+ * SPARCH_BENCH_JSON=<path> the result is written as one
+ * BENCH_simulator.json trajectory entry (bench::writeEntry) under the
+ * workload "fig17-panel"; points_per_calibration normalizes by the
+ * same fixed-work loop as the hot-path bench so CI can gate it
+ * machine-independently (scripts/bench_gate.py).
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <future>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.hh"
-#include "bench/json_writer.hh"
 #include "dse/surrogate.hh"
 #include "dse/workload_stats.hh"
 
@@ -240,36 +239,21 @@ main()
               "target");
     }
 
-    if (const char *path = std::getenv("SPARCH_BENCH_JSON")) {
-        if (path[0] == '\0')
-            fatal("SPARCH_BENCH_JSON is set but empty; give it a path");
-        JsonWriter json;
-        json.beginObject();
-        json.field("schema", "sparch-bench-surrogate-v1");
-        json.field("stats_entries",
-                   static_cast<std::uint64_t>(points));
-        json.field("configs",
-                   static_cast<std::uint64_t>(panel.size()));
-        json.field("reps", reps);
-        json.field("median_seconds", median);
-        json.key("rep_seconds");
-        json.beginArray();
-        for (const double s : rep_seconds)
-            json.value(s);
-        json.endArray();
-        json.field("points_per_second", serial_pps);
-        json.field("threads", threads);
-        json.field("threaded_points_per_second", threaded_pps);
-        json.field("calibration_seconds", calib);
+    const std::vector<Metric> metrics = {
+        {"stats_entries", "count", Better::Higher, points},
+        {"configs", "count", Better::Higher, panel.size()},
+        {"reps", "count", Better::Higher, reps},
+        {"median_seconds", "s", Better::Lower, median, rep_seconds},
+        {"points_per_second", "points/s", Better::Higher, serial_pps},
+        {"threads", "count", Better::Higher, threads},
+        {"threaded_points_per_second", "points/s", Better::Higher,
+         threaded_pps},
+        {"calibration_seconds", "s", Better::Lower, calib},
         // Machine-normalized throughput: points scored per unit of
         // fixed calibration work, the CI gate's metric.
-        json.field("points_per_calibration", serial_pps * calib);
-        writeMachineBlock(json);
-        json.endObject();
-        std::ofstream out(path);
-        if (!out)
-            fatal("SPARCH_BENCH_JSON: cannot write '", path, "'");
-        out << json.str() << "\n";
-    }
+        {"points_per_calibration", "points", Better::Higher,
+         serial_pps * calib},
+    };
+    writeEntry("bench_surrogate", "fig17-panel", metrics);
     return 0;
 }

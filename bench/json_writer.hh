@@ -2,18 +2,16 @@
  * @file
  * Minimal JSON emitter shared by the bench harness.
  *
- * Backs the SPARCH_BENCH_JSON output mode of bench_common.hh and the
- * BENCH_simulator.json perf-trajectory entries bench_hotpath emits for
- * scripts/bench_trajectory.sh. Deliberately write-only: objects and
- * arrays are streamed in construction order, strings are escaped, and
- * doubles round-trip (max_digits10) so a checked-in trajectory diff is
- * meaningful.
+ * Backs bench::writeEntry (bench_common.hh), the one writer of the
+ * BENCH_simulator.json trajectory entries. Deliberately write-only:
+ * objects and arrays are streamed in construction order, strings are
+ * escaped, and doubles round-trip (max_digits10) so a checked-in
+ * trajectory diff is meaningful.
  */
 
 #ifndef SPARCH_BENCH_JSON_WRITER_HH
 #define SPARCH_BENCH_JSON_WRITER_HH
 
-#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -79,27 +77,7 @@ class JsonWriter
     }
 
     void
-    value(const char *v)
-    {
-        value(std::string(v));
-    }
-
-    void
     value(double v)
-    {
-        comma();
-        out_ << v;
-    }
-
-    void
-    value(std::uint64_t v)
-    {
-        comma();
-        out_ << v;
-    }
-
-    void
-    value(int v)
     {
         comma();
         out_ << v;
@@ -110,13 +88,6 @@ class JsonWriter
     {
         comma();
         out_ << v;
-    }
-
-    void
-    value(bool v)
-    {
-        comma();
-        out_ << (v ? "true" : "false");
     }
 
     /** Convenience: key + scalar value in one call. */

@@ -3,19 +3,12 @@
 # trajectory (BENCH_simulator.json at the repository root).
 #
 # The trajectory records perf PR over PR, on whatever machine ran it:
-# every entry carries a machine fingerprint and a machine-normalized
-# metric (wall clock or throughput divided by / multiplied by a
+# every entry carries a machine fingerprint and machine-normalized
+# metrics (wall clock or throughput divided by / multiplied by a
 # fixed-work calibration loop timed in the same process), so entries
-# from different machines compare ratio-to-ratio. CI's perf-smoke job
-# gates on the latest entry of each schema at its scale.
-#
-# Three benches feed the trajectory, selected by the third argument:
-#   hotpath    bench_hotpath   (schema sparch-bench-hotpath-v1,
-#              gated on normalized_cost)
-#   surrogate  bench_surrogate (schema sparch-bench-surrogate-v1,
-#              gated on points_per_second >= 1e6)
-#   io         bench_io        (schema sparch-bench-io-v1, gated on
-#              convert_mb_per_calibration)
+# from different machines compare ratio-to-ratio. The bench writes the
+# entry (bench::writeEntry); scripts/bench_gate.py appends it, and CI's
+# perf-smoke job gates fresh entries against it with the same script.
 #
 # Entries record the exact commit they measured: the script refuses to
 # run on a dirty tree (an entry stamped with a HEAD that does not
@@ -39,32 +32,16 @@ label="${1:?usage: bench_trajectory.sh <label> [build-dir] [bench]}"
 build="${2:-build}"
 which_bench="${3:-hotpath}"
 root="$(cd "$(dirname "$0")/.." && pwd)"
-traj="$root/BENCH_simulator.json"
-
-case "$which_bench" in
-hotpath) bench="$root/$build/bench/bench_hotpath" ;;
-surrogate) bench="$root/$build/bench/bench_surrogate" ;;
-io) bench="$root/$build/bench/bench_io" ;;
-*)
-    echo "bench_trajectory: unknown bench '$which_bench'" \
-         "(want hotpath, surrogate or io)" >&2
-    exit 1
-    ;;
-esac
+bench="$root/$build/bench/bench_$which_bench"
 
 if [ ! -x "$bench" ]; then
     echo "bench_trajectory: $bench is not built" \
-         "(cmake --build $build --target bench_$which_bench)" >&2
+         "(cmake --build $build --target bench_$which_bench;" \
+         "bench is hotpath, surrogate or io)" >&2
     exit 1
 fi
 
-# The real commit, not `git describe`'s nearest-tag guess, and an
-# explicit dirty check: a "-dirty" suffix in the git field means the
-# measured tree is unrecoverable from the hash it names.
-rev="$(git -C "$root" rev-parse --short HEAD 2>/dev/null || echo unknown)"
-dirty=0
 if [ -n "$(git -C "$root" status --porcelain 2>/dev/null)" ]; then
-    dirty=1
     if [ "${SPARCH_BENCH_ALLOW_DIRTY:-0}" != "1" ]; then
         echo "bench_trajectory: working tree is dirty; commit first" \
              "so the entry's git field names the measured code, or" \
@@ -84,40 +61,5 @@ SPARCH_BENCH_REPS="${SPARCH_BENCH_REPS:-3}" \
 SPARCH_BENCH_IO_NNZ="${SPARCH_BENCH_IO_NNZ:-2000000}" \
 SPARCH_BENCH_JSON="$entry" "$bench"
 
-stamp="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
-
-python3 - "$traj" "$entry" "$label" "$rev" "$stamp" "$dirty" <<'EOF'
-import json
-import sys
-
-traj_path, entry_path, label, rev, stamp, dirty = sys.argv[1:7]
-with open(entry_path) as f:
-    entry = json.load(f)
-head = {"label": label, "git": rev, "date": stamp}
-if dirty == "1":
-    head["dirty"] = True
-entry = {**head, **entry}
-
-try:
-    with open(traj_path) as f:
-        traj = json.load(f)
-except FileNotFoundError:
-    traj = {
-        "schema": "sparch-bench-trajectory-v1",
-        "benchmark": "bench_hotpath",
-        "entries": [],
-    }
-
-traj["entries"].append(entry)
-with open(traj_path, "w") as f:
-    json.dump(traj, f, indent=2)
-    f.write("\n")
-if "normalized_cost" in entry:
-    metric = f"normalized_cost {entry['normalized_cost']:.2f}"
-elif "convert_mb_per_calibration" in entry:
-    metric = (f"convert_mb_per_calibration "
-              f"{entry['convert_mb_per_calibration']:.2f}")
-else:
-    metric = f"{entry['points_per_second'] / 1e6:.2f} Mpoints/s"
-print(f"bench_trajectory: appended '{label}' ({metric}) to {traj_path}")
-EOF
+python3 "$root/scripts/bench_gate.py" append \
+    "$root/BENCH_simulator.json" "$entry" "$label"

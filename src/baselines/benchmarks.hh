@@ -6,7 +6,7 @@
  * collections are not available offline, so each matrix is recorded
  * here with its true dimensions, nonzero count and structural family,
  * and a synthetic proxy with matching structure is generated at a
- * configurable scale (DESIGN.md section 2, substitution 1). Passing
+ * configurable scale (README "Benches", substitution 1). Passing
  * scale = 1 reproduces the true dimensions; the default bench scale
  * keeps cycle-level simulation tractable on one core.
  */

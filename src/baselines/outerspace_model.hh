@@ -10,7 +10,7 @@
  * 48.3% bandwidth utilization on a 128 GB/s HBM and 10.4% of its
  * theoretical compute peak (Fig. 15: 2.5 GFLOPS), with 4.95 nJ/FLOP
  * (Table III). This analytic model reproduces that behaviour from the
- * actual workload traffic; see DESIGN.md section 2, substitution 4.
+ * actual workload traffic; see README "Benches", substitution 4.
  */
 
 #ifndef SPARCH_BASELINES_OUTERSPACE_MODEL_HH

@@ -5,7 +5,7 @@
  * The paper measures Intel MKL on a Core i7-5930K, cuSPARSE and CUSP
  * on a TITAN Xp, and Armadillo on an ARM A53. None of that hardware is
  * available here, so each library is replaced by the model documented
- * in DESIGN.md section 2, substitution 3:
+ * in README "Benches", substitution 3:
  *
  *  - MKL      -> a *measured* host run of our Gustavson-hash SpGEMM
  *                (the same algorithmic class as mkl_sparse_spmm),
@@ -17,7 +17,7 @@
  *
  * The proxies preserve the *shape* of the comparison (ordering, rough
  * factors, sensitivity to density); absolute numbers depend on the
- * host and are recorded as such in EXPERIMENTS.md.
+ * host.
  */
 
 #ifndef SPARCH_BASELINES_PLATFORM_MODELS_HH

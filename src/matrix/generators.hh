@@ -8,7 +8,7 @@
  * diagonal), circuits (block structure: scircuit), and social/web graphs
  * (power-law: wiki-Vote, web-Google, cit-Patents). These generators
  * produce structurally matching proxies at arbitrary scale; see
- * DESIGN.md §2 for the substitution rationale.
+ * README "Benches", substitution 1, for the rationale.
  */
 
 #ifndef SPARCH_MATRIX_GENERATORS_HH

@@ -12,7 +12,7 @@
  * parameters (comparator counts, buffer bytes, multiplier count) for
  * design-space sweeps. Event counts come from the cycle simulator, so
  * *relative* energy between configurations and workloads is preserved.
- * See DESIGN.md section 2, substitution 2.
+ * See README "Benches", substitution 2.
  */
 
 #ifndef SPARCH_MODEL_ENERGY_MODEL_HH
