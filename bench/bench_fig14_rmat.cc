@@ -41,9 +41,14 @@ main()
     using namespace sparch;
     using namespace sparch::bench;
 
+    // The smallest points have 5k vertices; a larger divisor scales
+    // them to none.
+    constexpr std::uint64_t kMaxDiv = 5000;
     const std::uint64_t div = envU64("SPARCH_BENCH_RMAT_DIV", 8);
-    if (div == 0)
-        fatal("SPARCH_BENCH_RMAT_DIV=0: need a positive divisor");
+    if (div == 0 || div > kMaxDiv) {
+        fatal("SPARCH_BENCH_RMAT_DIV=", div, ": need a divisor in 1..",
+              kMaxDiv, " (the 5k-vertex points must keep a vertex)");
+    }
 
     TablePrinter table("Figure 14: FLOPS on rMAT benchmarks "
                        "(vertex counts / " +

@@ -39,6 +39,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "bench/bench_common.hh"
 #include "matrix/coo.hh"
 #include "matrix/generators.hh"
@@ -108,10 +110,14 @@ main()
         1.0, std::ceil(std::sqrt(static_cast<double>(nnz) * 100.0))));
     const CsrMatrix m = generateUniform(side, side, nnz, 42);
 
-    const std::string dir =
-        std::filesystem::temp_directory_path().string() + "/";
-    const std::string mtx = dir + "sparch_bench_io.mtx";
-    const std::string scsr = dir + "sparch_bench_io.scsr";
+    // Scratch names carry the process id: concurrent runs would
+    // otherwise overwrite a file the other has mapped.
+    // sparch-audit: allow(shared-temp-path, names carry the process id)
+    const auto tmp = std::filesystem::temp_directory_path();
+    const std::string stem =
+        (tmp / ("sparch_bench_io." + std::to_string(::getpid()))).string();
+    const std::string mtx = stem + ".mtx";
+    const std::string scsr = stem + ".scsr";
     writeMatrixMarketFile(m, mtx);
     const double file_mb =
         static_cast<double>(std::filesystem::file_size(mtx)) / 1e6;

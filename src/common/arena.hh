@@ -4,12 +4,11 @@
  *
  * One simulation (`SpArchSimulator::multiply`) allocates its hot-path
  * state — FIFO rings, prefetcher line arrays and demand-position
- * buffers, distance-list nodes — from a single Arena that is reset
- * between multiplies. The tables indexed by B row id are the
- * exception: they are ZeroedTables (common/zeroed_table.hh), sized
- * once per round outside the cycle loop and resident only where
- * touched. Reset
- * retains the high-water chunk, so after a warmup run the steady
+ * buffers — from a single Arena that is reset between multiplies. The
+ * table indexed by B row id is the exception: it is a ZeroedTable
+ * (common/zeroed_table.hh), sized once per round outside the cycle
+ * loop and resident only where touched. Reset retains the high-water
+ * chunk, so after a warmup run the steady
  * state performs zero heap allocations inside the cycle loop
  * (asserted in debug builds via common/alloc_hook.hh).
  *

@@ -2,15 +2,14 @@
  * @file
  * Growable flat table whose untouched slots cost no resident memory.
  *
- * The simulator keeps per-row tables indexed by a right-operand row
- * id: the prefetcher's RowState and the distance list's RowQueue. They
- * are sized by B's row count, yet one run — one shard of a sharded
- * SpGEMM above all — touches only the B rows its left block
- * references. ZeroedTable backs such a table with calloc: large
- * requests come from fresh zero pages that become resident only when
- * a slot is first written, so no initialization pass faults in the
- * rest. The all-zero bit pattern must therefore be the element's
- * "never seen" state (every user's epoch 0).
+ * The simulator keeps a per-row table indexed by a right-operand row
+ * id: the prefetcher's RowState. It is sized by B's row count, yet one
+ * run — one shard of a sharded SpGEMM above all — touches only the B
+ * rows its left block references. ZeroedTable backs such a table with
+ * calloc: large requests come from fresh zero pages that become
+ * resident only when a slot is first written, so no initialization
+ * pass faults in the rest. The all-zero bit pattern must therefore be
+ * the element's "never seen" state (every user's epoch 0).
  *
  * Growth copies the existing slots into a fresh zeroed block. The
  * table is heap-backed, not arena-backed, and is released with its

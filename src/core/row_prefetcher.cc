@@ -14,8 +14,7 @@ RowPrefetcher::RowPrefetcher(const SpArchConfig &config,
                              Arena *arena)
     : Clocked(std::move(name)), config_(&config), mem_(&mem),
       own_arena_(arena == nullptr ? std::make_unique<Arena>() : nullptr),
-      arena_(arena == nullptr ? own_arena_.get() : arena),
-      distances_(arena_)
+      arena_(arena == nullptr ? own_arena_.get() : arena)
 {
     const std::string p = this->name() + ".";
     key_hits_ = p + "hits";
@@ -35,11 +34,10 @@ RowPrefetcher::startRound(const std::vector<MultTask> *tasks,
     b_ = b;
     b_base_ = b_base;
     const std::size_t rows = b == nullptr ? 0 : b->rows();
-    distances_.reset(static_cast<Index>(rows));
+    const std::size_t n = tasks ? tasks->size() : 0;
     window_end_ = cursor_ = 0;
-    retired_.assign(tasks ? tasks->size() : 0, false);
+    retired_.assign(n, false);
     watermark_ = 0;
-    retired_count_ = 0;
     demand_budget_ = 0;
     resident_count_ = 0;
     // Ranked rows hold at least one resident line each.
@@ -56,11 +54,25 @@ RowPrefetcher::startRound(const std::vector<MultTask> *tasks,
     if (rows > rows_.size())
         rows_.grow(std::max(rows, rows_.size() * 2));
     ahead_rows_count_ = 0;
-    streaming_ready_.clear();
-    bypass_ready_.clear();
+    streamed_ready_.clear();
     touch_counter_ = 0;
     cursor_miss_lines_ = 0;
     pinned_row_ = -1;
+
+    // Chain each stream position to the next use of its row, leaving
+    // every row's head at its first use. A round's stream holds at
+    // most one entry per nonzero of A, so 32-bit positions suffice.
+    next_same_row_.clear();
+    if (!config_->rowPrefetcher || n == 0)
+        return;
+    SPARCH_ASSERT(n < kNoPos, "round stream of ", n,
+                  " entries overflows 32-bit positions");
+    next_same_row_.resize(n);
+    for (std::size_t p = n; p-- > 0;) {
+        RowState &rs = state((*tasks)[p].bRow);
+        next_same_row_[p] = rs.first_unretired;
+        rs.first_unretired = static_cast<std::uint32_t>(p);
+    }
 }
 
 Index
@@ -127,34 +139,46 @@ RowPrefetcher::noteConsumed(std::uint64_t pos)
     SPARCH_ASSERT(pos < retired_.size() && !retired_[pos],
                   "double retirement of stream entry ", pos);
     const Index row = (*tasks_)[pos].bRow;
-    // Positions beyond the look-ahead window were never recorded in
-    // the distance list (a fast independent column fetcher can run
-    // ahead of the window).
-    if (pos < window_end_)
-        distances_.consumeUse(row, pos);
     retired_[pos] = true;
-    ++retired_count_;
     while (watermark_ < retired_.size() && retired_[watermark_])
         ++watermark_;
+    streamed_ready_.erase(pos);
+    if (!config_->rowPrefetcher)
+        return;
 
-    if (config_->rowPrefetcher) {
-        buffer_reads_ += b_->rowNnz(row);
-        RowState &rs = state(row);
-        rs.last_touch = ++touch_counter_;
-        if (rs.ahead > 0 && --rs.ahead == 0)
-            --ahead_rows_count_;
-        demandErase(rs, pos);
-        reRankRow(row);
-        streaming_ready_.erase(pos);
-    } else {
-        bypass_ready_.erase(pos);
+    buffer_reads_ += b_->rowNnz(row);
+    RowState &rs = state(row);
+    // Column fetchers retire out of order, even within a row, so the
+    // head skips every position already retired; each position is
+    // skipped at most once per round.
+    if (pos == rs.first_unretired) {
+        std::uint32_t p = next_same_row_[pos];
+        while (p != kNoPos && retired_[p])
+            p = next_same_row_[p];
+        rs.first_unretired = p;
     }
+    rs.last_touch = ++touch_counter_;
+    if (rs.ahead > 0 && --rs.ahead == 0)
+        --ahead_rows_count_;
+    demandErase(rs, pos);
+    reRankRow(row);
+}
+
+std::uint64_t
+RowPrefetcher::nextUse(Index row) const
+{
+    const RowState &rs = rows_[row];
+    // A fast column fetcher can retire positions the window has not
+    // reached yet; the head has skipped those already.
+    return rs.epoch == epoch_ && rs.first_unretired < window_end_
+               ? rs.first_unretired
+               : kInfinite;
 }
 
 std::uint64_t
 RowPrefetcher::effectiveNextUse(Index row, const RowState &rs) const
 {
-    std::uint64_t key = distances_.nextUse(row);
+    std::uint64_t key = nextUse(row);
     if (rs.dem_len > 0)
         key = std::min(key, rs.demanded[0]);
     return key;
@@ -167,9 +191,9 @@ RowPrefetcher::rankKey(Index row, const RowState &rs) const
       case ReplacementPolicy::Belady:
         return effectiveNextUse(row, rs);
       case ReplacementPolicy::Lru:
-        return DistanceList::kInfinite - rs.last_touch;
+        return kInfinite - rs.last_touch;
       case ReplacementPolicy::Fifo:
-        return DistanceList::kInfinite - rs.insert_tick;
+        return kInfinite - rs.insert_tick;
       default:
         panic("unknown replacement policy");
     }
@@ -183,6 +207,20 @@ RowPrefetcher::reRankRow(Index row)
         rank_.rank(row, rs.rank, rankKey(row, rs), rankSlot());
     else
         EvictionRank::unrank(rs.rank);
+}
+
+bool
+RowPrefetcher::streamRow(std::uint64_t pos, Index row)
+{
+    if (streamed_ready_.contains(pos))
+        return false;
+    const Bytes addr =
+        b_base_ + static_cast<Bytes>(b_->rowPtr()[row]) * bytesPerElement;
+    const Bytes bytes =
+        static_cast<Bytes>(b_->rowNnz(row)) * bytesPerElement;
+    streamed_ready_[pos] = mem_->read(DramStream::MatB, addr, bytes, now_);
+    misses_ += rowLines(row);
+    return true;
 }
 
 bool
@@ -297,15 +335,7 @@ RowPrefetcher::rowReady(std::uint64_t pos)
     const Index row = (*tasks_)[pos].bRow;
     if (!config_->rowPrefetcher) {
         // No prefetcher: stream the full row from DRAM at use time.
-        if (!bypass_ready_.contains(pos)) {
-            const Bytes addr = b_base_ +
-                static_cast<Bytes>(b_->rowPtr()[row]) * bytesPerElement;
-            const Bytes bytes =
-                static_cast<Bytes>(b_->rowNnz(row)) * bytesPerElement;
-            bypass_ready_[pos] =
-                mem_->read(DramStream::MatB, addr, bytes, now_);
-            misses_ += rowLines(row);
-        }
+        streamRow(pos, row);
         return false;
     }
 
@@ -337,10 +367,8 @@ RowPrefetcher::peekRowReady(std::uint64_t pos) const
         return true;
     const Index n_lines = rowLines(row);
     if (!config_->rowPrefetcher || n_lines > config_->prefetchLines) {
-        const auto &streamed =
-            config_->rowPrefetcher ? streaming_ready_ : bypass_ready_;
-        auto it = streamed.find(pos);
-        return it != streamed.end() && now_ >= it->second;
+        auto it = streamed_ready_.find(pos);
+        return it != streamed_ready_.end() && now_ >= it->second;
     }
     const RowState &rs = rows_[row];
     if (rs.epoch != epoch_ || rs.prefix_len != n_lines)
@@ -375,24 +403,14 @@ RowPrefetcher::clockUpdate()
     const std::uint64_t cursor_before = cursor_;
     bool retried = false;
 
-    // Extend the look-ahead window: the distance-list builder
+    // Extend the look-ahead window: the distance list builder
     // processes up to mataFetchWidth stream entries per cycle, and the
     // window never exceeds its FIFO capacity past the oldest
-    // unretired element.
-    const std::uint64_t window_limit = std::min<std::uint64_t>(
-        tasks_->size(),
-        watermark_ + config_->lookaheadFifo);
-    for (unsigned step = 0;
-         step < config_->mataFetchWidth && window_end_ < window_limit;
-         ++step) {
-        // Entries already retired by a fast column fetcher would
-        // corrupt next-use ranking if recorded now.
-        if (!retired_[window_end_]) {
-            distances_.noteUse((*tasks_)[window_end_].bRow,
-                               window_end_);
-        }
-        ++window_end_;
-    }
+    // unretired element (the limit never falls: the watermark only
+    // rises).
+    window_end_ = std::min<std::uint64_t>(
+        {tasks_->size(), watermark_ + config_->lookaheadFifo,
+         window_end_ + config_->mataFetchWidth});
 
     unsigned budget = config_->rowFetchers;
     // Reserve part of the fetch bandwidth for demand re-fetches of
@@ -431,18 +449,8 @@ RowPrefetcher::clockUpdate()
 
         if (rowLines(row) > config_->prefetchLines) {
             // Stream oversized rows without caching.
-            if (!streaming_ready_.contains(cursor_)) {
-                const Bytes addr = b_base_ +
-                    static_cast<Bytes>(b_->rowPtr()[row]) *
-                        bytesPerElement;
-                const Bytes bytes =
-                    static_cast<Bytes>(b_->rowNnz(row)) *
-                    bytesPerElement;
-                streaming_ready_[cursor_] =
-                    mem_->read(DramStream::MatB, addr, bytes, now_);
-                misses_ += rowLines(row);
+            if (streamRow(cursor_, row))
                 budget = budget > 1 ? budget - 1 : 0;
-            }
         } else if (!prefetchRow(row, budget, /*count_misses=*/true)) {
             // A failed fill still stamped the row's recency.
             retried = true;

@@ -8,20 +8,29 @@
  * is organized as lines (Table I: 1024 lines x 48 elements x 12 bytes);
  * rows are cached and spilled *line by line* (Fig. 9), so a partially
  * evicted row refetches only its missing lines. Replacement evicts the
- * line whose owning row has the farthest next use according to the
- * distance list — Belady's policy restricted to the look-ahead horizon.
- * The ranking behind that choice is a flat max-heap with lazily
- * invalidated entries (core/eviction_rank.hh), re-keyed as each
+ * line whose owning row has the farthest next use inside the
+ * look-ahead window — Belady's policy restricted to the look-ahead
+ * horizon. The ranking behind that choice is a flat max-heap with
+ * lazily invalidated entries (core/eviction_rank.hh), re-keyed as each
  * left-matrix element retires.
+ *
+ * The paper's distance list builder (Section II-E, Fig. 10) knows each
+ * row's next use inside the window. Here the whole round stream is
+ * known when the round starts, so startRound() chains each stream
+ * position to the next position of the same row, and each row keeps
+ * its earliest unretired position: a retirement advances that head
+ * past retired positions, and the next use is the head while it lies
+ * inside the window.
  *
  * Per-row bookkeeping lives in one flat, epoch-stamped RowState table
  * indexed by row id (residency, readiness, recency, demand-fetch
- * positions), not in hash maps. The table is a ZeroedTable, so only
- * the B rows a run touches become resident. Residency exploits an
- * invariant of the line machinery — the resident lines of a row
- * always form the prefix {0..k-1}, because prefetchRow() fills
- * missing lines in ascending order and evictOne() spills from the
- * tail — so a single prefix length replaces the per-row line map.
+ * positions, next-use head), not in hash maps. The table is a
+ * ZeroedTable, so only the B rows a run touches become resident.
+ * Residency exploits an invariant of the line machinery — the
+ * resident lines of a row always form the prefix {0..k-1}, because
+ * prefetchRow() fills missing lines in ascending order and evictOne()
+ * spills from the tail — so a single prefix length replaces the
+ * per-row line map.
  *
  * The multiplier polls rowReady() for a port head only while a poll
  * can change something or return true:
@@ -41,6 +50,7 @@
 #define SPARCH_CORE_ROW_PREFETCHER_HH
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <tuple>
 #include <unordered_map>
@@ -48,7 +58,6 @@
 
 #include "common/arena.hh"
 #include "common/zeroed_table.hh"
-#include "core/distance_list.hh"
 #include "core/eviction_rank.hh"
 #include "core/round_stream.hh"
 #include "core/sparch_config.hh"
@@ -63,11 +72,14 @@ namespace sparch
 class RowPrefetcher final : public hw::Clocked
 {
   public:
+    /** Next use of a row with no known future use. */
+    static constexpr std::uint64_t kInfinite =
+        std::numeric_limits<std::uint64_t>::max();
+
     /**
-     * @param arena Backing store for the line-ready arrays, the
-     *        demand-position buffers and the distance-list nodes (the
-     *        per-row tables are ZeroedTables, resident only where
-     *        touched).
+     * @param arena Backing store for the line-ready arrays and the
+     *        demand-position buffers (the per-row table is a
+     *        ZeroedTable, resident only where touched).
      *        Null (standalone/unit-test use) makes the prefetcher own
      *        a private arena.
      */
@@ -99,6 +111,12 @@ class RowPrefetcher final : public hw::Clocked
                                   config_->lookaheadFifo,
                                   tasks_->size());
     }
+
+    /**
+     * Belady next use of `row`: its earliest unretired stream position
+     * when that lies inside the look-ahead window, else kInfinite.
+     */
+    std::uint64_t nextUse(Index row) const;
 
     /**
      * Called by the multiplier when stream entry `pos` retires. The 64
@@ -184,6 +202,10 @@ class RowPrefetcher final : public hw::Clocked
     std::uint64_t stallCycles() const { return stall_cycles_; }
 
   private:
+    /** End of a chain of stream positions. */
+    static constexpr std::uint32_t kNoPos =
+        std::numeric_limits<std::uint32_t>::max();
+
     /**
      * All per-row state, epoch-stamped per merge round. The
      * `line_ready` array and the `demanded` buffer survive epoch
@@ -198,6 +220,9 @@ class RowPrefetcher final : public hw::Clocked
         Index prefix_len = 0;
         /** Un-retired uses in (consumed, cursor]. */
         std::uint32_t ahead = 0;
+        /** Earliest unretired stream position of the row; kNoPos
+         *  when every use has retired. */
+        std::uint32_t first_unretired = kNoPos;
         /** LRU tick of the last touch; 0 = never. */
         std::uint64_t last_touch = 0;
         /** FIFO tick the row became resident; 0 = never. */
@@ -251,9 +276,9 @@ class RowPrefetcher final : public hw::Clocked
     void reRankRow(Index row);
 
     /**
-     * Effective next use of `row`: the earliest of the distance-list
-     * entry and any pending demand-fetch positions (port heads beyond
-     * the look-ahead window that must not be evicted meanwhile).
+     * Effective next use of `row`: the earliest of nextUse() and any
+     * pending demand-fetch positions (port heads beyond the look-ahead
+     * window that must not be evicted meanwhile).
      */
     std::uint64_t effectiveNextUse(Index row, const RowState &rs) const;
 
@@ -273,6 +298,12 @@ class RowPrefetcher final : public hw::Clocked
         };
     }
 
+    /**
+     * Read the full row of stream entry `pos` from DRAM at use time,
+     * unless already issued; true when a read was issued.
+     */
+    bool streamRow(std::uint64_t pos, Index row);
+
     /** Evict one victim line; false if nothing is evictable. */
     bool evictOne(std::uint64_t protect_pos);
 
@@ -291,14 +322,15 @@ class RowPrefetcher final : public hw::Clocked
     const CsrMatrix *b_ = nullptr;
     Bytes b_base_ = 0;
 
-    DistanceList distances_;
     std::uint64_t window_end_ = 0; //!< look-ahead window extent
     std::uint64_t cursor_ = 0;     //!< next stream entry to prefetch
 
+    /** Next stream position of the same row, or kNoPos. */
+    std::vector<std::uint32_t> next_same_row_;
+
     /** Out-of-order retirement tracking. */
     std::vector<bool> retired_;
-    std::uint64_t watermark_ = 0;   //!< all entries below are retired
-    std::uint64_t retired_count_ = 0;
+    std::uint64_t watermark_ = 0; //!< all entries below are retired
 
     /** Demand re-fetch budget per cycle (evicted-before-use lines). */
     unsigned demand_budget_ = 0;
@@ -322,11 +354,12 @@ class RowPrefetcher final : public hw::Clocked
     /** Monotonic event counter for recency ordering (sub-cycle). */
     std::uint64_t touch_counter_ = 0;
 
-    /** Rows too long for the buffer, streamed instead of cached. */
-    std::unordered_map<std::uint64_t, Cycle> streaming_ready_;
-
-    /** Prefetcher-disabled mode: per-position full-row fetch state. */
-    std::unordered_map<std::uint64_t, Cycle> bypass_ready_;
+    /**
+     * Data-ready cycle per stream position of rows read whole instead
+     * of cached: rows too long for the buffer, or every row when the
+     * prefetcher is off.
+     */
+    std::unordered_map<std::uint64_t, Cycle> streamed_ready_;
 
     /** Lines issued for the element currently at the cursor. */
     std::uint32_t cursor_miss_lines_ = 0;

@@ -5,9 +5,9 @@
  * Executes C = A x B on the modelled accelerator: condense A (Section
  * II-B), build the merge plan (Section II-C), then run every merge
  * round through the clocked pipeline of Fig. 10 — column fetcher,
- * distance list, row prefetcher, multiplier array, merge tree, partial
- * matrix fetcher/writer — over the configured memory backend (HBM by
- * default; see src/mem/). The pipeline carries real
+ * row prefetcher (with the distance list), multiplier array, merge
+ * tree, partial matrix fetcher/writer — over the configured memory
+ * backend (HBM by default; see src/mem/). The pipeline carries real
  * coordinates and values, so the returned matrix is exact and is
  * checked against reference SpGEMM in the integration tests.
  */

@@ -386,6 +386,61 @@ TEST(RowPrefetcher, HitRateReportedOverLifetime)
     EXPECT_DOUBLE_EQ(stats.get("p.hits"), 2.0);
 }
 
+// Belady's next use of a row is its earliest unretired position inside
+// the look-ahead window. Column fetchers retire out of order, within a
+// row too, and can retire a position before the window reaches it; a
+// second round on the same prefetcher must see only its own stream.
+TEST(RowPrefetcher, NextUseIsEarliestUnretiredUseInsideTheWindow)
+{
+    constexpr std::uint64_t kInf = RowPrefetcher::kInfinite;
+    const CsrMatrix b = rowsMatrix(4, 8);
+    SpArchConfig cfg = smallConfig(1024, ReplacementPolicy::Belady);
+    cfg.lookaheadFifo = 4; // window end: watermark + 4
+    mem::HbmBackend hbm(cfg.memory.hbm);
+    RowPrefetcher p(cfg, hbm, "p");
+    const auto uses = [&p](std::initializer_list<Index> rows) {
+        std::vector<std::uint64_t> next;
+        for (Index r : rows)
+            next.push_back(p.nextUse(r));
+        return next;
+    };
+    using Uses = std::vector<std::uint64_t>;
+
+    //                   pos: 0  1  2  3  4  5  6  7
+    const auto round1 = trace({0, 1, 0, 2, 0, 1, 0, 3});
+    p.startRound(&round1, &b, 0);
+    EXPECT_EQ(uses({0, 1, 2, 3}), (Uses{kInf, kInf, kInf, kInf}));
+    p.clockUpdate(); // window [0, 4)
+    EXPECT_EQ(uses({0, 1, 2, 3}), (Uses{0, 1, 3, kInf}));
+    p.noteConsumed(2); // a later use of row 0 retires first
+    EXPECT_EQ(p.nextUse(0), 0u);
+    p.noteConsumed(0); // skips retired 2; 4 is outside the window
+    EXPECT_EQ(p.nextUse(0), kInf);
+    p.clockUpdate(); // watermark 1: window [0, 5)
+    EXPECT_EQ(p.nextUse(0), 4u);
+    p.noteConsumed(6); // retired before the window reaches it
+    p.noteConsumed(1); // row 1 moves to 5, outside the window
+    EXPECT_EQ(uses({0, 1}), (Uses{4, kInf}));
+    p.clockUpdate(); // watermark 3: window [0, 7)
+    EXPECT_EQ(uses({0, 1, 2, 3}), (Uses{4, 5, 3, kInf}));
+    p.noteConsumed(4); // skips retired 6: row 0 has no use left
+    p.noteConsumed(3);
+    EXPECT_EQ(uses({0, 1, 2, 3}), (Uses{kInf, 5, kInf, kInf}));
+    p.clockUpdate(); // watermark 5: window [0, 8)
+    EXPECT_EQ(uses({0, 1, 2, 3}), (Uses{kInf, 5, kInf, 7}));
+
+    //                   pos: 0  1  2  3  4  5  6  7
+    const auto round2 = trace({3, 3, 2, 0, 1, 3, 0, 2});
+    p.startRound(&round2, &b, 0);
+    p.clockUpdate(); // window [0, 4)
+    EXPECT_EQ(uses({0, 1, 2, 3}), (Uses{3, kInf, 2, 0}));
+    p.noteConsumed(0);
+    EXPECT_EQ(p.nextUse(3), 1u);
+    p.noteConsumed(1);
+    p.clockUpdate(); // watermark 2: window [0, 6)
+    EXPECT_EQ(uses({0, 1, 2, 3}), (Uses{3, 4, 2, 5}));
+}
+
 /**
  * Reference eviction ranking: an ordered set of (key, row) pairs,
  * scanned from the largest down with the prefetcher's victim rules.
@@ -458,7 +513,7 @@ TEST(EvictionRank, VictimsMatchAnOrderedSetModel)
 {
     constexpr Index kRows = 48;
     constexpr std::size_t kStream = 4000;
-    constexpr std::uint64_t kInfinite = DistanceList::kInfinite;
+    constexpr std::uint64_t kInfinite = RowPrefetcher::kInfinite;
     for (const ReplacementPolicy policy :
          {ReplacementPolicy::Belady, ReplacementPolicy::Lru,
           ReplacementPolicy::Fifo}) {

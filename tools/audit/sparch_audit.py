@@ -25,11 +25,13 @@ Enforces invariants the compiler cannot see:
                            waiting to happen).
   shared-temp-path         no ::testing::TempDir() or
                            std::filesystem::temp_directory_path()
-                           calls in tests/ outside tests/temp_path.hh:
-                           ctest -j runs each test case in its own
-                           process, so a fixed name in the shared temp
-                           directory races between cases; use
-                           uniqueTempPath() instead.
+                           calls in tests/ outside tests/temp_path.hh
+                           or in bench/: ctest -j runs each test case
+                           in its own process, and benches run side by
+                           side, so a fixed name in the shared temp
+                           directory races; tests use uniqueTempPath(),
+                           a bench names its files uniquely and says
+                           so in an allow annotation.
   config-field-coverage    the field registries (*.def) and the config
                            structs cover each other exactly, and every
                            config enum value has a registered CLI
@@ -78,10 +80,10 @@ KEYED_SCOPE = ("src/driver", "src/cli")
 SCHEDULE_SCOPE = ("src/driver", "src/exec", "src/check")
 # The one file allowed to touch the mmap syscall family directly.
 MMAP_OWNER = "src/matrix/mmap_file.cc"
-# Tests are scanned for shared temp paths only; the one header allowed
-# to build paths in the temp directory; fixtures are scanned on their
-# own in fixture mode.
-TEST_SCOPE = "tests"
+# Tests and benches are scanned for shared temp paths only; the one
+# header allowed to build paths in the temp directory; fixtures are
+# scanned on their own in fixture mode.
+TEMP_PATH_SCOPES = ("tests", "bench")
 TEMP_PATH_OWNER = "tests/temp_path.hh"
 FIXTURES_DIR = "tests/audit/fixtures"
 
@@ -526,8 +528,9 @@ def check_shared_temp_path(path, code, ann, out):
             out.append(Violation(
                 path, lineno, "shared-temp-path",
                 "path built in the shared temp directory; concurrent "
-                "test processes race on a fixed name, use "
-                "uniqueTempPath() from %s" % TEMP_PATH_OWNER))
+                "processes race on a fixed name (tests: use "
+                "uniqueTempPath() from %s; benches: make the name "
+                "unique and annotate why)" % TEMP_PATH_OWNER))
 
 
 def check_nolint(path, comments, ann, out):
@@ -848,7 +851,7 @@ def scan_file(path, rel, fixture_mode, out):
     return comments
 
 
-def scan_test_file(path, rel, out):
+def scan_temp_path_file(path, rel, out):
     code, comments = split_code_and_comments(read(path))
     ann = parse_annotations(merge_multiline_annotations(comments))
     for lineno, message in ann.bad:
@@ -876,15 +879,17 @@ def run_tree(root):
                 continue
             path = os.path.join(base, name)
             scan_file(path, os.path.relpath(path, root), False, out)
-    for base, dirs, files in os.walk(os.path.join(root, TEST_SCOPE)):
-        dirs.sort()
-        if os.path.relpath(base, root).replace(os.sep, "/") == \
-                os.path.dirname(FIXTURES_DIR):
-            dirs.remove(os.path.basename(FIXTURES_DIR))
-        for name in sorted(files):
-            if name.endswith(SOURCE_EXTS):
-                path = os.path.join(base, name)
-                scan_test_file(path, os.path.relpath(path, root), out)
+    for scope in TEMP_PATH_SCOPES:
+        for base, dirs, files in os.walk(os.path.join(root, scope)):
+            dirs.sort()
+            if os.path.relpath(base, root).replace(os.sep, "/") == \
+                    os.path.dirname(FIXTURES_DIR):
+                dirs.remove(os.path.basename(FIXTURES_DIR))
+            for name in sorted(files):
+                if name.endswith(SOURCE_EXTS):
+                    path = os.path.join(base, name)
+                    scan_temp_path_file(
+                        path, os.path.relpath(path, root), out)
     check_tree_field_coverage(root, out)
     return dedupe(out)
 
