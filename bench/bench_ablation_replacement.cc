@@ -15,8 +15,11 @@
 #include "bench/bench_common.hh"
 #include "driver/workload.hh"
 
+namespace
+{
+
 int
-main()
+runBench()
 {
     using namespace sparch;
     using namespace sparch::bench;
@@ -75,4 +78,12 @@ main()
     std::cout << "expected: Belady >= LRU >= FIFO hit rate, with the "
                  "gap widening as the buffer shrinks\n";
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return sparch::bench::benchMain(runBench);
 }

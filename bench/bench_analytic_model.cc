@@ -9,11 +9,15 @@
 
 #include <iostream>
 
+#include "bench/bench_common.hh"
 #include "common/table_printer.hh"
 #include "core/analytic_model.hh"
 
+namespace
+{
+
 int
-main()
+runBench()
 {
     using namespace sparch;
 
@@ -55,4 +59,12 @@ main()
         t.print(std::cout);
     }
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return sparch::bench::benchMain(runBench);
 }

@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <iostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,6 +41,22 @@ namespace sparch
 {
 namespace bench
 {
+
+/**
+ * The main of every bench: run `body` and return its exit status. A
+ * FatalError (a bad knob, an unreadable input) prints its message and
+ * exits 2, rather than escaping main and aborting the process.
+ */
+inline int
+benchMain(int (*body)())
+{
+    try {
+        return body();
+    } catch (const FatalError &e) {
+        std::cerr << e.what() << '\n';
+        return 2;
+    }
+}
 
 /**
  * Parse the unsigned integer `text` of the knob `name`. A malformed

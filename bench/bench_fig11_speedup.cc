@@ -15,8 +15,11 @@
 #include "bench/bench_common.hh"
 #include "driver/workload.hh"
 
+namespace
+{
+
 int
-main()
+runBench()
 {
     using namespace sparch;
     using namespace sparch::bench;
@@ -71,4 +74,12 @@ main()
                TablePrinter::num(geoMean(s_arm), 0)});
     table.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return sparch::bench::benchMain(runBench);
 }

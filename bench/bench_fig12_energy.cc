@@ -16,8 +16,11 @@
 #include "driver/workload.hh"
 #include "model/energy_model.hh"
 
+namespace
+{
+
 int
-main()
+runBench()
 {
     using namespace sparch;
     using namespace sparch::bench;
@@ -71,4 +74,12 @@ main()
                TablePrinter::num(geoMean(e_arm))});
     table.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return sparch::bench::benchMain(runBench);
 }

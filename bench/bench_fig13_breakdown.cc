@@ -11,8 +11,11 @@
 #include "driver/workload.hh"
 #include "model/energy_model.hh"
 
+namespace
+{
+
 int
-main()
+runBench()
 {
     using namespace sparch;
     using namespace sparch::bench;
@@ -88,4 +91,12 @@ main()
                       "100.0"});
     energy_table.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return sparch::bench::benchMain(runBench);
 }

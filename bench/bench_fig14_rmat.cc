@@ -35,8 +35,11 @@
 #include "driver/workload.hh"
 #include "matrix/rmat.hh"
 
+namespace
+{
+
 int
-main()
+runBench()
 {
     using namespace sparch;
     using namespace sparch::bench;
@@ -181,4 +184,12 @@ main()
     }
     scaling.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return sparch::bench::benchMain(runBench);
 }

@@ -13,8 +13,11 @@
 #include "matrix/reference_spgemm.hh"
 #include "model/roofline.hh"
 
+namespace
+{
+
 int
-main()
+runBench()
 {
     using namespace sparch;
     using namespace sparch::bench;
@@ -60,4 +63,12 @@ main()
                "0.44"});
     table.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return sparch::bench::benchMain(runBench);
 }

@@ -19,8 +19,11 @@
 #include "bench/bench_common.hh"
 #include "driver/workload.hh"
 
+namespace
+{
+
 int
-main()
+runBench()
 {
     using namespace sparch;
     using namespace sparch::bench;
@@ -122,4 +125,12 @@ main()
                  "speedups; overall 4.2x faster and 2.8x less DRAM\n";
     table.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return sparch::bench::benchMain(runBench);
 }

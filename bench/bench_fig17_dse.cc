@@ -49,10 +49,8 @@ printSweep(const Sweep &sweep,
     std::cout << sweep.remark << "\n";
 }
 
-} // namespace
-
 int
-main()
+runBench()
 {
     // Fixed workload for all sweeps: a mid-sized power-law square,
     // generated once and shared by every grid point.
@@ -132,4 +130,12 @@ main()
     for (const Sweep &sweep : sweeps)
         printSweep(sweep, records);
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return sparch::bench::benchMain(runBench);
 }

@@ -11,8 +11,11 @@
 #include "bench/bench_common.hh"
 #include "driver/workload.hh"
 
+namespace
+{
+
 int
-main()
+runBench()
 {
     using namespace sparch;
     using namespace sparch::bench;
@@ -56,4 +59,12 @@ main()
     std::cout << "paper: 4.13 -> 10.45 GFLOPS and 645 -> 208 MB from "
                  "2 to 6 layers; 7 layers adds nothing\n";
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return sparch::bench::benchMain(runBench);
 }

@@ -11,11 +11,15 @@
 
 #include <iostream>
 
+#include "bench/bench_common.hh"
 #include "common/table_printer.hh"
 #include "core/huffman_scheduler.hh"
 
+namespace
+{
+
 int
-main()
+runBench()
 {
     using namespace sparch;
 
@@ -39,4 +43,12 @@ main()
     row("64-way Huffman", 64, SchedulerKind::Huffman, "-");
     t.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return sparch::bench::benchMain(runBench);
 }

@@ -35,10 +35,8 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
-} // namespace
-
 int
-main()
+runBench()
 {
     using namespace sparch;
     using namespace sparch::bench;
@@ -118,4 +116,12 @@ main()
     writeEntry("bench_hotpath", "fig12-suite@nnz" + std::to_string(target),
                metrics);
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return sparch::bench::benchMain(runBench);
 }

@@ -88,10 +88,8 @@ medianOf(std::vector<double> v)
     return v[v.size() / 2];
 }
 
-} // namespace
-
 int
-main()
+runBench()
 {
     using namespace sparch;
     using namespace sparch::bench;
@@ -206,4 +204,12 @@ main()
     };
     writeEntry("bench_io", "uniform-1pct-square", metrics);
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return sparch::bench::benchMain(runBench);
 }

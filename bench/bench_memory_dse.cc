@@ -42,10 +42,8 @@ struct Structural
     SpArchConfig config;
 };
 
-} // namespace
-
 int
-main()
+runBench()
 {
     const std::uint64_t nnz = targetNnz();
     const std::vector<driver::Workload> workloads = {
@@ -227,4 +225,12 @@ main()
               << " strictly, " << cycles.size() - strict
               << " within reordering noise)\n";
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return sparch::bench::benchMain(runBench);
 }

@@ -139,10 +139,8 @@ checksum(const sparch::dse::SurrogateBatch &batch)
     return acc;
 }
 
-} // namespace
-
 int
-main()
+runBench()
 {
     using namespace sparch;
     using namespace sparch::bench;
@@ -256,4 +254,12 @@ main()
     };
     writeEntry("bench_surrogate", "fig17-panel", metrics);
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return sparch::bench::benchMain(runBench);
 }

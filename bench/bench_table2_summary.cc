@@ -15,8 +15,11 @@
 #include "driver/workload.hh"
 #include "model/energy_model.hh"
 
+namespace
+{
+
 int
-main()
+runBench()
 {
     using namespace sparch;
     using namespace sparch::bench;
@@ -53,4 +56,12 @@ main()
                "68.6 %", "48.3 %"});
     table.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return sparch::bench::benchMain(runBench);
 }

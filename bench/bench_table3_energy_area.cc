@@ -12,8 +12,11 @@
 #include "common/table_printer.hh"
 #include "model/energy_model.hh"
 
+namespace
+{
+
 int
-main()
+runBench()
 {
     using namespace sparch;
     using namespace sparch::bench;
@@ -67,4 +70,12 @@ main()
               "86.7"});
     area.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return sparch::bench::benchMain(runBench);
 }

@@ -113,8 +113,10 @@ PartialMatrixFetcher::recordStats(StatSet &stats) const
 
 PartialMatrixWriter::PartialMatrixWriter(const SpArchConfig &config,
                                          mem::MemoryModel &mem,
-                                         std::string name)
-    : Clocked(std::move(name)), config_(&config), mem_(&mem)
+                                         std::string name, Index rows,
+                                         Index cols, bool keep_product)
+    : Clocked(std::move(name)), config_(&config), mem_(&mem),
+      rows_(rows), cols_(cols), keep_product_(keep_product)
 {
     const std::string p = this->name() + ".";
     key_additions_ = p + "additions";
@@ -129,10 +131,16 @@ PartialMatrixWriter::startRound(bool final_round, Bytes base_addr,
                                 std::vector<StreamElement> recycle)
 {
     final_round_ = final_round;
+    capture_ = !final_round || keep_product_;
     base_addr_ = base_addr;
     rowptr_bytes_ = rowptr_bytes;
+    emitted_ = 0;
     pending_ = 0;
     last_write_done_ = 0;
+    if (!capture_) {
+        captured_ = {};
+        return;
+    }
     captured_ = std::move(recycle);
     captured_.clear();
     if (reserve_hint > 0)
@@ -158,8 +166,7 @@ PartialMatrixWriter::writeBurst(std::size_t elems)
     const auto stream = final_round_ ? DramStream::FinalWrite
                                      : DramStream::PartialWrite;
     const Bytes addr = base_addr_ +
-        static_cast<Bytes>(captured_.size() - pending_) *
-            bytesPerElement;
+        static_cast<Bytes>(emitted_ - pending_) * bytesPerElement;
     last_write_done_ = std::max(
         last_write_done_,
         mem_->write(stream, addr,
@@ -177,12 +184,24 @@ PartialMatrixWriter::clockUpdate()
     while (width > 0 && tree_->rootHasPoppable() &&
            pending_ < config_->writerFifo) {
         const StreamElement e = tree_->popRoot();
-        if (!captured_.empty() && pending_ > 0 &&
-            captured_.back().coord == e.coord) {
-            captured_.back().value += e.value;
+        if (pending_ > 0 && last_coord_ == e.coord) {
+            if (capture_)
+                captured_.back().value += e.value;
             ++additions_;
         } else {
-            captured_.push_back(e);
+            if (final_round_) {
+                // The product: strictly sorted (a written burst cannot
+                // take a later equal coordinate) and inside its shape.
+                SPARCH_ASSERT(emitted_ == 0 || e.coord > last_coord_,
+                              "final stream not strictly sorted");
+                SPARCH_ASSERT(coordRow(e.coord) < rows_ &&
+                                  coordCol(e.coord) < cols_,
+                              "final stream coordinate out of range");
+            }
+            if (capture_)
+                captured_.push_back(e);
+            last_coord_ = e.coord;
+            ++emitted_;
             ++pending_;
         }
         --width;

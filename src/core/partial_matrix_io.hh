@@ -6,7 +6,9 @@
  * DRAM back into merge-tree leaf ports ("It will fetch the requested
  * matrix once the FIFO is near empty"). The writer drains the root of
  * the merge tree into a FIFO (Table I: 1024 elements) and writes DRAM
- * in bursts; on the final round it also converts the stream to CSR.
+ * in bursts. The final round's stream is the product in CSR order: the
+ * writer checks it and keeps it only for a multiply that builds the
+ * product matrix; otherwise it only counts the elements.
  */
 
 #ifndef SPARCH_CORE_PARTIAL_MATRIX_IO_HH
@@ -79,8 +81,18 @@ class PartialMatrixFetcher final : public hw::Clocked
 class PartialMatrixWriter final : public hw::Clocked
 {
   public:
+    /**
+     * @param rows, cols   Shape of the product. Every element of a
+     *        final round must lie inside it, strictly after the one
+     *        before it; the writer panics otherwise.
+     * @param keep_product Capture the final round's stream. When
+     *        false, the final round only counts its elements
+     *        (emitted()); earlier rounds always capture, since the
+     *        next round reads them back.
+     */
     PartialMatrixWriter(const SpArchConfig &config,
-                        mem::MemoryModel &mem, std::string name);
+                        mem::MemoryModel &mem, std::string name,
+                        Index rows, Index cols, bool keep_product);
 
     void connectTree(hw::MergeTree *tree) { tree_ = tree; }
 
@@ -94,7 +106,8 @@ class PartialMatrixWriter final : public hw::Clocked
      *        inside the cycle loop.
      * @param recycle      A spent output buffer whose capacity is
      *        reused for this round's capture (avoids reallocating a
-     *        fresh vector every round).
+     *        fresh vector every round). A round that does not capture
+     *        frees it.
      */
     void startRound(bool final_round, Bytes base_addr,
                     Bytes rowptr_bytes, std::size_t reserve_hint = 0,
@@ -103,14 +116,18 @@ class PartialMatrixWriter final : public hw::Clocked
     /** True once the tree is done and all output has drained. */
     bool drained() const;
 
-    /** The captured output stream (sorted, duplicates combined). */
-    const std::vector<StreamElement> &captured() const
-    {
-        return captured_;
-    }
-
-    /** Move the captured output out (end of round). */
+    /**
+     * Move the captured output out (end of round): sorted, duplicates
+     * combined. Empty for a final round that does not keep the
+     * product.
+     */
     std::vector<StreamElement> takeCaptured();
+
+    /**
+     * Elements this round emitted after coalescing; the captured size
+     * whenever the round captures.
+     */
+    std::size_t emitted() const { return emitted_; }
 
     bool clockUpdate();
     void clockApply();
@@ -145,10 +162,17 @@ class PartialMatrixWriter final : public hw::Clocked
     hw::MergeTree *tree_ = nullptr;
     Cycle now_ = 0;
 
+    const Index rows_;
+    const Index cols_;
+    const bool keep_product_;
+
     bool final_round_ = false;
+    bool capture_ = true;
     Bytes base_addr_ = 0;
     Bytes rowptr_bytes_ = 0;
+    std::size_t emitted_ = 0;     //!< elements emitted this round
     std::size_t pending_ = 0;     //!< buffered, not yet written
+    Coord last_coord_ = 0;        //!< newest emitted element
     Cycle last_write_done_ = 0;
     std::vector<StreamElement> captured_;
 

@@ -24,7 +24,10 @@ namespace sparch
 namespace
 {
 
-/** Convert the writer's sorted output stream to CSR. */
+/**
+ * Convert the final round's stream to CSR. The writer has checked that
+ * it is strictly sorted and inside the product's shape.
+ */
 CsrMatrix
 streamToCsr(const std::vector<StreamElement> &stream, Index rows,
             Index cols)
@@ -34,18 +37,8 @@ streamToCsr(const std::vector<StreamElement> &stream, Index rows,
     std::vector<Value> values;
     col_idx.reserve(stream.size());
     values.reserve(stream.size());
-
-    Coord prev = 0;
-    bool first = true;
     for (const auto &e : stream) {
-        SPARCH_ASSERT(first || e.coord > prev,
-                      "final stream not strictly sorted");
-        first = false;
-        prev = e.coord;
-        const Index r = coordRow(e.coord);
-        SPARCH_ASSERT(r < rows && coordCol(e.coord) < cols,
-                      "final stream coordinate out of range");
-        ++row_ptr[r + 1];
+        ++row_ptr[coordRow(e.coord) + 1];
         col_idx.push_back(coordCol(e.coord));
         values.push_back(e.value);
     }
@@ -72,8 +65,8 @@ class RunContext
 {
   public:
     RunContext(const SpArchConfig &config, const CsrMatrix &a,
-               const CsrMatrix &b, Arena &arena)
-        : config_(config), a_(a), b_(b), condensed_(a),
+               const CsrMatrix &b, ProductMode mode, Arena &arena)
+        : config_(config), a_(a), b_(b), mode_(mode), condensed_(a),
           a_base_(0), b_base_(a.storageBytes()),
           partial_bump_(b_base_ + b.storageBytes()),
           mem_(mem::createMemoryModel(config.memory)),
@@ -82,7 +75,8 @@ class RunContext
           multiplier_(config, "multiplier"),
           partial_fetcher_(config, *mem_, "partial_fetcher"),
           tree_(config.mergeTree, "merge_tree", &arena),
-          writer_(config, *mem_, "writer"),
+          writer_(config, *mem_, "writer", a.rows(), b.cols(),
+                  mode == ProductMode::Build),
           kernel_(fetcher_, prefetcher_, multiplier_, partial_fetcher_,
                   tree_, writer_)
     {
@@ -102,7 +96,8 @@ class RunContext
             t0 = ProfClock::now();
 
         SpArchResult res;
-        res.result = CsrMatrix(a_.rows(), b_.cols());
+        if (mode_ == ProductMode::Build)
+            res.result = CsrMatrix(a_.rows(), b_.cols());
 
         buildLeaves();
         res.partialMatrices = leaf_columns_.size();
@@ -126,8 +121,11 @@ class RunContext
         // The round scratch is dead once the last round has run; free
         // it before the CSR conversion allocates the product.
         releaseRoundScratch();
-        res.result =
-            streamToCsr(node_data_.at(plan_.root), a_.rows(), b_.cols());
+        res.resultNnz = writer_.emitted(); // the root round runs last
+        if (mode_ == ProductMode::Build) {
+            res.result = streamToCsr(node_data_.at(plan_.root),
+                                     a_.rows(), b_.cols());
+        }
         recordMetrics(res);
 
         if (prof) {
@@ -310,8 +308,7 @@ class RunContext
         node_data_[round_id] = writer_.takeCaptured();
         node_addr_[round_id] = out_base;
         partial_bump_ +=
-            static_cast<Bytes>(node_data_[round_id].size()) *
-            bytesPerElement;
+            static_cast<Bytes>(writer_.emitted()) * bytesPerElement;
 
         // Children are fully consumed; recycle their buffers.
         for (std::uint32_t c : stored) {
@@ -372,6 +369,7 @@ class RunContext
     const SpArchConfig &config_;
     const CsrMatrix &a_;
     const CsrMatrix &b_;
+    const ProductMode mode_;
 
     // ---- leaf construction (Section II-B) ----
     const CondensedMatrix condensed_;
@@ -471,7 +469,8 @@ SpArchSimulator::SpArchSimulator(const SpArchConfig &config)
 }
 
 SpArchResult
-SpArchSimulator::multiply(const CsrMatrix &a, const CsrMatrix &b) const
+SpArchSimulator::multiply(const CsrMatrix &a, const CsrMatrix &b,
+                          ProductMode mode) const
 {
     if (a.cols() != b.rows()) {
         fatal("sparch: dimension mismatch ", a.rows(), "x", a.cols(),
@@ -480,12 +479,13 @@ SpArchSimulator::multiply(const CsrMatrix &a, const CsrMatrix &b) const
 
     if (a.nnz() == 0 || b.nnz() == 0) {
         SpArchResult res;
-        res.result = CsrMatrix(a.rows(), b.cols());
+        if (mode == ProductMode::Build)
+            res.result = CsrMatrix(a.rows(), b.cols());
         return res;
     }
 
     RunArenaLease lease;
-    RunContext context(config_, a, b, *lease.arena);
+    RunContext context(config_, a, b, mode, *lease.arena);
     return context.run();
 }
 

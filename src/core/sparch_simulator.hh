@@ -5,11 +5,18 @@
  * Executes C = A x B on the modelled accelerator: condense A (Section
  * II-B), build the merge plan (Section II-C), then run every merge
  * round through the clocked pipeline of Fig. 10 — column fetcher,
- * row prefetcher (with the distance list), multiplier array, merge
- * tree, partial matrix fetcher/writer — over the configured memory
- * backend (HBM by default; see src/mem/). The pipeline carries real
- * coordinates and values, so the returned matrix is exact and is
- * checked against reference SpGEMM in the integration tests.
+ * row prefetcher (Belady replacement by next use in the round's
+ * stream), multiplier array, merge tree, partial matrix
+ * fetcher/writer — over the configured memory backend (HBM by default;
+ * see src/mem/). The pipeline carries real coordinates and values, so
+ * the product is exact and is checked against reference SpGEMM in the
+ * integration tests.
+ *
+ * The product matrix is optional. The writer streams it to DRAM and no
+ * timing depends on a host copy, so a caller that reads only the
+ * measurements asks for ProductMode::Count: the final round then
+ * counts its elements (SpArchResult::resultNnz) instead of keeping
+ * them, and every cycle, byte and statistic is the same.
  */
 
 #ifndef SPARCH_CORE_SPARCH_SIMULATOR_HH
@@ -26,11 +33,20 @@
 namespace sparch
 {
 
+/** Whether a multiply builds its product matrix. */
+enum class ProductMode
+{
+    Build, //!< SpArchResult::result holds the product
+    Count, //!< only SpArchResult::resultNnz; result stays empty (0 x 0)
+};
+
 /** Everything measured during one simulated SpGEMM. */
 struct SpArchResult
 {
-    /** The product matrix (exact values). */
+    /** The product matrix (exact values); empty under ProductMode::Count. */
     CsrMatrix result;
+    /** Nonzeros of the product, whether or not it was built. */
+    std::size_t resultNnz = 0;
 
     /** Total simulated cycles. */
     Cycle cycles = 0;
@@ -87,9 +103,11 @@ class SpArchSimulator
     /**
      * Simulate C = a x b. Throws FatalError on dimension mismatch.
      * Thread-safe: concurrent calls on one instance do not share
-     * mutable state.
+     * mutable state. `mode` decides only whether the product matrix
+     * is built; the measurements do not depend on it.
      */
-    SpArchResult multiply(const CsrMatrix &a, const CsrMatrix &b) const;
+    SpArchResult multiply(const CsrMatrix &a, const CsrMatrix &b,
+                          ProductMode mode = ProductMode::Build) const;
 
     const SpArchConfig &config() const { return config_; }
 

@@ -92,6 +92,36 @@ BatchRunner::addShardSweep(
                 add(label, config, w, shards, policy);
 }
 
+namespace
+{
+
+/**
+ * --check of a sharded task without the stacked product: each shard's
+ * block against the reference SpGEMM of its row block of A, the block
+ * counts against the merged count, and the merged statistics.
+ */
+void
+validateShards(const BatchTask &task, const ShardedResult &sharded,
+               const SpArchResult &merged, const std::string &what)
+{
+    const CsrMatrix &a = task.workload.left();
+    std::size_t block_nnz = 0;
+    for (std::size_t i = 0; i < sharded.shards.size(); ++i) {
+        const ShardRange &r = sharded.plan.ranges()[i];
+        const SpArchResult &shard = sharded.shards[i];
+        check::validateProduct(a.rowSlice(r.begin, r.end),
+                               task.workload.right(), shard,
+                               shard.resultNnz,
+                               what + " shard " + std::to_string(i));
+        block_nnz += shard.resultNnz;
+    }
+    SPARCH_ASSERT(block_nnz == merged.resultNnz, what, ": merged nnz ",
+                  merged.resultNnz, " != shard nnz sum ", block_nnz);
+    check::validateResultStats(merged, what);
+}
+
+} // namespace
+
 BatchRecord
 BatchRunner::simulateTask(const BatchTask &task, bool keep_products,
                           unsigned shard_threads)
@@ -103,30 +133,41 @@ BatchRunner::simulateTask(const BatchTask &task, bool keep_products,
     record.seed = task.seed;
     record.shards = task.shards;
 
+    // --check validates the product while it is in hand; it is
+    // dropped below and never crosses an executor pipe. Without
+    // either, the product is only counted.
+    const bool deep_check = check::deepChecksEnabled();
+    const std::string what =
+        task.configLabel + " / " + task.workload.name();
     if (task.shards > 1) {
         // The shards run on shard_threads workers: the executor's
         // spare share when it has more workers than tasks, else
         // serially. The merged measurements are identical either way.
+        // --check reads the shard blocks, never the stacked copy.
         const ShardedSimulator sim(task.config, task.shardPolicy,
                                    task.shards, shard_threads);
-        record.sim = std::move(
-            sim.multiply(task.workload.left(), task.workload.right())
-                .combined);
+        ShardedResult sharded =
+            sim.multiply(task.workload.left(), task.workload.right(),
+                         keep_products ? ShardProducts::Stacked
+                         : deep_check  ? ShardProducts::Blocks
+                                       : ShardProducts::None);
+        record.sim = std::move(sharded.combined);
+        if (deep_check)
+            validateShards(task, sharded, record.sim, what);
     } else {
         const SpArchSimulator sim(task.config);
         record.sim = sim.multiply(task.workload.left(),
-                                  task.workload.right());
+                                  task.workload.right(),
+                                  keep_products || deep_check
+                                      ? ProductMode::Build
+                                      : ProductMode::Count);
+        if (deep_check) {
+            check::validateProduct(task.workload.left(),
+                                   task.workload.right(), record.sim,
+                                   record.sim.resultNnz, what);
+        }
     }
-    record.resultNnz = record.sim.result.nnz();
-    if (check::deepChecksEnabled()) {
-        // --check: validate while the product is still in hand — it
-        // is dropped below and never crosses an executor pipe.
-        check::validateProduct(task.workload.left(),
-                               task.workload.right(), record.sim,
-                               record.resultNnz,
-                               task.configLabel + " / " +
-                                   task.workload.name());
-    }
+    record.resultNnz = record.sim.resultNnz;
     if (!keep_products)
         record.sim.result = CsrMatrix();
     return record;

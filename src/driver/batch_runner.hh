@@ -13,9 +13,13 @@
  * only changes wall-clock time.
  *
  * Records aggregate into the repository's TablePrinter or CSV for
- * offline analysis. Product matrices are dropped by default (a sweep
- * only needs the measurements); call keepProducts(true) to retain
- * them, e.g. for correctness cross-checks.
+ * offline analysis. A sweep reads only the measurements and the
+ * product's nonzero count, so by default the product matrix is never
+ * built: the simulator counts its nonzeros instead
+ * (ProductMode::Count, ShardProducts::None). keepProducts(true)
+ * builds and retains it, e.g. for correctness cross-checks; `--check`
+ * builds it (a sharded task only its shard blocks) to validate it and
+ * then drops it.
  */
 
 #ifndef SPARCH_DRIVER_BATCH_RUNNER_HH
@@ -76,7 +80,8 @@ struct BatchRecord
     std::uint64_t seed = 0;
     /** Row blocks the simulation ran as (1 = monolithic). */
     unsigned shards = 1;
-    /** Product nonzeros (kept even when the matrix is dropped). */
+    /** Product nonzeros (sim.resultNnz; set whether or not the
+     *  matrix was built). */
     std::size_t resultNnz = 0;
     /**
      * Which tier produced the measurements: "sim" (cycle-accurate,
@@ -186,7 +191,8 @@ class BatchRunner
     std::size_t size() const { return tasks_.size(); }
     const std::vector<BatchTask> &tasks() const { return tasks_; }
 
-    /** Retain product matrices in the records (default: dropped). */
+    /** Build and retain product matrices in the records (default:
+     *  only counted). */
     void keepProducts(bool keep) { keep_products_ = keep; }
 
     /**

@@ -179,11 +179,12 @@ ShardedSimulator::ShardedSimulator(const SpArchConfig &config,
 {}
 
 ShardedResult
-ShardedSimulator::multiply(const CsrMatrix &a, const CsrMatrix &b) const
+ShardedSimulator::multiply(const CsrMatrix &a, const CsrMatrix &b,
+                           ShardProducts products) const
 {
     const unsigned k =
         shards_ > 0 ? shards_ : ThreadPool::hardwareThreads();
-    return multiply(a, b, ShardPlan::make(policy_, a, k));
+    return multiply(a, b, ShardPlan::make(policy_, a, k), products);
 }
 
 namespace
@@ -236,7 +237,7 @@ template <typename Left>
 ShardedResult
 multiplyPlanned(const SpArchSimulator &sim, const SpArchConfig &config,
                 unsigned threads, const Left &a, const CsrMatrix &b,
-                const ShardPlan &plan)
+                const ShardPlan &plan, ShardProducts products)
 {
     if (a.cols() != b.rows()) {
         fatal("sharded: dimension mismatch ", a.rows(), "x", a.cols(),
@@ -258,17 +259,24 @@ multiplyPlanned(const SpArchSimulator &sim, const SpArchConfig &config,
 
     ShardedResult out;
     out.plan = plan;
+    const bool stack = products == ShardProducts::Stacked;
 
     if (plan.empty()) {
-        out.combined = sim.multiply(wholeOf(a), b); // dimension + shape
+        // A rowless operand: one monolithic call gives the shape.
+        out.combined = sim.multiply(
+            wholeOf(a), b, stack ? ProductMode::Build : ProductMode::Count);
         return out;
     }
 
     // ---- fan the row blocks out ----
+    const ProductMode mode = products == ShardProducts::None
+                                 ? ProductMode::Count
+                                 : ProductMode::Build;
     out.shards.resize(plan.size());
     auto run_shard = [&](std::size_t i) {
         const ShardRange &r = plan.ranges()[i];
-        out.shards[i] = sim.multiply(a.rowSlice(r.begin, r.end), b);
+        out.shards[i] =
+            sim.multiply(a.rowSlice(r.begin, r.end), b, mode);
     };
     if (threads > 1 && plan.size() > 1) {
         ThreadPool pool(std::min<unsigned>(
@@ -288,12 +296,10 @@ multiplyPlanned(const SpArchSimulator &sim, const SpArchConfig &config,
 
     // ---- deterministic merge in plan order ----
     SpArchResult &c = out.combined;
-    std::vector<const CsrMatrix *> blocks;
-    blocks.reserve(plan.size());
     Cycle max_cycles = 0;
     double hit_weight = 0.0, hit_sum = 0.0;
     for (const SpArchResult &s : out.shards) {
-        blocks.push_back(&s.result);
+        c.resultNnz += s.resultNnz;
         max_cycles = std::max(max_cycles, s.cycles);
         c.flops += s.flops;
         c.multiplies += s.multiplies;
@@ -312,8 +318,14 @@ multiplyPlanned(const SpArchSimulator &sim, const SpArchConfig &config,
         c.stats.merge(s.stats);
         out.maxStats.mergeMax(s.stats);
     }
-    c.result =
-        CsrMatrix::vstack(std::span<const CsrMatrix *const>(blocks));
+    if (stack) {
+        std::vector<const CsrMatrix *> blocks;
+        blocks.reserve(plan.size());
+        for (const SpArchResult &s : out.shards)
+            blocks.push_back(&s.result);
+        c.result =
+            CsrMatrix::vstack(std::span<const CsrMatrix *const>(blocks));
+    }
 
     // ---- stitch model (see the header) ----
     if (plan.size() > 1) {
@@ -362,24 +374,30 @@ multiplyPlanned(const SpArchSimulator &sim, const SpArchConfig &config,
 
 ShardedResult
 ShardedSimulator::multiply(const CsrMatrix &a, const CsrMatrix &b,
-                           const ShardPlan &plan) const
+                           const ShardPlan &plan,
+                           ShardProducts products) const
 {
-    return multiplyPlanned(sim_, config(), threads_, a, b, plan);
-}
-
-ShardedResult
-ShardedSimulator::multiply(const MappedCsr &a, const CsrMatrix &b) const
-{
-    const unsigned k =
-        shards_ > 0 ? shards_ : ThreadPool::hardwareThreads();
-    return multiply(a, b, ShardPlan::make(policy_, a.rowPtr(), k));
+    return multiplyPlanned(sim_, config(), threads_, a, b, plan,
+                           products);
 }
 
 ShardedResult
 ShardedSimulator::multiply(const MappedCsr &a, const CsrMatrix &b,
-                           const ShardPlan &plan) const
+                           ShardProducts products) const
 {
-    return multiplyPlanned(sim_, config(), threads_, a, b, plan);
+    const unsigned k =
+        shards_ > 0 ? shards_ : ThreadPool::hardwareThreads();
+    return multiply(a, b, ShardPlan::make(policy_, a.rowPtr(), k),
+                    products);
+}
+
+ShardedResult
+ShardedSimulator::multiply(const MappedCsr &a, const CsrMatrix &b,
+                           const ShardPlan &plan,
+                           ShardProducts products) const
+{
+    return multiplyPlanned(sim_, config(), threads_, a, b, plan,
+                           products);
 }
 
 } // namespace driver

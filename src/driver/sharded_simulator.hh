@@ -7,8 +7,11 @@
  * C = A x B, computed against the full (shared, read-only) B. A
  * ShardPlan cuts A into K contiguous row ranges — balanced by row
  * count or by nonzeros — and ShardedSimulator runs one SpArchSimulator
- * multiply per range as tasks on the driver's ThreadPool, then
- * reassembles the exact product with CsrMatrix::vstack.
+ * multiply per range as tasks on the driver's ThreadPool, then merges
+ * the measurements. What it builds of the product is the caller's
+ * choice (ShardProducts): the stacked product (CsrMatrix::vstack of
+ * the shard blocks), the shard blocks alone, or only the nonzero
+ * count.
  *
  * Merged measurements follow a documented model:
  *
@@ -35,6 +38,8 @@
  *                  (row_prefetcher.hit_rate, dram.row_hit_rate),
  *                  which is re-derived from the summed "<stem>hits"
  *                  and "<stem>misses".
+ *
+ * None of the measurements depends on what is built of the product.
  *
  * Exactness: the stacked product always has exactly the monolithic
  * run's sparsity structure (row pointers and column indices), and a
@@ -152,18 +157,30 @@ class ShardPlan
     std::vector<ShardRange> ranges_;
 };
 
+/** What a sharded multiply builds of the product. */
+enum class ShardProducts
+{
+    Stacked, //!< each shard's block and the stacked product
+    Blocks,  //!< each shard's block; the stacked product stays empty
+    None,    //!< neither: only the nonzero counts
+};
+
 /** Everything measured during one sharded SpGEMM. */
 struct ShardedResult
 {
     /**
-     * Merged view: exact stacked product, critical-path cycles (max
-     * over shards + stitch), summed traffic/operation counters, fleet
-     * bandwidth utilization, and summed per-module stats (hit rates
-     * re-derived) plus the shard.* gauges.
+     * Merged view: the stacked product (ShardProducts::Stacked only),
+     * its summed nonzero count, critical-path cycles (max over shards
+     * + stitch), summed traffic/operation counters, fleet bandwidth
+     * utilization, and summed per-module stats (hit rates re-derived)
+     * plus the shard.* gauges.
      */
     SpArchResult combined;
 
-    /** Raw per-shard results, in plan order (products retained). */
+    /**
+     * Raw per-shard results, in plan order; each holds its block of
+     * the product unless the run was ShardProducts::None.
+     */
     std::vector<SpArchResult> shards;
 
     /** The row-block partition that was executed. */
@@ -198,12 +215,19 @@ class ShardedSimulator
                               ShardPolicy policy = ShardPolicy::NnzBalanced,
                               unsigned shards = 0, unsigned threads = 1);
 
-    /** Simulate C = a x b with a plan cut by the configured policy. */
-    ShardedResult multiply(const CsrMatrix &a, const CsrMatrix &b) const;
+    /**
+     * Simulate C = a x b with a plan cut by the configured policy.
+     * `products` decides only what is built of the product; the
+     * measurements do not depend on it.
+     */
+    ShardedResult
+    multiply(const CsrMatrix &a, const CsrMatrix &b,
+             ShardProducts products = ShardProducts::Stacked) const;
 
     /** Simulate with an explicit, caller-built plan over a's rows. */
-    ShardedResult multiply(const CsrMatrix &a, const CsrMatrix &b,
-                           const ShardPlan &plan) const;
+    ShardedResult
+    multiply(const CsrMatrix &a, const CsrMatrix &b, const ShardPlan &plan,
+             ShardProducts products = ShardProducts::Stacked) const;
 
     /**
      * Out-of-core left operand: plan against the mapped file's
@@ -211,11 +235,14 @@ class ShardedSimulator
      * shard — no single materialization of the whole of a. Results
      * are bit-identical to multiplying a.toCsr() with the same plan.
      */
-    ShardedResult multiply(const MappedCsr &a, const CsrMatrix &b) const;
+    ShardedResult
+    multiply(const MappedCsr &a, const CsrMatrix &b,
+             ShardProducts products = ShardProducts::Stacked) const;
 
     /** Out-of-core left operand with an explicit plan. */
-    ShardedResult multiply(const MappedCsr &a, const CsrMatrix &b,
-                           const ShardPlan &plan) const;
+    ShardedResult
+    multiply(const MappedCsr &a, const CsrMatrix &b, const ShardPlan &plan,
+             ShardProducts products = ShardProducts::Stacked) const;
 
     const SpArchConfig &config() const { return sim_.config(); }
     ShardPolicy policy() const { return policy_; }

@@ -263,11 +263,15 @@ TEST(Arena, SteadyStateCycleLoopIsHeapAllocationFree)
     const SpArchSimulator sim;
     const SpArchResult warm = sim.multiply(a, a);
 
+    // Both product modes: the count-only final round captures nothing.
     allochook::setStrict(true);
-    SpArchResult strict_run;
+    SpArchResult strict_run, strict_count;
     EXPECT_NO_THROW(strict_run = sim.multiply(a, a));
+    EXPECT_NO_THROW(strict_count = sim.multiply(a, a, ProductMode::Count));
     allochook::setStrict(false);
     EXPECT_EQ(strict_run.cycles, warm.cycles);
+    EXPECT_EQ(strict_count.cycles, warm.cycles);
+    EXPECT_EQ(strict_count.resultNnz, warm.result.nnz());
 #endif
 }
 

@@ -13,10 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include "check/invariants.hh"
 #include "driver/batch_runner.hh"
 #include "driver/thread_pool.hh"
 #include "driver/workload.hh"
 #include "exec/local_executors.hh"
+#include "expect_measurements.hh"
 #include "matrix/generators.hh"
 #include "matrix/reference_spgemm.hh"
 
@@ -364,6 +366,38 @@ TEST(BatchRunner, WorkerEntryPointRunsShardsSerially)
     EXPECT_GT(serial_chunks, 0u);
     EXPECT_EQ(pooled_chunks, 0u);
     expectSameShardedRecord(serial, pooled);
+}
+
+TEST(BatchRunner, CheckedRecordEqualsTheUncheckedOne)
+{
+    // --check builds what it validates (a sharded task only its shard
+    // blocks, never the stacked product) and drops it; the record it
+    // leaves is the count-only run's, field for field.
+    for (unsigned shards : {1u, 4u}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        driver::BatchTask task;
+        task.configLabel = "table-I";
+        task.workload = budgetWorkload();
+        task.shards = shards;
+        const BatchRecord plain = BatchRunner::simulateTask(task, false, 2);
+        check::setDeepChecks(true);
+        BatchRecord checked;
+        EXPECT_NO_THROW(checked =
+                            BatchRunner::simulateTask(task, false, 2));
+        check::setDeepChecks(false);
+        expectSameMeasurements(plain.sim, checked.sim);
+        EXPECT_EQ(plain.resultNnz, checked.resultNnz);
+        EXPECT_EQ(checked.sim.result.nnz(), 0u);
+        std::ostringstream plain_row, checked_row;
+        BatchRunner::writeCsvRow(plain, plain_row);
+        BatchRunner::writeCsvRow(checked, checked_row);
+        EXPECT_EQ(plain_row.str(), checked_row.str());
+
+        // The count is the product's.
+        const BatchRecord kept = BatchRunner::simulateTask(task, true);
+        EXPECT_EQ(plain.resultNnz, kept.sim.result.nnz());
+        expectSameMeasurements(plain.sim, kept.sim);
+    }
 }
 
 TEST(BatchRunner, SpareThreadsGoToTheShardsOfASmallBatch)

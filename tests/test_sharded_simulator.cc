@@ -24,6 +24,7 @@
 #include "common/logging.hh"
 #include "core/sparch_simulator.hh"
 #include "driver/sharded_simulator.hh"
+#include "expect_measurements.hh"
 #include "matrix/generators.hh"
 #include "matrix/reference_spgemm.hh"
 #include "matrix/rmat.hh"
@@ -37,6 +38,7 @@ using driver::ShardedResult;
 using driver::ShardedSimulator;
 using driver::ShardPlan;
 using driver::ShardPolicy;
+using driver::ShardProducts;
 using driver::ShardRange;
 
 /** The plan must be a contiguous, disjoint cover of [0, rows). */
@@ -359,6 +361,49 @@ TEST(ShardedSimulator, ParallelRunBitIdenticalToSerial)
     ASSERT_EQ(s.shards.size(), p.shards.size());
     for (std::size_t i = 0; i < s.shards.size(); ++i)
         EXPECT_TRUE(s.shards[i].result == p.shards[i].result);
+}
+
+TEST(ShardedSimulator, ProductsDoNotMoveAMeasurement)
+{
+    // Stacked, blocks only, or counts only: every merged and per-shard
+    // figure is the same, at any shard and thread count.
+    const CsrMatrix a = rmatGenerate(200, 6, 31);
+    SpArchConfig cfg;
+    cfg.mergeTree.layers = 3; // 8-way tree: multi-round shards
+    for (unsigned k : {1u, 3u}) {
+        for (unsigned threads : {1u, 2u}) {
+            SCOPED_TRACE("shards=" + std::to_string(k) +
+                         " threads=" + std::to_string(threads));
+            const ShardedSimulator sim(cfg, ShardPolicy::NnzBalanced, k,
+                                       threads);
+            const ShardedResult stacked = sim.multiply(a, a);
+            const ShardedResult blocks =
+                sim.multiply(a, a, ShardProducts::Blocks);
+            const ShardedResult counted =
+                sim.multiply(a, a, ShardProducts::None);
+            ASSERT_EQ(stacked.shards.size(), k);
+            EXPECT_GT(stacked.maxStats.get("plan.rounds"), 1.0);
+
+            EXPECT_EQ(stacked.combined.resultNnz,
+                      stacked.combined.result.nnz());
+            expectCountMatchesBuild(stacked.combined, blocks.combined);
+            expectCountMatchesBuild(stacked.combined, counted.combined);
+            for (const ShardedResult *r : {&blocks, &counted}) {
+                EXPECT_EQ(r->stitchCycles, stacked.stitchCycles);
+                EXPECT_EQ(r->stitchBytes, stacked.stitchBytes);
+                EXPECT_EQ(r->maxStats.all(), stacked.maxStats.all());
+                ASSERT_EQ(r->shards.size(), k);
+            }
+            for (std::size_t i = 0; i < k; ++i) {
+                expectSameMeasurements(stacked.shards[i],
+                                       blocks.shards[i]);
+                EXPECT_TRUE(blocks.shards[i].result ==
+                            stacked.shards[i].result);
+                expectCountMatchesBuild(stacked.shards[i],
+                                        counted.shards[i]);
+            }
+        }
+    }
 }
 
 TEST(ShardedSimulator, MatchesReferenceSpgemm)

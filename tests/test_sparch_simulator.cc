@@ -15,6 +15,7 @@
 #include "common/logging.hh"
 #include "core/condensed_matrix.hh"
 #include "core/sparch_simulator.hh"
+#include "expect_measurements.hh"
 #include "matrix/generators.hh"
 #include "matrix/reference_spgemm.hh"
 #include "matrix/rmat.hh"
@@ -134,6 +135,69 @@ TEST(SpArchSimulator, MultiRoundMergeUsesPartialResults)
     EXPECT_GT(r.bytesPartialRead, 0u);
     EXPECT_TRUE(
         r.result.almostEqual(spgemmDenseAccumulator(a, a)));
+}
+
+// ------------------------------------------------ count-only products
+
+/**
+ * Multiply a x b with and without building the product; the count-only
+ * run must measure exactly the same. Returns the product run.
+ */
+SpArchResult
+expectCountOnlyExact(const SpArchConfig &cfg, const CsrMatrix &a,
+                     const CsrMatrix &b, const char *label)
+{
+    SCOPED_TRACE(label);
+    const SpArchSimulator sim(cfg);
+    const SpArchResult built = sim.multiply(a, b);
+    expectCountMatchesBuild(built, sim.multiply(a, b, ProductMode::Count));
+    return built;
+}
+
+TEST(SpArchSimulator, CountOnlyMeasuresWhatTheProductRunMeasures)
+{
+    const CsrMatrix a = generateUniform(300, 300, 2400, 8);
+    const SpArchResult one_round =
+        expectCountOnlyExact(SpArchConfig{}, a, a, "table I");
+    EXPECT_EQ(one_round.mergeRounds, 1u);
+
+    SpArchConfig tiny_tree;
+    tiny_tree.mergeTree.layers = 2; // 4-way merge: many rounds
+    const SpArchResult rounds =
+        expectCountOnlyExact(tiny_tree, a, a, "4-way tree");
+    EXPECT_GT(rounds.mergeRounds, 1u);
+    EXPECT_GT(rounds.bytesPartialRead, 0u);
+
+    SpArchConfig plain;
+    plain.matrixCondensing = false;
+    plain.mergeTree.layers = 3;
+    const SpArchResult outer =
+        expectCountOnlyExact(plain, a, a, "no condensing, 8-way tree");
+    EXPECT_GT(outer.mergeRounds, 1u);
+
+    const CsrMatrix b = generateUniform(300, 90, 1400, 9);
+    expectCountOnlyExact(tiny_tree, a, b, "rectangular product");
+}
+
+TEST(SpArchSimulator, CountOnlyEmptyProduct)
+{
+    // A's nonzeros sit in columns 0..9 and B's in rows 20..39: both
+    // operands have nonzeros, every partial product is empty.
+    CooMatrix left(40, 40), right(40, 40);
+    for (Index i = 0; i < 40; ++i) {
+        left.add(i, i % 10, 1.0);
+        right.add(20 + i / 2, i, 2.0);
+    }
+    left.canonicalize();
+    right.canonicalize();
+    const CsrMatrix a = CsrMatrix::fromCoo(left);
+    const CsrMatrix b = CsrMatrix::fromCoo(right);
+    const SpArchResult built = expectCountOnlyExact({}, a, b, "empty");
+    EXPECT_EQ(built.resultNnz, 0u);
+    EXPECT_EQ(built.result.rows(), 40u);
+
+    // An operand without nonzeros never reaches the pipeline.
+    expectCountOnlyExact({}, CsrMatrix(40, 40), b, "empty operand");
 }
 
 TEST(SpArchSimulator, HuffmanBeatsSequentialOnPartialTraffic)
@@ -642,6 +706,8 @@ TEST_P(SimulatorGrid, ExactOnAllWorkloads)
         EXPECT_EQ(stat("multiplier.row_wait_stalls"), pin->rowWait);
         EXPECT_EQ(stat("multiplier.port_full_stalls"), pin->portFull);
         EXPECT_EQ(stat("merge_tree.idle_cycles"), pin->treeIdle);
+        expectCountMatchesBuild(
+            r, SpArchSimulator(cfg).multiply(a, a, ProductMode::Count));
     }
 }
 
