@@ -59,9 +59,9 @@ runBench()
     const SpArchConfig config{};
     const SpArchSimulator sim(config);
 
-    // One untimed warmup pass: first-touch allocations (arena growth,
-    // buffer pools) belong to setup, not to the steady state this
-    // bench exists to track.
+    // One untimed warmup pass: first-touch costs (page faults, the
+    // allocator's pools) belong to setup, not to the steady state
+    // this bench exists to track.
     Cycle total_cycles = 0;
     std::uint64_t total_nnz_out = 0;
     for (const CsrMatrix &m : matrices) {

@@ -11,9 +11,8 @@
  * pass faults in the rest. The all-zero bit pattern must therefore be
  * the element's "never seen" state (every user's epoch 0).
  *
- * Growth copies the existing slots into a fresh zeroed block. The
- * table is heap-backed, not arena-backed, and is released with its
- * owner. calloc bypasses the operator new override through which test
+ * Growth copies the existing slots into a fresh zeroed block, and the
+ * table is released with its owner. calloc bypasses the operator new override through which test
  * binaries count heap traffic, so grow() bumps allochook::counter()
  * itself: growth inside the cycle loop trips the zero-allocation
  * check like any other allocation.

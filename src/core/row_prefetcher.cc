@@ -10,12 +10,10 @@ namespace sparch
 {
 
 RowPrefetcher::RowPrefetcher(const SpArchConfig &config,
-                             mem::MemoryModel &mem, std::string name,
-                             Arena *arena)
-    : Clocked(std::move(name)), config_(&config), mem_(&mem),
-      own_arena_(arena == nullptr ? std::make_unique<Arena>() : nullptr),
-      arena_(arena == nullptr ? own_arena_.get() : arena)
+                             mem::MemoryModel &mem, std::string name)
+    : Clocked(std::move(name)), config_(&config), mem_(&mem)
 {
+    demanded_.reserve(config.mergeWays());
     const std::string p = this->name() + ".";
     key_hits_ = p + "hits";
     key_misses_ = p + "misses";
@@ -48,13 +46,11 @@ RowPrefetcher::startRound(const std::vector<MultTask> *tasks,
         rows_.zero();
         epoch_ = 1;
     }
-    // Growth carries the old states over so line_ready/demanded
-    // capacity is reused across rounds (they are stale-epoch, hence
-    // inert).
+    // Growth keeps the old states; they are stale-epoch, hence inert.
     if (rows > rows_.size())
         rows_.grow(std::max(rows, rows_.size() * 2));
     ahead_rows_count_ = 0;
-    streamed_ready_.clear();
+    demanded_.clear();
     touch_counter_ = 0;
     cursor_miss_lines_ = 0;
     pinned_row_ = -1;
@@ -62,17 +58,37 @@ RowPrefetcher::startRound(const std::vector<MultTask> *tasks,
     // Chain each stream position to the next use of its row, leaving
     // every row's head at its first use. A round's stream holds at
     // most one entry per nonzero of A, so 32-bit positions suffice.
+    // The first time the pass meets a row, the row gets its line
+    // slots, unless it is too long for the buffer and is read whole.
     next_same_row_.clear();
-    if (!config_->rowPrefetcher || n == 0)
-        return;
-    SPARCH_ASSERT(n < kNoPos, "round stream of ", n,
-                  " entries overflows 32-bit positions");
-    next_same_row_.resize(n);
-    for (std::size_t p = n; p-- > 0;) {
-        RowState &rs = state((*tasks)[p].bRow);
-        next_same_row_[p] = rs.first_unretired;
-        rs.first_unretired = static_cast<std::uint32_t>(p);
+    bool streams = !config_->rowPrefetcher;
+    if (config_->rowPrefetcher && n > 0) {
+        SPARCH_ASSERT(n < kNoPos, "round stream of ", n,
+                      " entries overflows 32-bit positions");
+        next_same_row_.resize(n);
+        std::uint64_t lines = 0;
+        for (std::size_t p = n; p-- > 0;) {
+            const Index row = (*tasks)[p].bRow;
+            RowState &rs = state(row);
+            if (rs.first_unretired == kNoPos) {
+                const Index n_lines = rowLines(row);
+                if (n_lines > config_->prefetchLines) {
+                    streams = true;
+                } else {
+                    rs.line_off = static_cast<std::uint32_t>(lines);
+                    lines += n_lines;
+                }
+            }
+            next_same_row_[p] = rs.first_unretired;
+            rs.first_unretired = static_cast<std::uint32_t>(p);
+        }
+        SPARCH_ASSERT(lines <= kNoPos, "round caches ", lines,
+                      " lines, past 32-bit line offsets");
+        line_ready_.resize(lines);
     }
+    streamed_ready_.clear();
+    if (streams)
+        streamed_ready_.resize(n, kNotIssued);
 }
 
 Index
@@ -94,42 +110,28 @@ RowPrefetcher::lineBytes(Index row, Index line) const
 }
 
 void
-RowPrefetcher::demandInsert(RowState &rs, std::uint64_t pos)
+RowPrefetcher::demandInsert(Index row, RowState &rs, std::uint64_t pos)
 {
-    std::uint64_t *end = rs.demanded + rs.dem_len;
-    std::uint64_t *at = std::lower_bound(rs.demanded, end, pos);
-    if (at != end && *at == pos)
+    const Demand entry{row, pos};
+    const auto at =
+        std::lower_bound(demanded_.begin(), demanded_.end(), entry);
+    if (at != demanded_.end() && *at == entry)
         return;
-    if (rs.dem_len == rs.dem_cap) {
-        const std::uint32_t cap = rs.dem_cap == 0 ? 4 : rs.dem_cap * 2;
-        auto *fresh = static_cast<std::uint64_t *>(
-            arena_->poolAlloc(cap * sizeof(std::uint64_t)));
-        const std::size_t prefix =
-            static_cast<std::size_t>(at - rs.demanded);
-        std::copy(rs.demanded, at, fresh);
-        std::copy(at, end, fresh + prefix + 1);
-        if (rs.demanded != nullptr) {
-            arena_->poolFree(rs.demanded,
-                             rs.dem_cap * sizeof(std::uint64_t));
-        }
-        rs.demanded = fresh;
-        rs.dem_cap = cap;
-        at = fresh + prefix;
-    } else {
-        std::copy_backward(at, end, end + 1);
-    }
-    *at = pos;
+    SPARCH_ASSERT(demanded_.size() < config_->mergeWays(),
+                  "more than one pending demand fetch per merge way");
+    demanded_.insert(at, entry);
     ++rs.dem_len;
 }
 
 void
-RowPrefetcher::demandErase(RowState &rs, std::uint64_t pos)
+RowPrefetcher::demandErase(Index row, RowState &rs, std::uint64_t pos)
 {
-    std::uint64_t *end = rs.demanded + rs.dem_len;
-    std::uint64_t *at = std::lower_bound(rs.demanded, end, pos);
-    if (at == end || *at != pos)
+    const Demand entry{row, pos};
+    const auto at =
+        std::lower_bound(demanded_.begin(), demanded_.end(), entry);
+    if (at == demanded_.end() || *at != entry)
         return;
-    std::copy(at + 1, end, at);
+    demanded_.erase(at);
     --rs.dem_len;
 }
 
@@ -142,7 +144,6 @@ RowPrefetcher::noteConsumed(std::uint64_t pos)
     retired_[pos] = true;
     while (watermark_ < retired_.size() && retired_[watermark_])
         ++watermark_;
-    streamed_ready_.erase(pos);
     if (!config_->rowPrefetcher)
         return;
 
@@ -160,7 +161,7 @@ RowPrefetcher::noteConsumed(std::uint64_t pos)
     rs.last_touch = ++touch_counter_;
     if (rs.ahead > 0 && --rs.ahead == 0)
         --ahead_rows_count_;
-    demandErase(rs, pos);
+    demandErase(row, rs, pos);
     reRankRow(row);
 }
 
@@ -179,8 +180,12 @@ std::uint64_t
 RowPrefetcher::effectiveNextUse(Index row, const RowState &rs) const
 {
     std::uint64_t key = nextUse(row);
-    if (rs.dem_len > 0)
-        key = std::min(key, rs.demanded[0]);
+    if (rs.dem_len > 0) {
+        // The row's first pair holds its earliest pending position.
+        const auto first = std::lower_bound(
+            demanded_.begin(), demanded_.end(), Demand{row, 0});
+        key = std::min(key, first->second);
+    }
     return key;
 }
 
@@ -212,7 +217,7 @@ RowPrefetcher::reRankRow(Index row)
 bool
 RowPrefetcher::streamRow(std::uint64_t pos, Index row)
 {
-    if (streamed_ready_.contains(pos))
+    if (streamed_ready_[pos] != kNotIssued)
         return false;
     const Bytes addr =
         b_base_ + static_cast<Bytes>(b_->rowPtr()[row]) * bytesPerElement;
@@ -267,12 +272,6 @@ RowPrefetcher::prefetchRow(Index row, unsigned &budget,
     pinned_row_ = static_cast<SIndex>(row);
     const Index n_lines = rowLines(row);
     RowState &rs = state(row);
-    if (rs.line_cap < n_lines) {
-        Cycle *fresh = arena_->alloc<Cycle>(n_lines);
-        std::copy(rs.line_ready, rs.line_ready + rs.prefix_len, fresh);
-        rs.line_ready = fresh;
-        rs.line_cap = n_lines;
-    }
     bool ranked_dirty = rs.prefix_len == 0;
     if (rs.prefix_len == 0)
         rs.insert_tick = ++touch_counter_;
@@ -306,7 +305,7 @@ RowPrefetcher::prefetchRow(Index row, unsigned &budget,
         const Cycle ready = mem_->read(DramStream::MatB, addr,
                                        lineBytes(row, l), now_) +
                             decision;
-        rs.line_ready[l] = ready;
+        lineReady(rs)[l] = ready;
         ++rs.prefix_len;
         ++resident_count_;
         ++buffer_writes_;
@@ -351,7 +350,7 @@ RowPrefetcher::rowReady(std::uint64_t pos)
         // hardware). Issued lines count as misses here; if the cursor
         // later visits this position it sees resident lines, a small
         // hit-rate optimism accepted for pipeline liveness.
-        demandInsert(rs, pos);
+        demandInsert(row, rs, pos);
         const std::uint64_t before = buffer_writes_;
         prefetchRow(row, demand_budget_, /*count_misses=*/false);
         misses_ += buffer_writes_ - before;
@@ -367,14 +366,14 @@ RowPrefetcher::peekRowReady(std::uint64_t pos) const
         return true;
     const Index n_lines = rowLines(row);
     if (!config_->rowPrefetcher || n_lines > config_->prefetchLines) {
-        auto it = streamed_ready_.find(pos);
-        return it != streamed_ready_.end() && now_ >= it->second;
+        // kNotIssued lies past every cycle.
+        return now_ >= streamed_ready_[pos];
     }
     const RowState &rs = rows_[row];
     if (rs.epoch != epoch_ || rs.prefix_len != n_lines)
         return false;
-    return now_ >= *std::max_element(rs.line_ready,
-                                     rs.line_ready + rs.prefix_len);
+    return now_ >= *std::max_element(lineReady(rs),
+                                     lineReady(rs) + rs.prefix_len);
 }
 
 Cycle
@@ -390,7 +389,7 @@ RowPrefetcher::pendingUntil(std::uint64_t pos) const
     if (rs.epoch != epoch_ || rs.prefix_len != n_lines)
         return 0;
     const Cycle ready =
-        *std::max_element(rs.line_ready, rs.line_ready + n_lines);
+        *std::max_element(lineReady(rs), lineReady(rs) + n_lines);
     return ready > now_ ? ready : 0;
 }
 

@@ -51,12 +51,11 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
+#include <string>
 #include <tuple>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "common/arena.hh"
 #include "common/zeroed_table.hh"
 #include "core/eviction_rank.hh"
 #include "core/round_stream.hh"
@@ -77,17 +76,17 @@ class RowPrefetcher final : public hw::Clocked
         std::numeric_limits<std::uint64_t>::max();
 
     /**
-     * @param arena Backing store for the line-ready arrays and the
-     *        demand-position buffers (the per-row table is a
-     *        ZeroedTable, resident only where touched).
-     *        Null (standalone/unit-test use) makes the prefetcher own
-     *        a private arena.
+     * Reserves the pending demand-fetch table for one entry per merge
+     * way; every other table is sized by startRound().
      */
     RowPrefetcher(const SpArchConfig &config, mem::MemoryModel &mem,
-                  std::string name, Arena *arena = nullptr);
+                  std::string name);
 
     /**
-     * Begin a merge round.
+     * Begin a merge round, sizing every table the round's cycle loop
+     * uses: line slots for each cached row of the stream, and a
+     * ready cycle per stream position when the round reads a row
+     * whole (the prefetcher is off or a row outgrows the buffer).
      * @param tasks    The round's left-element stream (Fig. 7 order).
      * @param b        Right matrix.
      * @param b_base   DRAM base address of the right matrix.
@@ -206,12 +205,17 @@ class RowPrefetcher final : public hw::Clocked
     static constexpr std::uint32_t kNoPos =
         std::numeric_limits<std::uint32_t>::max();
 
+    /** A pending demand fetch: (row, stream position). */
+    using Demand = std::pair<Index, std::uint64_t>;
+
+    /** Ready cycle of a streamed position whose read is not issued. */
+    static constexpr Cycle kNotIssued = std::numeric_limits<Cycle>::max();
+
     /**
-     * All per-row state, epoch-stamped per merge round. The
-     * `line_ready` array and the `demanded` buffer survive epoch
-     * resets (capacity is reused); everything else resets to zero.
-     * All-zero bytes are a valid never-seen state (epoch 0 is never a
-     * live epoch), which is what lets rows_ be a ZeroedTable.
+     * All per-row state, epoch-stamped per merge round: a row's first
+     * touch in a round resets all of it. All-zero bytes are a valid
+     * never-seen state (epoch 0 is never a live epoch), which is what
+     * lets rows_ be a ZeroedTable.
      */
     struct RowState
     {
@@ -229,13 +233,10 @@ class RowPrefetcher final : public hw::Clocked
         std::uint64_t insert_tick = 0;
         /** The row's entry in rank_. */
         EvictionRank::Slot rank;
-        /** Data-ready cycle per line; capacity line_cap. */
-        Cycle *line_ready = nullptr;
-        Index line_cap = 0;
-        /** Pending demand-fetch positions, sorted ascending. */
-        std::uint64_t *demanded = nullptr;
+        /** First of the row's line slots in line_ready_. */
+        std::uint32_t line_off = 0;
+        /** The row's entries in demanded_. */
         std::uint32_t dem_len = 0;
-        std::uint32_t dem_cap = 0;
     };
 
     /** Row state with lazy epoch refresh. */
@@ -244,18 +245,22 @@ class RowPrefetcher final : public hw::Clocked
     {
         RowState &rs = rows_[row];
         if (rs.epoch != epoch_) {
-            Cycle *lr = rs.line_ready;
-            const Index lc = rs.line_cap;
-            std::uint64_t *dem = rs.demanded;
-            const std::uint32_t dc = rs.dem_cap;
             rs = RowState{};
             rs.epoch = epoch_;
-            rs.line_ready = lr;
-            rs.line_cap = lc;
-            rs.demanded = dem;
-            rs.dem_cap = dc;
         }
         return rs;
+    }
+
+    /** Data-ready cycle of each resident line of a row. */
+    Cycle *
+    lineReady(const RowState &rs)
+    {
+        return line_ready_.data() + rs.line_off;
+    }
+    const Cycle *
+    lineReady(const RowState &rs) const
+    {
+        return line_ready_.data() + rs.line_off;
     }
 
     /** Number of buffer lines the given row occupies. */
@@ -308,15 +313,12 @@ class RowPrefetcher final : public hw::Clocked
     bool evictOne(std::uint64_t protect_pos);
 
     /** Record/forget a pending demand-fetch position of a row. */
-    void demandInsert(RowState &rs, std::uint64_t pos);
-    void demandErase(RowState &rs, std::uint64_t pos);
+    void demandInsert(Index row, RowState &rs, std::uint64_t pos);
+    void demandErase(Index row, RowState &rs, std::uint64_t pos);
 
     const SpArchConfig *config_;
     mem::MemoryModel *mem_;
     Cycle now_ = 0;
-
-    std::unique_ptr<Arena> own_arena_; //!< standalone mode only
-    Arena *arena_;
 
     const std::vector<MultTask> *tasks_ = nullptr;
     const CsrMatrix *b_ = nullptr;
@@ -354,12 +356,23 @@ class RowPrefetcher final : public hw::Clocked
     /** Monotonic event counter for recency ordering (sub-cycle). */
     std::uint64_t touch_counter_ = 0;
 
+    /** Line slots of the round's cached rows (RowState::line_off). */
+    std::vector<Cycle> line_ready_;
+
+    /**
+     * Pending demand-fetch (row, stream position) pairs, sorted. Only
+     * a port head polls rowReady() and its retirement erases its
+     * entry, so there is at most one entry per merge way.
+     */
+    std::vector<Demand> demanded_;
+
     /**
      * Data-ready cycle per stream position of rows read whole instead
-     * of cached: rows too long for the buffer, or every row when the
-     * prefetcher is off.
+     * of cached (rows too long for the buffer, or every row when the
+     * prefetcher is off), kNotIssued until read; empty in a round
+     * that reads no row whole.
      */
-    std::unordered_map<std::uint64_t, Cycle> streamed_ready_;
+    std::vector<Cycle> streamed_ready_;
 
     /** Lines issued for the element currently at the cursor. */
     std::uint32_t cursor_miss_lines_ = 0;

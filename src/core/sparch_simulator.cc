@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/alloc_hook.hh"
-#include "common/arena.hh"
 #include "common/logging.hh"
 #include "common/profile.hh"
 #include "core/condensed_matrix.hh"
@@ -54,8 +53,9 @@ streamToCsr(const std::vector<StreamElement> &stream, Index rows,
  * partial results. Each call owns its own context, so concurrent
  * multiplies — e.g. the row-block shards of one SpGEMM fanned across a
  * thread pool — never share state. The operands are borrowed const
- * references and must outlive the context, as must the arena (the
- * per-thread run arena, reset between multiplies).
+ * references and must outlive the context. Every module sizes its
+ * own storage when it is built or when a round starts, so the cycle
+ * loop never allocates.
  *
  * One statically typed SimKernel ticks the six modules with direct,
  * inlineable calls; SpArchSimulator.GoldenCyclesAndTraffic* pin the
@@ -65,16 +65,16 @@ class RunContext
 {
   public:
     RunContext(const SpArchConfig &config, const CsrMatrix &a,
-               const CsrMatrix &b, ProductMode mode, Arena &arena)
+               const CsrMatrix &b, ProductMode mode)
         : config_(config), a_(a), b_(b), mode_(mode), condensed_(a),
           a_base_(0), b_base_(a.storageBytes()),
           partial_bump_(b_base_ + b.storageBytes()),
           mem_(mem::createMemoryModel(config.memory)),
           fetcher_(config, *mem_, "mata_fetcher"),
-          prefetcher_(config, *mem_, "row_prefetcher", &arena),
+          prefetcher_(config, *mem_, "row_prefetcher"),
           multiplier_(config, "multiplier"),
           partial_fetcher_(config, *mem_, "partial_fetcher"),
-          tree_(config.mergeTree, "merge_tree", &arena),
+          tree_(config.mergeTree, "merge_tree"),
           writer_(config, *mem_, "writer", a.rows(), b.cols(),
                   mode == ProductMode::Build),
           kernel_(fetcher_, prefetcher_, multiplier_, partial_fetcher_,
@@ -406,50 +406,15 @@ class RunContext
     std::unordered_map<std::uint32_t, Bytes> node_addr_;
 };
 
-/**
- * Per-thread run arena: one multiply() per thread at a time uses it,
- * reset on entry so a warmed-up thread reruns with zero heap
- * allocations in the cycle loop. Re-entrant multiplies on the same
- * thread (not a supported fast path) fall back to a private arena.
- */
-thread_local Arena t_run_arena;
-thread_local bool t_run_arena_busy = false;
-
-struct RunArenaLease
-{
-    RunArenaLease()
-    {
-        if (!t_run_arena_busy) {
-            t_run_arena_busy = true;
-            owns_shared = true;
-            t_run_arena.reset();
-            arena = &t_run_arena;
-        } else {
-            fallback = std::make_unique<Arena>();
-            arena = fallback.get();
-        }
-    }
-
-    ~RunArenaLease()
-    {
-        if (owns_shared)
-            t_run_arena_busy = false;
-    }
-
-    RunArenaLease(const RunArenaLease &) = delete;
-    RunArenaLease &operator=(const RunArenaLease &) = delete;
-
-    Arena *arena = nullptr;
-    bool owns_shared = false;
-    std::unique_ptr<Arena> fallback;
-};
+/** multiply() calls on this thread (multipliesOnThisThread()). */
+thread_local std::size_t t_multiplies = 0;
 
 } // namespace
 
 std::size_t
-runArenaChunkAllocations()
+multipliesOnThisThread()
 {
-    return static_cast<std::size_t>(t_run_arena.chunkAllocations());
+    return t_multiplies;
 }
 
 SpArchSimulator::SpArchSimulator(const SpArchConfig &config)
@@ -472,6 +437,7 @@ SpArchResult
 SpArchSimulator::multiply(const CsrMatrix &a, const CsrMatrix &b,
                           ProductMode mode) const
 {
+    ++t_multiplies;
     if (a.cols() != b.rows()) {
         fatal("sparch: dimension mismatch ", a.rows(), "x", a.cols(),
               " * ", b.rows(), "x", b.cols());
@@ -484,8 +450,7 @@ SpArchSimulator::multiply(const CsrMatrix &a, const CsrMatrix &b,
         return res;
     }
 
-    RunArenaLease lease;
-    RunContext context(config_, a, b, mode, *lease.arena);
+    RunContext context(config_, a, b, mode);
     return context.run();
 }
 

@@ -116,12 +116,10 @@ class SpArchSimulator
 };
 
 /**
- * Lifetime chunk-allocation count of the calling thread's per-run
- * arena (the one multiply() uses on this thread). Steady-state reuse
- * means this stays flat across repeated multiplies of the same
- * workload; the zero-allocation tests assert exactly that.
+ * SpArchSimulator::multiply() calls made so far on the calling thread;
+ * tests read it to see which thread ran a simulation.
  */
-std::size_t runArenaChunkAllocations();
+std::size_t multipliesOnThisThread();
 
 } // namespace sparch
 

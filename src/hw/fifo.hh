@@ -8,11 +8,9 @@
  * marks and push/pop counts so CACTI-style SRAM energy can be derived
  * from access counts (Section III-A).
  *
- * The storage is a fixed-capacity ring: a FIFO never allocates after
- * construction, and the backing buffer can live either on the heap
- * (owning constructor, unit tests and standalone use) or on a per-run
- * Arena (the merge tree's 127 node FIFOs), which is what lets a
- * steady-state simulation run the cycle loop without heap traffic.
+ * The storage is a fixed-capacity ring that the FIFO owns and sizes at
+ * construction: a FIFO never allocates afterwards, which is what lets
+ * the merge tree's node FIFOs run the cycle loop without heap traffic.
  *
  * Bulk movers (the merge tree's level mergers) read and write the
  * ring directly through ringData()/headSlot()/tailSlot() on local
@@ -26,10 +24,9 @@
 #define SPARCH_HW_FIFO_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
-#include <type_traits>
 
-#include "common/arena.hh"
 #include "common/logging.hh"
 
 namespace sparch
@@ -42,22 +39,11 @@ template <typename T>
 class Fifo
 {
   public:
-    /** Owning constructor: ring storage on the heap. */
     explicit Fifo(std::size_t capacity)
         : capacity_(capacity)
     {
         SPARCH_ASSERT(capacity_ > 0, "FIFO capacity must be positive");
-        owned_ = std::make_unique<T[]>(capacity_);
-        data_ = owned_.get();
-    }
-
-    /** Arena-backed constructor: ring storage bump-allocated, valid
-     *  until the arena resets. */
-    Fifo(std::size_t capacity, Arena &arena)
-        : capacity_(capacity)
-    {
-        SPARCH_ASSERT(capacity_ > 0, "FIFO capacity must be positive");
-        data_ = arena.allocArray<T>(capacity_);
+        data_ = std::make_unique<T[]>(capacity_);
     }
 
     Fifo(Fifo &&) = default;
@@ -116,7 +102,7 @@ class Fifo
     }
 
     /** Ring storage (capacity() slots) for bulk movers. */
-    T *ringData() { return data_; }
+    T *ringData() { return data_.get(); }
 
     /** Ring slot of front(); meaningful while !empty(). */
     std::size_t headSlot() const { return head_; }
@@ -179,8 +165,7 @@ class Fifo
 
   private:
     std::size_t capacity_;
-    std::unique_ptr<T[]> owned_; //!< null when arena-backed
-    T *data_ = nullptr;
+    std::unique_ptr<T[]> data_;
     std::size_t head_ = 0;
     std::size_t count_ = 0;
     std::uint64_t pushes_ = 0;

@@ -10,8 +10,7 @@ namespace sparch
 namespace hw
 {
 
-MergeTree::MergeTree(const MergeTreeConfig &config, std::string name,
-                     Arena *arena)
+MergeTree::MergeTree(const MergeTreeConfig &config, std::string name)
     : Clocked(std::move(name)), config_(config)
 {
     SPARCH_ASSERT(config_.layers >= 1 && config_.layers <= 16,
@@ -20,12 +19,8 @@ MergeTree::MergeTree(const MergeTreeConfig &config, std::string name,
                   "merger width must be positive");
     const unsigned node_count = (2u << config_.layers);
     nodes_.reserve(node_count);
-    for (unsigned i = 0; i < node_count; ++i) {
-        if (arena != nullptr)
-            nodes_.emplace_back(config_.fifoCapacity, *arena);
-        else
-            nodes_.emplace_back(config_.fifoCapacity);
-    }
+    for (unsigned i = 0; i < node_count; ++i)
+        nodes_.emplace_back(config_.fifoCapacity);
     cursor_.assign(config_.layers, 0);
     bottom_level_ = 1u << (config_.layers - 1);
     leaf_full_.resize(leafCount());

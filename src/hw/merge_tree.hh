@@ -19,7 +19,8 @@
  * Hot-path notes:
  *  - The leaf/root accessors are called from the multiplier and writer
  *    inner loops every cycle and live in the header so they inline.
- *  - Node FIFOs can ring over a per-run Arena.
+ *  - Each node FIFO owns its ring, sized when the tree is built, so
+ *    the cycle loop never allocates.
  *  - A serve merges on local copies of the three rings' cursors and
  *    commits each FIFO's counters once (Fifo::commitPops/commitPushes),
  *    not per element.
@@ -56,7 +57,6 @@
 #include <tuple>
 #include <vector>
 
-#include "common/arena.hh"
 #include "common/bit_mask.hh"
 #include "common/logging.hh"
 #include "hw/clocked.hh"
@@ -95,12 +95,7 @@ struct MergeTreeConfig
 class MergeTree final : public Clocked
 {
   public:
-    /**
-     * @param arena When non-null, node FIFO storage is placed on this
-     *        (outliving) per-run arena instead of the heap.
-     */
-    MergeTree(const MergeTreeConfig &config, std::string name,
-              Arena *arena = nullptr);
+    MergeTree(const MergeTreeConfig &config, std::string name);
 
     unsigned leafCount() const { return 1u << config_.layers; }
     const MergeTreeConfig &config() const { return config_; }
@@ -229,8 +224,6 @@ class MergeTree final : public Clocked
     struct Node
     {
         explicit Node(std::size_t capacity) : fifo(capacity) {}
-        Node(std::size_t capacity, Arena &arena) : fifo(capacity, arena)
-        {}
         Fifo<StreamElement> fifo;
         /** No further input will arrive into this node's FIFO. */
         bool inputDone = false;

@@ -345,26 +345,25 @@ TEST(BatchRunner, ShardedResultsIgnoreTheShardThreadBudget)
 TEST(BatchRunner, WorkerEntryPointRunsShardsSerially)
 {
     // simulateTask's default (what `sparch worker` calls) multiplies
-    // every shard on the calling thread, so that thread's run arena
-    // is the one that grows; with a shard-thread budget the blocks
-    // run on pool threads and the caller's arena stays untouched.
+    // every shard on the calling thread; with a shard-thread budget
+    // the blocks run on pool threads and the caller multiplies none.
     driver::BatchTask task;
     task.workload = budgetWorkload();
     task.shards = 4;
     task.workload.left();
 
     BatchRecord serial, pooled;
-    std::size_t serial_chunks = 0, pooled_chunks = 0;
+    std::size_t serial_multiplies = 0, pooled_multiplies = 0;
     std::thread([&] {
         serial = BatchRunner::simulateTask(task, true);
-        serial_chunks = runArenaChunkAllocations();
+        serial_multiplies = multipliesOnThisThread();
     }).join();
     std::thread([&] {
         pooled = BatchRunner::simulateTask(task, true, 4);
-        pooled_chunks = runArenaChunkAllocations();
+        pooled_multiplies = multipliesOnThisThread();
     }).join();
-    EXPECT_GT(serial_chunks, 0u);
-    EXPECT_EQ(pooled_chunks, 0u);
+    EXPECT_EQ(serial_multiplies, 4u);
+    EXPECT_EQ(pooled_multiplies, 0u);
     expectSameShardedRecord(serial, pooled);
 }
 
@@ -401,12 +400,13 @@ TEST(BatchRunner, CheckedRecordEqualsTheUncheckedOne)
 
 TEST(BatchRunner, SpareThreadsGoToTheShardsOfASmallBatch)
 {
-    // Inline execution runs every task on the calling thread, so that
-    // thread's run arena shows where the shards ran: on pool threads
-    // for a lone task with four threads to spare, and on the caller
-    // once three tasks share the four threads (4 / 3 rounds to 1).
-    const auto caller_chunks = [](std::size_t tasks) {
-        std::size_t chunks = 0;
+    // Inline execution runs every task on the calling thread, so the
+    // multiplies counted on that thread show where the shards ran: on
+    // pool threads for a lone task with four threads to spare, and on
+    // the caller once three tasks share the four threads (4 / 3
+    // rounds to 1).
+    const auto caller_multiplies = [](std::size_t tasks) {
+        std::size_t multiplies = 0;
         std::thread([&] {
             BatchRunner runner(4);
             for (std::size_t i = 0; i < tasks; ++i)
@@ -414,12 +414,12 @@ TEST(BatchRunner, SpareThreadsGoToTheShardsOfASmallBatch)
                            4);
             exec::InlineExecutor serial;
             EXPECT_EQ(runner.run(serial).size(), tasks);
-            chunks = runArenaChunkAllocations();
+            multiplies = multipliesOnThisThread();
         }).join();
-        return chunks;
+        return multiplies;
     };
-    EXPECT_EQ(caller_chunks(1), 0u);
-    EXPECT_GT(caller_chunks(3), 0u);
+    EXPECT_EQ(caller_multiplies(1), 0u);
+    EXPECT_EQ(caller_multiplies(3), 12u);
 }
 
 TEST(BatchRunner, ShardSweepEnumeratesAllCounts)

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/arena.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "hw/fifo.hh"
@@ -128,22 +127,6 @@ TEST(Fifo, ClearResetsOccupancyButKeepsLifetimeCounters)
     EXPECT_EQ(f.highWater(), 2u);
 }
 
-TEST(Fifo, ArenaBackedRingBehavesLikeOwning)
-{
-    Arena arena;
-    hw::Fifo<int> f(3, arena);
-    for (int i = 0; i < 10; ++i) {
-        f.push(i);
-        EXPECT_EQ(f.pop(), i);
-    }
-    f.push(100);
-    f.push(101);
-    f.back() += 1;
-    EXPECT_EQ(f.pop(), 100);
-    EXPECT_EQ(f.pop(), 102);
-    EXPECT_EQ(f.pushes(), 12u);
-}
-
 TEST(Fifo, BackIsMutable)
 {
     hw::Fifo<int> f(2);
@@ -158,50 +141,45 @@ TEST(Fifo, BackIsMutable)
 TEST(Fifo, BulkCommitsMatchSinglePushPop)
 {
     for (const std::size_t capacity : {1, 2, 64}) {
-        for (const bool on_arena : {false, true}) {
-            Arena arena;
-            hw::Fifo<int> bulk = on_arena ? hw::Fifo<int>(capacity, arena)
-                                          : hw::Fifo<int>(capacity);
-            hw::Fifo<int> single(capacity);
-            Rng rng(capacity * 2 + on_arena);
-            int next_in = 0;
-            for (int step = 0; step < 400; ++step) {
-                if (rng.nextBool(0.5)) {
-                    const std::size_t n =
-                        rng.nextBounded(bulk.freeSpace() + 1);
-                    int *ring = bulk.ringData();
-                    std::size_t slot = bulk.tailSlot();
-                    for (std::size_t i = 0; i < n; ++i) {
-                        ring[slot] = next_in;
-                        if (++slot == capacity)
-                            slot = 0;
-                        single.push(next_in++);
-                    }
-                    bulk.commitPushes(n);
-                } else {
-                    const std::size_t n = rng.nextBounded(bulk.size() + 1);
-                    const int *ring = bulk.ringData();
-                    std::size_t slot = bulk.headSlot();
-                    for (std::size_t i = 0; i < n; ++i) {
-                        ASSERT_EQ(ring[slot], single.pop());
-                        if (++slot == capacity)
-                            slot = 0;
-                    }
-                    bulk.commitPops(n);
+        hw::Fifo<int> bulk(capacity);
+        hw::Fifo<int> single(capacity);
+        Rng rng(capacity * 2);
+        int next_in = 0;
+        for (int step = 0; step < 400; ++step) {
+            if (rng.nextBool(0.5)) {
+                const std::size_t n = rng.nextBounded(bulk.freeSpace() + 1);
+                int *ring = bulk.ringData();
+                std::size_t slot = bulk.tailSlot();
+                for (std::size_t i = 0; i < n; ++i) {
+                    ring[slot] = next_in;
+                    if (++slot == capacity)
+                        slot = 0;
+                    single.push(next_in++);
                 }
-                ASSERT_EQ(bulk.size(), single.size());
-                if (!single.empty()) {
-                    ASSERT_EQ(bulk.front(), single.front());
-                    ASSERT_EQ(bulk.back(), single.back());
+                bulk.commitPushes(n);
+            } else {
+                const std::size_t n = rng.nextBounded(bulk.size() + 1);
+                const int *ring = bulk.ringData();
+                std::size_t slot = bulk.headSlot();
+                for (std::size_t i = 0; i < n; ++i) {
+                    ASSERT_EQ(ring[slot], single.pop());
+                    if (++slot == capacity)
+                        slot = 0;
                 }
-                ASSERT_EQ(bulk.pushes(), single.pushes());
-                ASSERT_EQ(bulk.pops(), single.pops());
-                ASSERT_EQ(bulk.highWater(), single.highWater());
+                bulk.commitPops(n);
             }
-            // The head went round the ring several times.
-            EXPECT_GT(single.pops(), 4 * capacity)
-                << "capacity " << capacity;
+            ASSERT_EQ(bulk.size(), single.size());
+            if (!single.empty()) {
+                ASSERT_EQ(bulk.front(), single.front());
+                ASSERT_EQ(bulk.back(), single.back());
+            }
+            ASSERT_EQ(bulk.pushes(), single.pushes());
+            ASSERT_EQ(bulk.pops(), single.pops());
+            ASSERT_EQ(bulk.highWater(), single.highWater());
         }
+        // The head went round the ring several times.
+        EXPECT_GT(single.pops(), 4 * capacity)
+            << "capacity " << capacity;
     }
 }
 
