@@ -8,26 +8,22 @@ namespace sparch
 {
 
 MataColumnFetcher::MataColumnFetcher(const SpArchConfig &config,
-                                     mem::MemoryModel &mem,
-                                     std::string name)
-    : Clocked(std::move(name)), config_(&config), mem_(&mem)
-{
-    key_elements_fetched_ = this->name() + ".elements_fetched";
-    key_issue_cycles_ = this->name() + ".issue_cycles";
-}
+                                     mem::MemoryModel &mem)
+    : config_(&config), mem_(&mem)
+{}
 
 void
 MataColumnFetcher::startRound(
     const std::vector<MultTask> *tasks,
     const std::vector<std::vector<std::uint64_t>> *port_queues,
-    Bytes rowptr_bytes)
+    Bytes rowptr_bytes, Cycle now)
 {
     tasks_ = tasks;
     port_queues_ = port_queues;
     arrived_.assign(tasks ? tasks->size() : 0, false);
     issued_.assign(port_queues ? port_queues->size() : 0, 0);
     retired_.assign(port_queues ? port_queues->size() : 0, 0);
-    rr_port_ = 0;
+    round_start_ = now;
     queued_total_ = 0;
     issued_total_ = 0;
     eligible_.resize(port_queues ? port_queues->size() : 0);
@@ -49,17 +45,17 @@ MataColumnFetcher::startRound(
     // Row-pointer metadata for the selected columns streams in at the
     // start of the round.
     if (rowptr_bytes > 0)
-        mem_->read(DramStream::MatA, 0, rowptr_bytes, now_);
+        mem_->read(DramStream::MatA, 0, rowptr_bytes, now);
 }
 
 bool
-MataColumnFetcher::clockUpdate()
+MataColumnFetcher::clockUpdate(Cycle now)
 {
     if (tasks_ == nullptr || port_queues_ == nullptr)
         return false;
 
     // Land completed reads.
-    bool moved = inflight_.land(now_, [this](std::uint64_t pos) {
+    bool moved = inflight_.land(now, [this](std::uint64_t pos) {
         arrived_[pos] = true;
         landed_.set((*tasks_)[pos].port);
     });
@@ -71,6 +67,8 @@ MataColumnFetcher::clockUpdate()
     if (n_ports == 0)
         return moved;
     if (issued_total_ < queued_total_) {
+        const auto rr_port =
+            static_cast<unsigned>((now - round_start_) % n_ports);
         unsigned budget = config_->mataFetchWidth;
         unsigned scanned = 0;
         bool issued_any = false;
@@ -78,7 +76,7 @@ MataColumnFetcher::clockUpdate()
             return ~eligible_.word(w);
         };
         while (budget > 0 && scanned < n_ports) {
-            unsigned p = rr_port_ + scanned;
+            unsigned p = rr_port + scanned;
             if (p >= n_ports)
                 p -= n_ports;
             const unsigned run =
@@ -97,8 +95,8 @@ MataColumnFetcher::clockUpdate()
             const std::uint64_t pos = (*port_queues_)[p][issued_[p]];
             const Cycle ready = mem_->read(
                 DramStream::MatA, (*tasks_)[pos].addr, bytesPerElement,
-                now_);
-            inflight_.add(now_, ready, pos);
+                now);
+            inflight_.add(now, ready, pos);
             ++issued_[p];
             refreshEligible(p);
             ++issued_total_;
@@ -111,23 +109,16 @@ MataColumnFetcher::clockUpdate()
             moved = true;
         }
     }
-    if (++rr_port_ >= n_ports)
-        rr_port_ = 0;
     return moved;
-}
-
-void
-MataColumnFetcher::clockApply()
-{
-    ++now_;
 }
 
 void
 MataColumnFetcher::recordStats(StatSet &stats) const
 {
-    stats.set(key_elements_fetched_,
+    stats.set("mata_fetcher.elements_fetched",
               static_cast<double>(elements_fetched_));
-    stats.set(key_issue_cycles_, static_cast<double>(issue_cycles_));
+    stats.set("mata_fetcher.issue_cycles",
+              static_cast<double>(issue_cycles_));
 }
 
 } // namespace sparch

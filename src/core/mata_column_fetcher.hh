@@ -37,8 +37,6 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
-#include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -54,14 +52,14 @@ namespace sparch
 
 /**
  * In-flight element reads keyed by landing cycle: one bucket per cycle
- * over the kHorizon cycles ahead of the clock (an intrusive list
+ * over the kHorizon cycles ahead of the current one (an intrusive list
  * through a node pool sized for the most reads that can be in flight),
  * and a min-heap for landings beyond it. Adding and landing a read in
  * the horizon cost O(1); reads that land on one cycle land in no
  * particular order.
  *
- * The owner calls land(now) on every cycle it ticks, and never lets
- * its clock pass earliest() without ticking it.
+ * The owner calls land(now) on every cycle it is updated, and the
+ * kernel never skips past earliest() without updating it.
  */
 class LandingCalendar
 {
@@ -179,11 +177,13 @@ class LandingCalendar
 };
 
 /** The per-column left-matrix element fetchers. */
-class MataColumnFetcher final : public hw::Clocked
+class MataColumnFetcher final
 {
   public:
-    MataColumnFetcher(const SpArchConfig &config,
-                      mem::MemoryModel &mem, std::string name);
+    MataColumnFetcher(const SpArchConfig &config, mem::MemoryModel &mem);
+
+    MataColumnFetcher(const MataColumnFetcher &) = delete;
+    MataColumnFetcher &operator=(const MataColumnFetcher &) = delete;
 
     /**
      * Begin a merge round.
@@ -191,11 +191,14 @@ class MataColumnFetcher final : public hw::Clocked
      * @param port_queues  Per fresh port, global stream positions of
      *                     its elements in order.
      * @param rowptr_bytes Row-pointer metadata read up front.
+     * @param now          The round's first cycle: the metadata read
+     *                     issues then, and the round-robin scan
+     *                     starts at port 0 then.
      */
     void startRound(const std::vector<MultTask> *tasks,
                     const std::vector<std::vector<std::uint64_t>>
                         *port_queues,
-                    Bytes rowptr_bytes);
+                    Bytes rowptr_bytes, Cycle now);
 
     /** True when stream entry `pos` has arrived on chip. */
     bool
@@ -240,26 +243,15 @@ class MataColumnFetcher final : public hw::Clocked
                issued_[port] - retired_[port] < config_->aElementWindow;
     }
 
-    bool clockUpdate();
-    void clockApply();
+    bool clockUpdate(Cycle now);
     void recordStats(StatSet &stats) const;
 
     /** The earliest in-flight landing. */
-    Cycle nextEventCycle() const { return inflight_.earliest(now_); }
-
-    /** (now, round-robin port) after k cycles without progress. */
-    std::tuple<Cycle, unsigned>
-    skipped(Cycle k) const
+    Cycle
+    nextEventCycle(Cycle now) const
     {
-        if (tasks_ == nullptr || port_queues_ == nullptr ||
-            port_queues_->empty())
-            return {now_ + k, rr_port_};
-        const std::size_t n_ports = port_queues_->size();
-        return {now_ + k,
-                static_cast<unsigned>((rr_port_ + k % n_ports) % n_ports)};
+        return inflight_.earliest(now);
     }
-
-    void skip(Cycle k) { std::tie(now_, rr_port_) = skipped(k); }
 
     /** Cycles in which at least one element read was issued. */
     std::uint64_t issueCycles() const { return issue_cycles_; }
@@ -272,7 +264,6 @@ class MataColumnFetcher final : public hw::Clocked
 
     const SpArchConfig *config_;
     mem::MemoryModel *mem_;
-    Cycle now_ = 0;
 
     const std::vector<MultTask> *tasks_ = nullptr;
     const std::vector<std::vector<std::uint64_t>> *port_queues_ =
@@ -284,11 +275,13 @@ class MataColumnFetcher final : public hw::Clocked
     BitMask eligible_;                 //!< per port: canIssue()
     BitMask landed_;                   //!< see wakeLanded()
     bool landed_any_ = false;          //!< landed_ has a set bit
-    unsigned rr_port_ = 0;
+    /** The round's first cycle. The round-robin pointer moves one port
+     *  per cycle from port 0 there, so on cycle `now` it is
+     *  (now - round_start_) mod ports. */
+    Cycle round_start_ = 0;
 
     /** Stream positions left to issue across all ports. Once zero the
-     *  per-cycle port scan is pure overhead and skipped (the
-     *  round-robin pointer still rotates, matching hardware). */
+     *  per-cycle port scan is pure overhead and skipped. */
     std::uint64_t queued_total_ = 0;
     std::uint64_t issued_total_ = 0;
 
@@ -298,8 +291,6 @@ class MataColumnFetcher final : public hw::Clocked
 
     std::uint64_t elements_fetched_ = 0;
     std::uint64_t issue_cycles_ = 0;
-
-    std::string key_elements_fetched_, key_issue_cycles_;
 };
 
 } // namespace sparch

@@ -11,16 +11,9 @@
 namespace sparch
 {
 
-MultiplierArray::MultiplierArray(const SpArchConfig &config,
-                                 std::string name)
-    : Clocked(std::move(name)), config_(&config)
-{
-    const std::string p = this->name() + ".";
-    key_multiplies_ = p + "multiplies";
-    key_row_wait_stalls_ = p + "row_wait_stalls";
-    key_port_full_stalls_ = p + "port_full_stalls";
-    key_active_cycles_ = p + "active_cycles";
-}
+MultiplierArray::MultiplierArray(const SpArchConfig &config)
+    : config_(&config)
+{}
 
 void
 MultiplierArray::connect(MataColumnFetcher *fetcher,
@@ -112,10 +105,10 @@ MultiplierArray::parkedExactly(unsigned port, Cycle now) const
     const std::uint64_t pos = queue[cursor];
     if (pending_.test(port))
         return !head_ready_.test(port) && fetcher_->arrivedAt(pos) &&
-               prefetcher_->pendingUntil(pos) > now;
+               prefetcher_->pendingUntil(pos, now) > now;
     // Blocked: latched ready behind a full leaf.
     return tree_->leafFreeSpace(port) == 0 &&
-           prefetcher_->peekRowReady(pos);
+           prefetcher_->peekRowReady(pos, now);
 }
 
 std::tuple<unsigned, std::uint64_t, std::uint64_t>
@@ -137,7 +130,7 @@ MultiplierArray::skipped(Cycle k) const
 }
 
 SPARCH_HOT bool
-MultiplierArray::clockUpdate()
+MultiplierArray::clockUpdate(Cycle now)
 {
     if (tasks_ == nullptr || remaining_ == 0)
         return false;
@@ -145,7 +138,6 @@ MultiplierArray::clockUpdate()
         return false;
     syncEvictions();
     fetcher_->wakeLanded(quiet_);
-    const Cycle now = prefetcher_->now();
     if (now >= next_wake_)
         wakePending(now);
 
@@ -203,13 +195,13 @@ MultiplierArray::clockUpdate()
                 ++scanned;
                 continue; // element not fetched from DRAM yet
             }
-            const bool ready = prefetcher_->rowReady(pos);
+            const bool ready = prefetcher_->rowReady(pos, now);
             // A demand fetch inside rowReady() may have evicted a
             // latched row.
             syncEvictions();
             if (!ready) {
                 ++row_wait_stalls_;
-                const Cycle wake = prefetcher_->pendingUntil(pos);
+                const Cycle wake = prefetcher_->pendingUntil(pos, now);
                 if (wake != 0) {
                     pending_.set(p);
                     wake_at_[p] = wake;
@@ -220,7 +212,7 @@ MultiplierArray::clockUpdate()
             }
             head_ready_.set(p);
         } else {
-            SPARCH_DCHECK(prefetcher_->peekRowReady(pos), "port ", p,
+            SPARCH_DCHECK(prefetcher_->peekRowReady(pos, now), "port ", p,
                           " latched ready but its row is not");
         }
         const MultTask &task = (*tasks_)[pos];
@@ -267,19 +259,15 @@ MultiplierArray::clockUpdate()
     return visited;
 }
 
-SPARCH_HOT void
-MultiplierArray::clockApply()
-{}
-
 void
 MultiplierArray::recordStats(StatSet &stats) const
 {
-    stats.set(key_multiplies_, static_cast<double>(multiplies_));
-    stats.set(key_row_wait_stalls_,
+    stats.set("multiplier.multiplies", static_cast<double>(multiplies_));
+    stats.set("multiplier.row_wait_stalls",
               static_cast<double>(row_wait_stalls_));
-    stats.set(key_port_full_stalls_,
+    stats.set("multiplier.port_full_stalls",
               static_cast<double>(port_full_stalls_));
-    stats.set(key_active_cycles_,
+    stats.set("multiplier.active_cycles",
               static_cast<double>(active_cycles_));
 }
 

@@ -42,7 +42,6 @@
 #define SPARCH_CORE_MULTIPLIER_ARRAY_HH
 
 #include <cstdint>
-#include <string>
 #include <tuple>
 #include <vector>
 
@@ -60,10 +59,13 @@ class MataColumnFetcher;
 class RowPrefetcher;
 
 /** The outer-product multiplier array. */
-class MultiplierArray final : public hw::Clocked
+class MultiplierArray final
 {
   public:
-    MultiplierArray(const SpArchConfig &config, std::string name);
+    explicit MultiplierArray(const SpArchConfig &config);
+
+    MultiplierArray(const MultiplierArray &) = delete;
+    MultiplierArray &operator=(const MultiplierArray &) = delete;
 
     /** Wire the surrounding pipeline stages. */
     void connect(MataColumnFetcher *fetcher, RowPrefetcher *prefetcher,
@@ -86,12 +88,11 @@ class MultiplierArray final : public hw::Clocked
     bool done() const;
 
     /** True when a port was visited: any visit polls or moves. */
-    bool clockUpdate();
-    void clockApply();
+    bool clockUpdate(Cycle now);
     void recordStats(StatSet &stats) const;
 
     /** The earliest wake of a pending port. */
-    Cycle nextEventCycle() const { return next_wake_; }
+    Cycle nextEventCycle(Cycle) const { return next_wake_; }
 
     /**
      * (round-robin port, port_full_stalls, row_wait_stalls) after k
@@ -111,9 +112,6 @@ class MultiplierArray final : public hw::Clocked
 
     /** Scalar multiplications performed. */
     std::uint64_t multiplies() const { return multiplies_; }
-
-    /** Cycles in which at least one multiplier fired (occupancy). */
-    std::uint64_t activeCycles() const { return active_cycles_; }
 
   private:
     /** Drop every latched ready and pending bit if the prefetcher
@@ -158,9 +156,6 @@ class MultiplierArray final : public hw::Clocked
     std::uint64_t row_wait_stalls_ = 0;
     std::uint64_t port_full_stalls_ = 0;
     std::uint64_t active_cycles_ = 0;
-
-    std::string key_multiplies_, key_row_wait_stalls_,
-        key_port_full_stalls_, key_active_cycles_;
 };
 
 } // namespace sparch

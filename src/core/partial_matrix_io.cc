@@ -8,12 +8,9 @@ namespace sparch
 {
 
 PartialMatrixFetcher::PartialMatrixFetcher(const SpArchConfig &config,
-                                           mem::MemoryModel &mem,
-                                           std::string name)
-    : Clocked(std::move(name)), config_(&config), mem_(&mem)
-{
-    key_elements_streamed_ = this->name() + ".elements_streamed";
-}
+                                           mem::MemoryModel &mem)
+    : config_(&config), mem_(&mem)
+{}
 
 void
 PartialMatrixFetcher::startRound(std::vector<StoredInput> inputs)
@@ -41,7 +38,7 @@ PartialMatrixFetcher::done() const
 }
 
 Cycle
-PartialMatrixFetcher::nextEventCycle() const
+PartialMatrixFetcher::nextEventCycle(Cycle) const
 {
     Cycle next = hw::kNoEvent;
     for (const auto &s : inputs_) {
@@ -52,7 +49,7 @@ PartialMatrixFetcher::nextEventCycle() const
 }
 
 bool
-PartialMatrixFetcher::clockUpdate()
+PartialMatrixFetcher::clockUpdate(Cycle now)
 {
     bool moved = false;
     for (auto &s : inputs_) {
@@ -69,11 +66,11 @@ PartialMatrixFetcher::clockUpdate()
                 static_cast<Bytes>(s.fetched) * bytesPerElement;
             s.burst_ready = mem_->read(
                 DramStream::PartialRead, addr,
-                static_cast<Bytes>(burst) * bytesPerElement, now_);
+                static_cast<Bytes>(burst) * bytesPerElement, now);
             s.burst_end = s.fetched + burst;
             moved = true;
         }
-        if (s.fetched < s.burst_end && now_ >= s.burst_ready) {
+        if (s.fetched < s.burst_end && now >= s.burst_ready) {
             s.fetched = s.burst_end;
             moved = true;
         }
@@ -99,30 +96,19 @@ PartialMatrixFetcher::clockUpdate()
 }
 
 void
-PartialMatrixFetcher::clockApply()
-{
-    ++now_;
-}
-
-void
 PartialMatrixFetcher::recordStats(StatSet &stats) const
 {
-    stats.set(key_elements_streamed_,
+    stats.set("partial_fetcher.elements_streamed",
               static_cast<double>(elements_streamed_));
 }
 
 PartialMatrixWriter::PartialMatrixWriter(const SpArchConfig &config,
                                          mem::MemoryModel &mem,
-                                         std::string name, Index rows,
-                                         Index cols, bool keep_product)
-    : Clocked(std::move(name)), config_(&config), mem_(&mem),
-      rows_(rows), cols_(cols), keep_product_(keep_product)
-{
-    const std::string p = this->name() + ".";
-    key_additions_ = p + "additions";
-    key_bursts_ = p + "bursts";
-    key_busy_cycles_ = p + "busy_cycles";
-}
+                                         Index rows, Index cols,
+                                         bool keep_product)
+    : config_(&config), mem_(&mem), rows_(rows), cols_(cols),
+      keep_product_(keep_product)
+{}
 
 void
 PartialMatrixWriter::startRound(bool final_round, Bytes base_addr,
@@ -148,10 +134,10 @@ PartialMatrixWriter::startRound(bool final_round, Bytes base_addr,
 }
 
 bool
-PartialMatrixWriter::drained() const
+PartialMatrixWriter::drained(Cycle now) const
 {
     return tree_->done() && !tree_->rootHasData() && pending_ == 0 &&
-           now_ >= last_write_done_;
+           now >= last_write_done_;
 }
 
 std::vector<StreamElement>
@@ -161,7 +147,7 @@ PartialMatrixWriter::takeCaptured()
 }
 
 void
-PartialMatrixWriter::writeBurst(std::size_t elems)
+PartialMatrixWriter::writeBurst(std::size_t elems, Cycle now)
 {
     const auto stream = final_round_ ? DramStream::FinalWrite
                                      : DramStream::PartialWrite;
@@ -170,13 +156,13 @@ PartialMatrixWriter::writeBurst(std::size_t elems)
     last_write_done_ = std::max(
         last_write_done_,
         mem_->write(stream, addr,
-                    static_cast<Bytes>(elems) * bytesPerElement, now_));
+                    static_cast<Bytes>(elems) * bytesPerElement, now));
     pending_ -= elems;
     ++bursts_;
 }
 
 bool
-PartialMatrixWriter::clockUpdate()
+PartialMatrixWriter::clockUpdate(Cycle now)
 {
     // Drain the root; coalesce same-coordinate elements that slipped
     // through across merger window boundaries.
@@ -216,18 +202,18 @@ PartialMatrixWriter::clockUpdate()
     const std::size_t burst =
         std::min(config_->writerBurst, config_->writerFifo);
     if (pending_ >= burst) {
-        writeBurst(burst);
+        writeBurst(burst, now);
         return true;
     }
     if (pending_ > 0 && tree_->done() && !tree_->rootHasData()) {
-        writeBurst(pending_);
+        writeBurst(pending_, now);
         if (final_round_ && rowptr_bytes_ > 0) {
             // CSR conversion also emits the row-pointer array.
             last_write_done_ = std::max(
                 last_write_done_,
                 mem_->write(DramStream::FinalWrite,
                             base_addr_ + rowptr_bytes_, rowptr_bytes_,
-                            now_));
+                            now));
         }
         return true;
     }
@@ -235,17 +221,11 @@ PartialMatrixWriter::clockUpdate()
 }
 
 void
-PartialMatrixWriter::clockApply()
-{
-    ++now_;
-}
-
-void
 PartialMatrixWriter::recordStats(StatSet &stats) const
 {
-    stats.set(key_additions_, static_cast<double>(additions_));
-    stats.set(key_bursts_, static_cast<double>(bursts_));
-    stats.set(key_busy_cycles_, static_cast<double>(busy_cycles_));
+    stats.set("writer.additions", static_cast<double>(additions_));
+    stats.set("writer.bursts", static_cast<double>(bursts_));
+    stats.set("writer.busy_cycles", static_cast<double>(busy_cycles_));
 }
 
 } // namespace sparch

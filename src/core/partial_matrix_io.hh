@@ -15,8 +15,6 @@
 #define SPARCH_CORE_PARTIAL_MATRIX_IO_HH
 
 #include <cstdint>
-#include <string>
-#include <tuple>
 #include <vector>
 
 #include "core/round_stream.hh"
@@ -29,11 +27,14 @@ namespace sparch
 {
 
 /** Streams stored partial results into merge-tree leaves. */
-class PartialMatrixFetcher final : public hw::Clocked
+class PartialMatrixFetcher final
 {
   public:
     PartialMatrixFetcher(const SpArchConfig &config,
-                         mem::MemoryModel &mem, std::string name);
+                         mem::MemoryModel &mem);
+
+    PartialMatrixFetcher(const PartialMatrixFetcher &) = delete;
+    PartialMatrixFetcher &operator=(const PartialMatrixFetcher &) = delete;
 
     void connectTree(hw::MergeTree *tree) { tree_ = tree; }
 
@@ -43,17 +44,11 @@ class PartialMatrixFetcher final : public hw::Clocked
     /** All stored inputs fully delivered. */
     bool done() const;
 
-    bool clockUpdate();
-    void clockApply();
+    bool clockUpdate(Cycle now);
     void recordStats(StatSet &stats) const;
 
     /** The earliest landing of an outstanding burst. */
-    Cycle nextEventCycle() const;
-
-    /** (now) after k cycles without progress. */
-    std::tuple<Cycle> skipped(Cycle k) const { return {now_ + k}; }
-
-    void skip(Cycle k) { now_ += k; }
+    Cycle nextEventCycle(Cycle now) const;
 
   private:
     struct InputState
@@ -69,16 +64,13 @@ class PartialMatrixFetcher final : public hw::Clocked
     const SpArchConfig *config_;
     mem::MemoryModel *mem_;
     hw::MergeTree *tree_ = nullptr;
-    Cycle now_ = 0;
 
     std::vector<InputState> inputs_;
     std::uint64_t elements_streamed_ = 0;
-
-    std::string key_elements_streamed_;
 };
 
 /** Drains the merge-tree root and writes results to DRAM. */
-class PartialMatrixWriter final : public hw::Clocked
+class PartialMatrixWriter final
 {
   public:
     /**
@@ -91,8 +83,11 @@ class PartialMatrixWriter final : public hw::Clocked
      *        next round reads them back.
      */
     PartialMatrixWriter(const SpArchConfig &config,
-                        mem::MemoryModel &mem, std::string name,
-                        Index rows, Index cols, bool keep_product);
+                        mem::MemoryModel &mem, Index rows, Index cols,
+                        bool keep_product);
+
+    PartialMatrixWriter(const PartialMatrixWriter &) = delete;
+    PartialMatrixWriter &operator=(const PartialMatrixWriter &) = delete;
 
     void connectTree(hw::MergeTree *tree) { tree_ = tree; }
 
@@ -113,8 +108,8 @@ class PartialMatrixWriter final : public hw::Clocked
                     Bytes rowptr_bytes, std::size_t reserve_hint = 0,
                     std::vector<StreamElement> recycle = {});
 
-    /** True once the tree is done and all output has drained. */
-    bool drained() const;
+    /** True once the tree is done and all output has drained by `now`. */
+    bool drained(Cycle now) const;
 
     /**
      * Move the captured output out (end of round): sorted, duplicates
@@ -129,8 +124,7 @@ class PartialMatrixWriter final : public hw::Clocked
      */
     std::size_t emitted() const { return emitted_; }
 
-    bool clockUpdate();
-    void clockApply();
+    bool clockUpdate(Cycle now);
     void recordStats(StatSet &stats) const;
 
     /**
@@ -138,29 +132,20 @@ class PartialMatrixWriter final : public hw::Clocked
      * round's drained() flips there.
      */
     Cycle
-    nextEventCycle() const
+    nextEventCycle(Cycle now) const
     {
-        return last_write_done_ >= now_ ? last_write_done_ : hw::kNoEvent;
+        return last_write_done_ >= now ? last_write_done_ : hw::kNoEvent;
     }
-
-    /** (now) after k cycles without progress. */
-    std::tuple<Cycle> skipped(Cycle k) const { return {now_ + k}; }
-
-    void skip(Cycle k) { now_ += k; }
 
     /** Same-coordinate additions performed while draining. */
     std::uint64_t additions() const { return additions_; }
 
-    /** Cycles in which the writer drained at least one element. */
-    std::uint64_t busyCycles() const { return busy_cycles_; }
-
   private:
-    void writeBurst(std::size_t elems);
+    void writeBurst(std::size_t elems, Cycle now);
 
     const SpArchConfig *config_;
     mem::MemoryModel *mem_;
     hw::MergeTree *tree_ = nullptr;
-    Cycle now_ = 0;
 
     const Index rows_;
     const Index cols_;
@@ -179,8 +164,6 @@ class PartialMatrixWriter final : public hw::Clocked
     std::uint64_t additions_ = 0;
     std::uint64_t bursts_ = 0;
     std::uint64_t busy_cycles_ = 0;
-
-    std::string key_additions_, key_bursts_, key_busy_cycles_;
 };
 
 } // namespace sparch

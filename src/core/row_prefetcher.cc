@@ -10,18 +10,10 @@ namespace sparch
 {
 
 RowPrefetcher::RowPrefetcher(const SpArchConfig &config,
-                             mem::MemoryModel &mem, std::string name)
-    : Clocked(std::move(name)), config_(&config), mem_(&mem)
+                             mem::MemoryModel &mem)
+    : config_(&config), mem_(&mem)
 {
     demanded_.reserve(config.mergeWays());
-    const std::string p = this->name() + ".";
-    key_hits_ = p + "hits";
-    key_misses_ = p + "misses";
-    key_hit_rate_ = p + "hit_rate";
-    key_evictions_ = p + "evictions";
-    key_stall_cycles_ = p + "stall_cycles";
-    key_buffer_reads_ = p + "buffer_reads";
-    key_buffer_writes_ = p + "buffer_writes";
 }
 
 void
@@ -215,7 +207,7 @@ RowPrefetcher::reRankRow(Index row)
 }
 
 bool
-RowPrefetcher::streamRow(std::uint64_t pos, Index row)
+RowPrefetcher::streamRow(std::uint64_t pos, Index row, Cycle now)
 {
     if (streamed_ready_[pos] != kNotIssued)
         return false;
@@ -223,7 +215,7 @@ RowPrefetcher::streamRow(std::uint64_t pos, Index row)
         b_base_ + static_cast<Bytes>(b_->rowPtr()[row]) * bytesPerElement;
     const Bytes bytes =
         static_cast<Bytes>(b_->rowNnz(row)) * bytesPerElement;
-    streamed_ready_[pos] = mem_->read(DramStream::MatB, addr, bytes, now_);
+    streamed_ready_[pos] = mem_->read(DramStream::MatB, addr, bytes, now);
     misses_ += rowLines(row);
     return true;
 }
@@ -267,7 +259,7 @@ RowPrefetcher::evictOne(std::uint64_t protect_pos)
 
 bool
 RowPrefetcher::prefetchRow(Index row, unsigned &budget,
-                           bool count_misses)
+                           bool count_misses, Cycle now)
 {
     pinned_row_ = static_cast<SIndex>(row);
     const Index n_lines = rowLines(row);
@@ -303,7 +295,7 @@ RowPrefetcher::prefetchRow(Index row, unsigned &budget,
              static_cast<Bytes>(l) * config_->prefetchLineElems) *
                 bytesPerElement;
         const Cycle ready = mem_->read(DramStream::MatB, addr,
-                                       lineBytes(row, l), now_) +
+                                       lineBytes(row, l), now) +
                             decision;
         lineReady(rs)[l] = ready;
         ++rs.prefix_len;
@@ -325,16 +317,16 @@ RowPrefetcher::prefetchRow(Index row, unsigned &budget,
 }
 
 bool
-RowPrefetcher::rowReady(std::uint64_t pos)
+RowPrefetcher::rowReady(std::uint64_t pos, Cycle now)
 {
-    if (peekRowReady(pos))
+    if (peekRowReady(pos, now))
         return true;
 
     // Not ready: start whatever fetch the row still lacks.
     const Index row = (*tasks_)[pos].bRow;
     if (!config_->rowPrefetcher) {
         // No prefetcher: stream the full row from DRAM at use time.
-        streamRow(pos, row);
+        streamRow(pos, row, now);
         return false;
     }
 
@@ -352,14 +344,14 @@ RowPrefetcher::rowReady(std::uint64_t pos)
         // hit-rate optimism accepted for pipeline liveness.
         demandInsert(row, rs, pos);
         const std::uint64_t before = buffer_writes_;
-        prefetchRow(row, demand_budget_, /*count_misses=*/false);
+        prefetchRow(row, demand_budget_, /*count_misses=*/false, now);
         misses_ += buffer_writes_ - before;
     }
     return false;
 }
 
 bool
-RowPrefetcher::peekRowReady(std::uint64_t pos) const
+RowPrefetcher::peekRowReady(std::uint64_t pos, Cycle now) const
 {
     const Index row = (*tasks_)[pos].bRow;
     if (b_->rowNnz(row) == 0)
@@ -367,17 +359,17 @@ RowPrefetcher::peekRowReady(std::uint64_t pos) const
     const Index n_lines = rowLines(row);
     if (!config_->rowPrefetcher || n_lines > config_->prefetchLines) {
         // kNotIssued lies past every cycle.
-        return now_ >= streamed_ready_[pos];
+        return now >= streamed_ready_[pos];
     }
     const RowState &rs = rows_[row];
     if (rs.epoch != epoch_ || rs.prefix_len != n_lines)
         return false;
-    return now_ >= *std::max_element(lineReady(rs),
-                                     lineReady(rs) + rs.prefix_len);
+    return now >= *std::max_element(lineReady(rs),
+                                    lineReady(rs) + rs.prefix_len);
 }
 
 Cycle
-RowPrefetcher::pendingUntil(std::uint64_t pos) const
+RowPrefetcher::pendingUntil(std::uint64_t pos, Cycle now) const
 {
     if (!config_->rowPrefetcher)
         return 0;
@@ -390,11 +382,11 @@ RowPrefetcher::pendingUntil(std::uint64_t pos) const
         return 0;
     const Cycle ready =
         *std::max_element(lineReady(rs), lineReady(rs) + n_lines);
-    return ready > now_ ? ready : 0;
+    return ready > now ? ready : 0;
 }
 
 SPARCH_HOT bool
-RowPrefetcher::clockUpdate()
+RowPrefetcher::clockUpdate(Cycle now)
 {
     if (!config_->rowPrefetcher || tasks_ == nullptr)
         return false;
@@ -448,9 +440,10 @@ RowPrefetcher::clockUpdate()
 
         if (rowLines(row) > config_->prefetchLines) {
             // Stream oversized rows without caching.
-            if (streamRow(cursor_, row))
+            if (streamRow(cursor_, row, now))
                 budget = budget > 1 ? budget - 1 : 0;
-        } else if (!prefetchRow(row, budget, /*count_misses=*/true)) {
+        } else if (!prefetchRow(row, budget, /*count_misses=*/true,
+                                now)) {
             // A failed fill still stamped the row's recency.
             retried = true;
             stalled = true;
@@ -474,12 +467,6 @@ RowPrefetcher::clockUpdate()
            cursor_ != cursor_before;
 }
 
-SPARCH_HOT void
-RowPrefetcher::clockApply()
-{
-    ++now_;
-}
-
 double
 RowPrefetcher::hitRate() const
 {
@@ -492,13 +479,16 @@ RowPrefetcher::hitRate() const
 void
 RowPrefetcher::recordStats(StatSet &stats) const
 {
-    stats.set(key_hits_, static_cast<double>(hits_));
-    stats.set(key_misses_, static_cast<double>(misses_));
-    stats.set(key_hit_rate_, hitRate());
-    stats.set(key_evictions_, static_cast<double>(evictions_));
-    stats.set(key_stall_cycles_, static_cast<double>(stall_cycles_));
-    stats.set(key_buffer_reads_, static_cast<double>(buffer_reads_));
-    stats.set(key_buffer_writes_, static_cast<double>(buffer_writes_));
+    stats.set("row_prefetcher.hits", static_cast<double>(hits_));
+    stats.set("row_prefetcher.misses", static_cast<double>(misses_));
+    stats.set("row_prefetcher.hit_rate", hitRate());
+    stats.set("row_prefetcher.evictions", static_cast<double>(evictions_));
+    stats.set("row_prefetcher.stall_cycles",
+              static_cast<double>(stall_cycles_));
+    stats.set("row_prefetcher.buffer_reads",
+              static_cast<double>(buffer_reads_));
+    stats.set("row_prefetcher.buffer_writes",
+              static_cast<double>(buffer_writes_));
 }
 
 } // namespace sparch

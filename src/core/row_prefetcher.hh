@@ -51,8 +51,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -68,7 +66,7 @@ namespace sparch
 {
 
 /** The MatB row prefetcher module. */
-class RowPrefetcher final : public hw::Clocked
+class RowPrefetcher final
 {
   public:
     /** Next use of a row with no known future use. */
@@ -79,8 +77,10 @@ class RowPrefetcher final : public hw::Clocked
      * Reserves the pending demand-fetch table for one entry per merge
      * way; every other table is sized by startRound().
      */
-    RowPrefetcher(const SpArchConfig &config, mem::MemoryModel &mem,
-                  std::string name);
+    RowPrefetcher(const SpArchConfig &config, mem::MemoryModel &mem);
+
+    RowPrefetcher(const RowPrefetcher &) = delete;
+    RowPrefetcher &operator=(const RowPrefetcher &) = delete;
 
     /**
      * Begin a merge round, sizing every table the round's cycle loop
@@ -126,58 +126,54 @@ class RowPrefetcher final : public hw::Clocked
 
     /**
      * True when the right-matrix row of stream entry `pos` is fully on
-     * chip and usable by the multipliers.
+     * chip at cycle `now` and usable by the multipliers.
      */
-    bool rowReady(std::uint64_t pos);
+    bool rowReady(std::uint64_t pos, Cycle now);
 
     /**
-     * What rowReady(pos) returns now, without the fetches it starts
+     * What rowReady(pos, now) returns, without the fetches it starts
      * when the answer is false (demand fetches, bypass reads, miss
      * counts).
      */
-    bool peekRowReady(std::uint64_t pos) const;
+    bool peekRowReady(std::uint64_t pos, Cycle now) const;
 
     /**
-     * The cycle T > now() at which the row of stream entry `pos`
+     * The cycle T > now at which the row of stream entry `pos`
      * becomes ready, when every one of its lines is already issued to
      * the buffer; until T, rowReady(pos) returns false without side
      * effects unless evictions() moves first. 0 when the row is not
-     * fully issued, is ready now, is streamed (oversized) or the
+     * fully issued, is ready at `now`, is streamed (oversized) or the
      * prefetcher is off: then a poll may start a fetch.
      */
-    Cycle pendingUntil(std::uint64_t pos) const;
+    Cycle pendingUntil(std::uint64_t pos, Cycle now) const;
 
-    /** The current cycle. */
-    Cycle now() const { return now_; }
-
-    bool clockUpdate();
-    void clockApply();
+    bool clockUpdate(Cycle now);
     void recordStats(StatSet &stats) const;
 
     /**
-     * None: the update never reads the clock. A row landing is seen
-     * only by a multiplier poll, and a port waiting on one is either
-     * parked until pendingUntil() (the multiplier's event) or polled
-     * every cycle, which is progress.
+     * None: the update reads the cycle only to time the fetches it
+     * issues. A row landing is seen only by a multiplier poll, and a
+     * port waiting on one is either parked until pendingUntil() (the
+     * multiplier's event) or polled every cycle, which is progress.
      */
-    Cycle nextEventCycle() const { return hw::kNoEvent; }
+    Cycle nextEventCycle(Cycle) const { return hw::kNoEvent; }
 
     /**
-     * (now, stall_cycles) after k cycles without progress. Such a
-     * cycle stalls exactly when the cursor is behind the window: its
-     * entry is held back by the rows-ahead limit, since every other
-     * outcome moves the cursor or touches a row.
+     * stall_cycles after k cycles without progress. Such a cycle
+     * stalls exactly when the cursor is behind the window: its entry
+     * is held back by the rows-ahead limit, since every other outcome
+     * moves the cursor or touches a row.
      */
-    std::tuple<Cycle, std::uint64_t>
+    std::uint64_t
     skipped(Cycle k) const
     {
         const bool stalls = config_->rowPrefetcher && tasks_ != nullptr &&
                             config_->rowFetchers > 0 &&
                             cursor_ < window_end_;
-        return {now_ + k, stall_cycles_ + (stalls ? k : 0)};
+        return stall_cycles_ + (stalls ? k : 0);
     }
 
-    void skip(Cycle k) { std::tie(now_, stall_cycles_) = skipped(k); }
+    void skip(Cycle k) { stall_cycles_ = skipped(k); }
 
     /** Line lookups that found the line resident. */
     std::uint64_t hits() const { return hits_; }
@@ -191,14 +187,8 @@ class RowPrefetcher final : public hw::Clocked
     /** Buffer hit rate over the whole run. */
     double hitRate() const;
 
-    /** Buffer reads serviced to the multipliers (SRAM accesses). */
-    std::uint64_t bufferReads() const { return buffer_reads_; }
-
     /** Lines written into the buffer (SRAM accesses). */
     std::uint64_t bufferWrites() const { return buffer_writes_; }
-
-    /** Cycles the prefetch cursor stalled (occupancy counter). */
-    std::uint64_t stallCycles() const { return stall_cycles_; }
 
   private:
     /** End of a chain of stream positions. */
@@ -275,7 +265,8 @@ class RowPrefetcher final : public hw::Clocked
      * When `count_misses` is set, lines issued to DRAM are tallied in
      * cursor_miss_lines_ for per-position hit/miss accounting.
      */
-    bool prefetchRow(Index row, unsigned &budget, bool count_misses);
+    bool prefetchRow(Index row, unsigned &budget, bool count_misses,
+                     Cycle now);
 
     /** Re-rank all resident lines of `row` after its next use moved. */
     void reRankRow(Index row);
@@ -304,10 +295,10 @@ class RowPrefetcher final : public hw::Clocked
     }
 
     /**
-     * Read the full row of stream entry `pos` from DRAM at use time,
+     * Read the full row of stream entry `pos` from DRAM at `now`,
      * unless already issued; true when a read was issued.
      */
-    bool streamRow(std::uint64_t pos, Index row);
+    bool streamRow(std::uint64_t pos, Index row, Cycle now);
 
     /** Evict one victim line; false if nothing is evictable. */
     bool evictOne(std::uint64_t protect_pos);
@@ -318,7 +309,6 @@ class RowPrefetcher final : public hw::Clocked
 
     const SpArchConfig *config_;
     mem::MemoryModel *mem_;
-    Cycle now_ = 0;
 
     const std::vector<MultTask> *tasks_ = nullptr;
     const CsrMatrix *b_ = nullptr;
@@ -383,10 +373,6 @@ class RowPrefetcher final : public hw::Clocked
     std::uint64_t buffer_writes_ = 0;
     std::uint64_t evictions_ = 0;
     std::uint64_t stall_cycles_ = 0;
-
-    /** Pre-composed stat keys (built once at construction). */
-    std::string key_hits_, key_misses_, key_hit_rate_, key_evictions_,
-        key_stall_cycles_, key_buffer_reads_, key_buffer_writes_;
 };
 
 } // namespace sparch

@@ -70,12 +70,10 @@ class RunContext
           a_base_(0), b_base_(a.storageBytes()),
           partial_bump_(b_base_ + b.storageBytes()),
           mem_(mem::createMemoryModel(config.memory)),
-          fetcher_(config, *mem_, "mata_fetcher"),
-          prefetcher_(config, *mem_, "row_prefetcher"),
-          multiplier_(config, "multiplier"),
-          partial_fetcher_(config, *mem_, "partial_fetcher"),
-          tree_(config.mergeTree, "merge_tree"),
-          writer_(config, *mem_, "writer", a.rows(), b.cols(),
+          fetcher_(config, *mem_), prefetcher_(config, *mem_),
+          multiplier_(config), partial_fetcher_(config, *mem_),
+          tree_(config.mergeTree),
+          writer_(config, *mem_, a.rows(), b.cols(),
                   mode == ProductMode::Build),
           kernel_(fetcher_, prefetcher_, multiplier_, partial_fetcher_,
                   tree_, writer_)
@@ -263,7 +261,8 @@ class RunContext
         const auto active =
             static_cast<unsigned>(fresh.size() + stored.size());
         tree_.startRound(active);
-        fetcher_.startRound(&tasks_, &port_queues_, rowptr_bytes);
+        fetcher_.startRound(&tasks_, &port_queues_, rowptr_bytes,
+                            kernel_.now());
         prefetcher_.startRound(&tasks_, &b_, b_base_);
         multiplier_.startRound(&tasks_, &b_, &port_queues_);
         partial_fetcher_.startRound(std::move(stored_inputs));
@@ -271,9 +270,9 @@ class RunContext
                            static_cast<std::size_t>(node.weight),
                            std::move(recycle));
 
-        auto round_done = [&]() {
+        auto round_done = [&](Cycle now) {
             return multiplier_.done() && partial_fetcher_.done() &&
-                   writer_.drained();
+                   writer_.drained(now);
         };
         // Generous bound: a healthy round moves a handful of elements
         // per cycle; hitting this limit means deadlock. A nonzero

@@ -59,17 +59,6 @@ BatchRunner::addWithSeed(std::string config_label,
     return id;
 }
 
-std::size_t
-BatchRunner::addSeeded(
-    std::string config_label, const SpArchConfig &config,
-    const std::function<Workload(std::uint64_t)> &factory)
-{
-    SPARCH_ASSERT(static_cast<bool>(factory),
-                  "addSeeded with no workload factory");
-    return add(std::move(config_label), config,
-               factory(taskSeed(base_seed_, tasks_.size())));
-}
-
 void
 BatchRunner::addGrid(
     const std::vector<std::pair<std::string, SpArchConfig>> &configs,

@@ -27,7 +27,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <utility>
@@ -162,15 +161,6 @@ class BatchRunner
                             unsigned shards = 1,
                             ShardPolicy policy =
                                 ShardPolicy::NnzBalanced);
-
-    /**
-     * Append one task whose workload depends on the per-task seed.
-     * The factory is called immediately with the seed this task's id
-     * derives, so the grid is identical no matter how it later runs.
-     */
-    std::size_t
-    addSeeded(std::string config_label, const SpArchConfig &config,
-              const std::function<Workload(std::uint64_t)> &factory);
 
     /** Append the full cross product, configuration-major. */
     void addGrid(

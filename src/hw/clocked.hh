@@ -1,29 +1,38 @@
 /**
  * @file
- * Two-phase clocked-module base class and simulation kernel.
+ * The simulation kernel: the one clock of the Fig. 10 pipeline.
  *
  * Section III-A of the paper describes the authors' simulator: "Each
  * module is abstracted as a class with a clock update method updating
  * the internal state of this module in each cycle, and a clock apply
  * method, which simulates the flip-flops in the circuit to make sure
- * signals are updated correctly." This header reproduces that
- * structure: a tick calls clockUpdate() on every module (combinational
- * evaluation against the current registered state), then clockApply()
- * (commit of next state), then advances the cycle counter.
+ * signals are updated correctly." This simulator keeps the update
+ * phase and has no apply phase, because no module holds next-state
+ * registers. Each clockUpdate(now) reads and writes the FIFOs and
+ * bitmasks it shares with its neighbours directly, in the fixed order
+ * the modules are passed to the kernel: what a module writes is seen
+ * by the modules updated after it in the same cycle and by the ones
+ * before it in the next. Inside the merge tree the levels are served
+ * root-side first, so an element climbs at most one level per cycle.
+ * The golden cycle counts pin this order. The only state left for a
+ * clock edge to move is the cycle, and the kernel holds it: it passes
+ * `now` to every module's clockUpdate() and nextEventCycle() and to
+ * the round's done predicate, and the modules pass it on to the calls
+ * that issue or test memory timing.
  *
  * The kernel does not tick every cycle. Each clockUpdate() reports
  * whether its module made progress, i.e. changed any state besides its
- * per-cycle counters, its clock and its round-robin pointer. After a
- * tick in which no module made progress the pipeline sits in a fixed
- * point: the next tick would find the same state and do the same
- * nothing, until a cycle some module already knows (nextEventCycle():
- * a MatA read landing, a parked port's row landing, a partial-matrix
- * burst landing, the last write completing). The kernel therefore
- * jumps to the earliest such cycle, capped at the round's cycle limit,
- * and calls skip(k) on every module, which adds k quiet cycles'
- * increments to its per-cycle counters and advances its clock and
- * round-robin pointer by k. A round with no event left (a deadlock)
- * jumps straight to the limit.
+ * per-cycle counters and its round-robin pointer. After a tick in
+ * which no module made progress the pipeline sits in a fixed point:
+ * the next tick would find the same state and do the same nothing,
+ * until a cycle some module already knows (nextEventCycle(): a MatA
+ * read landing, a parked port's row landing, a partial-matrix burst
+ * landing, the last write completing). The kernel therefore jumps to
+ * the earliest such cycle, capped at the round's cycle limit, and
+ * calls skip(k) on every module that keeps per-cycle state
+ * (QuietCounting), which adds k quiet cycles' increments to its
+ * per-cycle counters and advances its round-robin pointer by k. A
+ * round with no event left (a deadlock) jumps straight to the limit.
  *
  * The jump is exact because memory is not a clocked module:
  * MemoryModel::read/write fix a request's completion cycle when it is
@@ -37,8 +46,8 @@
  *
  * The Fig. 10 pipeline is a fixed set of modules, so the kernel holds
  * the concrete module types in a tuple and unrolls every phase into
- * direct calls at compile time; nothing dispatches through the Clocked
- * base. Absolute cycle counts are pinned by the golden tests
+ * direct calls at compile time; no module has a base class. Absolute
+ * cycle counts are pinned by the golden tests
  * SpArchSimulator.GoldenCyclesAndTraffic*.
  */
 
@@ -46,8 +55,8 @@
 #define SPARCH_HW_CLOCKED_HH
 
 #include <algorithm>
-#include <string>
 #include <tuple>
+#include <type_traits>
 
 #include "common/annotations.hh"
 #include "common/logging.hh"
@@ -63,41 +72,31 @@ namespace hw
 inline constexpr Cycle kNoEvent = ~Cycle{0};
 
 /**
- * Base class for every clocked hardware module. It only carries the
- * instance name; each module provides, for SimKernel to call on the
- * concrete type:
- *  - bool clockUpdate(): the combinational phase; true when the
- *    module made progress (see @file);
- *  - clockApply(): the flip-flop edge;
- *  - Cycle nextEventCycle() const: the earliest cycle at which the
- *    module can make progress without input from another module, or
- *    kNoEvent;
- *  - skipped(Cycle k) const: a tuple of the module's per-cycle state
- *    (clock, round-robin pointer, per-cycle counters) as it would be
- *    after k more cycles without progress, and skip(k), which sets it;
- *  - recordStats(StatSet &).
+ * A module with per-cycle state besides the cycle: per-cycle counters
+ * or a round-robin pointer that a quiet span must advance. skipped(k)
+ * returns that state as it would be after k more cycles without
+ * progress, and skip(k) sets it.
  */
-class Clocked
-{
-  public:
-    explicit Clocked(std::string name) : name_(std::move(name)) {}
-
-    Clocked(const Clocked &) = delete;
-    Clocked &operator=(const Clocked &) = delete;
-
-    /** Module instance name, used as a stats prefix. */
-    const std::string &name() const { return name_; }
-
-  private:
-    std::string name_;
+template <typename Module>
+concept QuietCounting = requires(Module &m, const Module &c, Cycle k) {
+    c.skipped(k);
+    m.skip(k);
 };
 
 /**
- * Cycle-driven simulation kernel over a fixed module set. Modules are
- * ticked in constructor-argument order for clockUpdate (producers come
- * before consumers so data flows one stage per cycle), then in the same
- * order for clockApply, then the cycle advances. Spans without progress
- * are skipped (see @file).
+ * Cycle-driven simulation kernel over a fixed module set and the only
+ * holder of simulated time. Each module provides, for the kernel to
+ * call on the concrete type:
+ *  - bool clockUpdate(Cycle now): one cycle; true when the module made
+ *    progress (see @file);
+ *  - Cycle nextEventCycle(Cycle now) const: the earliest cycle at
+ *    which the module can make progress without input from another
+ *    module, or kNoEvent;
+ *  - skipped(k) and skip(k) when it is QuietCounting;
+ *  - recordStats(StatSet &).
+ * Modules are updated in constructor-argument order (producers before
+ * consumers), then the cycle advances. Spans without progress are
+ * skipped (see @file).
  */
 template <typename... Modules>
 class SimKernel
@@ -114,20 +113,23 @@ class SimKernel
     tick()
     {
         bool moved = false;
-        std::apply([&](auto *...m) { ((moved |= m->clockUpdate()), ...); },
-                   modules_);
-        std::apply([](auto *...m) { (m->clockApply(), ...); }, modules_);
-        ++now_;
+        std::apply(
+            [&](auto *...m) { ((moved |= m->clockUpdate(cycle_)), ...); },
+            modules_);
+        ++cycle_;
         return moved;
     }
 
-    /** Advance until the predicate is true or max_cycles elapse. */
+    /**
+     * Advance until done(now) is true or max_cycles elapse; false on
+     * reaching max_cycles.
+     */
     template <typename DonePredicate>
     SPARCH_HOT bool
     run(DonePredicate &&done, Cycle max_cycles)
     {
-        while (!done()) {
-            if (now_ >= max_cycles)
+        while (!done(cycle_)) {
+            if (cycle_ >= max_cycles)
                 return false;
             if (!tick())
                 skipQuietSpan(done, max_cycles);
@@ -136,7 +138,7 @@ class SimKernel
     }
 
     /** Current simulation time in cycles. */
-    Cycle now() const { return now_; }
+    Cycle now() const { return cycle_; }
 
     /** Collect statistics from all modules and the kernel's skips. */
     void
@@ -162,19 +164,19 @@ class SimKernel
         Cycle next = max_cycles;
         std::apply(
             [&](auto *...m) {
-                ((next = std::min(next, m->nextEventCycle())), ...);
+                ((next = std::min(next, m->nextEventCycle(cycle_))), ...);
             },
             modules_);
-        if (next <= now_)
+        if (next <= cycle_)
             return;
-        const Cycle k = next - now_;
+        const Cycle k = next - cycle_;
         ++skip_spans_;
         skipped_cycles_ += k;
         if constexpr (SPARCH_DCHECK_IS_ON) {
             const auto predicted = skippedState(k);
-            while (now_ < next) {
-                if (done() || tick()) {
-                    panic("SimKernel: progress at cycle ", now_,
+            while (cycle_ < next) {
+                if (done(cycle_) || tick()) {
+                    panic("SimKernel: progress at cycle ", cycle_,
                           " inside a quiet span predicted to end at ",
                           next);
                 }
@@ -184,22 +186,39 @@ class SimKernel
                       k, " cycles differs from skip(", k, ")");
             }
         } else {
-            std::apply([k](auto *...m) { (m->skip(k), ...); }, modules_);
-            now_ = next;
+            std::apply([k](auto *...m) { (skipModule(*m, k), ...); },
+                       modules_);
+            cycle_ = next;
         }
     }
 
-    /** Every module's skipped(k). */
+    /** m.skip(k) when the module keeps per-cycle state. */
+    template <typename Module>
+    static void
+    skipModule(Module &m, Cycle k)
+    {
+        if constexpr (QuietCounting<Module>)
+            m.skip(k);
+    }
+
+    /** Each QuietCounting module's skipped(k). */
     auto
     skippedState(Cycle k) const
     {
+        const auto of = [k](const auto *m) {
+            if constexpr (QuietCounting<
+                              std::remove_cvref_t<decltype(*m)>>)
+                return std::make_tuple(m->skipped(k));
+            else
+                return std::tuple<>{};
+        };
         return std::apply(
-            [k](auto *...m) { return std::make_tuple(m->skipped(k)...); },
+            [&](auto *...m) { return std::tuple_cat(of(m)...); },
             modules_);
     }
 
     std::tuple<Modules *...> modules_;
-    Cycle now_ = 0;
+    Cycle cycle_ = 0;
 
     /** Cycles jumped over (DCHECK builds: ticked through and checked)
      *  and the number of jumps. */

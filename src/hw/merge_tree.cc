@@ -10,8 +10,7 @@ namespace sparch
 namespace hw
 {
 
-MergeTree::MergeTree(const MergeTreeConfig &config, std::string name)
-    : Clocked(std::move(name)), config_(config)
+MergeTree::MergeTree(const MergeTreeConfig &config) : config_(config)
 {
     SPARCH_ASSERT(config_.layers >= 1 && config_.layers <= 16,
                   "merge tree layers out of range: ", config_.layers);
@@ -24,13 +23,6 @@ MergeTree::MergeTree(const MergeTreeConfig &config, std::string name)
     cursor_.assign(config_.layers, 0);
     bottom_level_ = 1u << (config_.layers - 1);
     leaf_full_.resize(leafCount());
-    const std::string p = this->name() + ".";
-    key_elements_merged_ = p + "elements_merged";
-    key_additions_ = p + "additions";
-    key_cycles_ = p + "cycles";
-    key_idle_cycles_ = p + "idle_cycles";
-    key_fifo_pushes_ = p + "fifo_pushes";
-    key_fifo_pops_ = p + "fifo_pops";
     startRound(0);
 }
 
@@ -106,7 +98,7 @@ struct PopCursor
 
 } // namespace
 
-void
+bool
 MergeTree::serveParent(unsigned parent)
 {
     Node &p = nodes_[parent];
@@ -174,8 +166,6 @@ MergeTree::serveParent(unsigned parent)
     p.fifo.commitPushes(pushed);
     elements_merged_ += moved;
     additions_ += added;
-    if (moved != 0)
-        moved_this_cycle_ = true;
 
     if (2 * parent >= leafCount()) {
         // The children are leaves: popping one frees its FIFO.
@@ -188,11 +178,13 @@ MergeTree::serveParent(unsigned parent)
     if ((left.inputDone && lc.popped != 0 && lc.count == 0) ||
         (right.inputDone && rc.popped != 0 && rc.count == 0))
         eos_dirty_ = true;
+    return moved != 0;
 }
 
 SPARCH_HOT bool
-MergeTree::clockUpdate()
+MergeTree::clockUpdate(Cycle)
 {
+    bool moved = false;
     // One shared merger per level, serving a single parent node per
     // cycle. Levels are processed root-side first so data advances one
     // level per cycle, like the registered pipeline in hardware.
@@ -216,7 +208,7 @@ MergeTree::clockUpdate()
         for (unsigned probe = 0; probe <= mask; ++probe) {
             const unsigned parent = first + ((cur + probe) & mask);
             if (servable(parent)) {
-                serveParent(parent);
+                moved |= serveParent(parent);
                 cur = (parent - first + 1) & mask;
                 // The parent gained data (level L-1 reads it), its
                 // children lost some (levels L and L+1).
@@ -228,6 +220,9 @@ MergeTree::clockUpdate()
         if (!served)
             dirty_levels_ &= ~level_bit;
     }
+    ++cycles_;
+    if (!moved)
+        ++idle_cycles_;
 
     // Propagate end-of-stream (cheap control signals). Only a finished
     // child draining, finishLeaf() or startRound() can newly exhaust a
@@ -244,16 +239,7 @@ MergeTree::clockUpdate()
                           "while node ", i, " is newly exhausted");
         }
     }
-    return moved_this_cycle_;
-}
-
-SPARCH_HOT void
-MergeTree::clockApply()
-{
-    ++cycles_;
-    if (!moved_this_cycle_)
-        ++idle_cycles_;
-    moved_this_cycle_ = false;
+    return moved;
 }
 
 std::uint64_t
@@ -277,13 +263,13 @@ MergeTree::fifoPops() const
 void
 MergeTree::recordStats(StatSet &stats) const
 {
-    stats.set(key_elements_merged_,
+    stats.set("merge_tree.elements_merged",
               static_cast<double>(elements_merged_));
-    stats.set(key_additions_, static_cast<double>(additions_));
-    stats.set(key_cycles_, static_cast<double>(cycles_));
-    stats.set(key_idle_cycles_, static_cast<double>(idle_cycles_));
-    stats.set(key_fifo_pushes_, static_cast<double>(fifoPushes()));
-    stats.set(key_fifo_pops_, static_cast<double>(fifoPops()));
+    stats.set("merge_tree.additions", static_cast<double>(additions_));
+    stats.set("merge_tree.cycles", static_cast<double>(cycles_));
+    stats.set("merge_tree.idle_cycles", static_cast<double>(idle_cycles_));
+    stats.set("merge_tree.fifo_pushes", static_cast<double>(fifoPushes()));
+    stats.set("merge_tree.fifo_pops", static_cast<double>(fifoPops()));
 }
 
 } // namespace hw

@@ -53,7 +53,6 @@
 #define SPARCH_HW_MERGE_TREE_HH
 
 #include <cstdint>
-#include <string>
 #include <tuple>
 #include <vector>
 
@@ -92,10 +91,13 @@ struct MergeTreeConfig
  * startRound(); producers push into leaf ports, the consumer pops the
  * root.
  */
-class MergeTree final : public Clocked
+class MergeTree final
 {
   public:
-    MergeTree(const MergeTreeConfig &config, std::string name);
+    explicit MergeTree(const MergeTreeConfig &config);
+
+    MergeTree(const MergeTree &) = delete;
+    MergeTree &operator=(const MergeTree &) = delete;
 
     unsigned leafCount() const { return 1u << config_.layers; }
     const MergeTreeConfig &config() const { return config_; }
@@ -184,13 +186,13 @@ class MergeTree final : public Clocked
     bool done() const { return nodes_[1].inputDone && nodes_[1].fifo.empty(); }
 
     /** True when a level moved an element or the end-of-stream
-     *  sweep ran. */
-    bool clockUpdate();
-    void clockApply();
+     *  sweep ran. Counts the cycle, and an idle one when no level
+     *  moved an element. */
+    bool clockUpdate(Cycle now);
     void recordStats(StatSet &stats) const;
 
     /** None: the tree moves only on input from its neighbours. */
-    Cycle nextEventCycle() const { return kNoEvent; }
+    Cycle nextEventCycle(Cycle) const { return kNoEvent; }
 
     /** (cycles, idle_cycles) after k cycles without progress. */
     std::tuple<std::uint64_t, std::uint64_t>
@@ -265,7 +267,8 @@ class MergeTree final : public Clocked
     /** One deepest-first end-of-stream propagation pass. */
     void sweepEndOfStream();
 
-    void serveParent(unsigned parent);
+    /** Serve `parent` from its children; true when an element moved. */
+    bool serveParent(unsigned parent);
 
     MergeTreeConfig config_;
     std::vector<Node> nodes_;       //!< 1-based heap layout
@@ -276,7 +279,6 @@ class MergeTree final : public Clocked
     std::uint64_t additions_ = 0;
     std::uint64_t idle_cycles_ = 0;
     std::uint64_t cycles_ = 0;
-    bool moved_this_cycle_ = false;
 
     /**
      * A node may have become exhausted since the last end-of-stream
@@ -292,10 +294,6 @@ class MergeTree final : public Clocked
     /** Bit L: some level-L parent may be servable (see @file). */
     std::uint32_t dirty_levels_ = ~0u;
     std::uint32_t bottom_level_; //!< the bit of the leaves' parents
-
-    /** Pre-composed stat keys (built once at construction). */
-    std::string key_elements_merged_, key_additions_, key_cycles_,
-        key_idle_cycles_, key_fifo_pushes_, key_fifo_pops_;
 };
 
 } // namespace hw

@@ -1,7 +1,6 @@
 #include "matrix/reference_spgemm.hh"
 
 #include <algorithm>
-#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -121,231 +120,6 @@ spgemmHash(const CsrMatrix &a, const CsrMatrix &b, SpgemmCounts *counts)
         *counts = local;
     return CsrMatrix(a.rows(), b.cols(), std::move(row_ptr),
                      std::move(col_idx), std::move(values));
-}
-
-CsrMatrix
-spgemmHeap(const CsrMatrix &a, const CsrMatrix &b, SpgemmCounts *counts)
-{
-    checkDims(a, b);
-    SpgemmCounts local;
-
-    std::vector<Index> row_ptr(a.rows() + 1, 0);
-    std::vector<Index> col_idx;
-    std::vector<Value> values;
-
-    // Heap entry: (current column of B row, which A-nonzero it belongs
-    // to, cursor within the B row).
-    struct HeapEntry
-    {
-        Index col;
-        Index list;
-        Index cursor;
-        bool
-        operator>(const HeapEntry &other) const
-        {
-            return col > other.col;
-        }
-    };
-
-    for (Index i = 0; i < a.rows(); ++i) {
-        auto a_cols = a.rowCols(i);
-        auto a_vals = a.rowVals(i);
-
-        std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                            std::greater<HeapEntry>> heap;
-        for (Index p = 0; p < a_cols.size(); ++p) {
-            if (b.rowNnz(a_cols[p]) > 0)
-                heap.push({b.rowCols(a_cols[p])[0], p, 0});
-        }
-
-        SIndex last_col = -1;
-        while (!heap.empty()) {
-            const HeapEntry e = heap.top();
-            heap.pop();
-            const Index k = a_cols[e.list];
-            const Value prod = a_vals[e.list] * b.rowVals(k)[e.cursor];
-            ++local.multiplies;
-            if (last_col == static_cast<SIndex>(e.col)) {
-                ++local.additions;
-                values.back() += prod;
-            } else {
-                col_idx.push_back(e.col);
-                values.push_back(prod);
-                last_col = e.col;
-            }
-            if (e.cursor + 1 < b.rowNnz(k)) {
-                heap.push({b.rowCols(k)[e.cursor + 1], e.list,
-                           e.cursor + 1});
-            }
-        }
-        row_ptr[i + 1] = static_cast<Index>(col_idx.size());
-    }
-
-    local.outputNnz = col_idx.size();
-    if (counts)
-        *counts = local;
-    return CsrMatrix(a.rows(), b.cols(), std::move(row_ptr),
-                     std::move(col_idx), std::move(values));
-}
-
-CsrMatrix
-spgemmSort(const CsrMatrix &a, const CsrMatrix &b, SpgemmCounts *counts)
-{
-    checkDims(a, b);
-    SpgemmCounts local;
-
-    std::vector<Index> row_ptr(a.rows() + 1, 0);
-    std::vector<Index> col_idx;
-    std::vector<Value> values;
-
-    std::vector<std::pair<Index, Value>> expanded;
-    for (Index i = 0; i < a.rows(); ++i) {
-        expanded.clear();
-        auto a_cols = a.rowCols(i);
-        auto a_vals = a.rowVals(i);
-        for (std::size_t p = 0; p < a_cols.size(); ++p) {
-            const Index k = a_cols[p];
-            auto b_cols = b.rowCols(k);
-            auto b_vals = b.rowVals(k);
-            for (std::size_t q = 0; q < b_cols.size(); ++q) {
-                ++local.multiplies;
-                expanded.emplace_back(b_cols[q], a_vals[p] * b_vals[q]);
-            }
-        }
-        std::sort(expanded.begin(), expanded.end(),
-                  [](const auto &x, const auto &y) {
-                      return x.first < y.first;
-                  });
-        for (const auto &[j, v] : expanded) {
-            if (!col_idx.empty() &&
-                row_ptr[i] < static_cast<Index>(col_idx.size()) &&
-                col_idx.back() == j) {
-                ++local.additions;
-                values.back() += v;
-            } else {
-                col_idx.push_back(j);
-                values.push_back(v);
-            }
-        }
-        row_ptr[i + 1] = static_cast<Index>(col_idx.size());
-    }
-
-    local.outputNnz = col_idx.size();
-    if (counts)
-        *counts = local;
-    return CsrMatrix(a.rows(), b.cols(), std::move(row_ptr),
-                     std::move(col_idx), std::move(values));
-}
-
-CsrMatrix
-spgemmInnerProduct(const CsrMatrix &a, const CsrMatrix &b,
-                   SpgemmCounts *counts)
-{
-    checkDims(a, b);
-    SpgemmCounts local;
-    const CsrMatrix bt = b.transpose();
-
-    std::vector<Index> row_ptr(a.rows() + 1, 0);
-    std::vector<Index> col_idx;
-    std::vector<Value> values;
-
-    for (Index i = 0; i < a.rows(); ++i) {
-        auto a_cols = a.rowCols(i);
-        auto a_vals = a.rowVals(i);
-        if (a_cols.empty()) {
-            row_ptr[i + 1] = row_ptr[i];
-            continue;
-        }
-        for (Index j = 0; j < bt.rows(); ++j) {
-            auto b_rows = bt.rowCols(j);
-            auto b_vals = bt.rowVals(j);
-            // Sorted-list intersection of row i of A and column j of B.
-            std::size_t p = 0, q = 0;
-            Value dot = 0.0;
-            bool any = false;
-            while (p < a_cols.size() && q < b_rows.size()) {
-                if (a_cols[p] < b_rows[q]) {
-                    ++p;
-                } else if (a_cols[p] > b_rows[q]) {
-                    ++q;
-                } else {
-                    ++local.multiplies;
-                    if (any)
-                        ++local.additions;
-                    dot += a_vals[p] * b_vals[q];
-                    any = true;
-                    ++p;
-                    ++q;
-                }
-            }
-            if (any && dot != 0.0) {
-                col_idx.push_back(j);
-                values.push_back(dot);
-            } else if (any) {
-                // Keep exact-zero dot products: all other algorithms
-                // retain explicit zeros produced by cancellation.
-                col_idx.push_back(j);
-                values.push_back(0.0);
-            }
-        }
-        row_ptr[i + 1] = static_cast<Index>(col_idx.size());
-    }
-
-    local.outputNnz = col_idx.size();
-    if (counts)
-        *counts = local;
-    return CsrMatrix(a.rows(), b.cols(), std::move(row_ptr),
-                     std::move(col_idx), std::move(values));
-}
-
-CsrMatrix
-spgemmOuterProduct(const CsrMatrix &a, const CsrMatrix &b,
-                   OuterProductStats *stats, SpgemmCounts *counts)
-{
-    checkDims(a, b);
-    SpgemmCounts local;
-    OuterProductStats out_stats;
-
-    // Multiply phase: column k of A (via A^T row k) times row k of B
-    // yields one partial matrix, kept as sorted COO triplets.
-    const CsrMatrix at = a.transpose();
-    CooMatrix all_partials(a.rows(), b.cols());
-
-    for (Index k = 0; k < at.rows(); ++k) {
-        auto a_rows = at.rowCols(k);
-        auto a_vals = at.rowVals(k);
-        auto b_cols = b.rowCols(k);
-        auto b_vals = b.rowVals(k);
-        if (a_rows.empty() || b_cols.empty())
-            continue;
-        ++out_stats.partialMatrices;
-        const std::uint64_t elems =
-            static_cast<std::uint64_t>(a_rows.size()) * b_cols.size();
-        out_stats.partialElements += elems;
-        out_stats.maxPartialElements =
-            std::max(out_stats.maxPartialElements, elems);
-        for (std::size_t p = 0; p < a_rows.size(); ++p) {
-            for (std::size_t q = 0; q < b_cols.size(); ++q) {
-                ++local.multiplies;
-                all_partials.add(a_rows[p], b_cols[q],
-                                 a_vals[p] * b_vals[q]);
-            }
-        }
-    }
-
-    // Merge phase: canonicalize() performs the same-coordinate sum the
-    // OuterSPACE merge phase implements. Exact zeros are kept, matching
-    // the hardware adders which never re-inspect summed values.
-    const std::uint64_t before = all_partials.nnz();
-    all_partials.canonicalize(/*drop_zeros=*/false);
-    local.additions = before - all_partials.nnz();
-    local.outputNnz = all_partials.nnz();
-
-    if (stats)
-        *stats = out_stats;
-    if (counts)
-        *counts = local;
-    return CsrMatrix::fromCoo(all_partials);
 }
 
 } // namespace sparch

@@ -1,12 +1,12 @@
 /**
  * @file
- * Reference SpGEMM algorithms.
+ * Reference SpGEMM algorithms, run on the host.
  *
- * These serve two purposes: (1) a golden functional model the SpArch
- * simulator is verified against, and (2) faithful algorithmic stand-ins
- * for the CPU/GPU baselines of the paper (Section IV relates each
- * library to its insertion method: MKL/cuSPARSE use hash tables, CUSP
- * sorts, HeapSpGEMM uses a heap, BHSPARSE and SpArch merge).
+ * spgemmDenseAccumulator() is the golden functional model: `--check`,
+ * the tests and the analytic baseline models take the product and its
+ * operation counts from it. spgemmHash() is the hash-accumulator
+ * method of MKL and cuSPARSE (Section IV); mklProxy() times it on the
+ * host.
  */
 
 #ifndef SPARCH_MATRIX_REFERENCE_SPGEMM_HH
@@ -43,48 +43,6 @@ CsrMatrix spgemmDenseAccumulator(const CsrMatrix &a, const CsrMatrix &b,
  */
 CsrMatrix spgemmHash(const CsrMatrix &a, const CsrMatrix &b,
                      SpgemmCounts *counts = nullptr);
-
-/**
- * Gustavson row-wise SpGEMM merging the candidate rows with a binary
- * heap (HeapSpGEMM's insertion method).
- */
-CsrMatrix spgemmHeap(const CsrMatrix &a, const CsrMatrix &b,
-                     SpgemmCounts *counts = nullptr);
-
-/**
- * Expand-sort-compress SpGEMM (CUSP's insertion method): generate all
- * partial products per row, sort, then compress duplicates.
- */
-CsrMatrix spgemmSort(const CsrMatrix &a, const CsrMatrix &b,
-                     SpgemmCounts *counts = nullptr);
-
-/**
- * Inner-product SpGEMM: for every candidate (i, j), intersect row i of A
- * with column j of B (B given in CSC form via transpose). Quadratic in
- * candidates; only usable on small matrices, included because the paper
- * contrasts it (Fig. 1) and tests exercise it.
- */
-CsrMatrix spgemmInnerProduct(const CsrMatrix &a, const CsrMatrix &b,
-                             SpgemmCounts *counts = nullptr);
-
-/** Statistics of an explicit outer-product execution. */
-struct OuterProductStats
-{
-    /** Number of partial product matrices (columns of A with nnz). */
-    std::uint64_t partialMatrices = 0;
-    /** Total elements across all partial matrices (= multiplies). */
-    std::uint64_t partialElements = 0;
-    /** Largest single partial matrix. */
-    std::uint64_t maxPartialElements = 0;
-};
-
-/**
- * Outer-product SpGEMM as OuterSPACE executes it: multiply phase forms
- * one partial matrix per column of A, merge phase combines them.
- */
-CsrMatrix spgemmOuterProduct(const CsrMatrix &a, const CsrMatrix &b,
-                             OuterProductStats *stats = nullptr,
-                             SpgemmCounts *counts = nullptr);
 
 } // namespace sparch
 

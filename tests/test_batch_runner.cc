@@ -223,9 +223,9 @@ TEST(BatchRunner, ResultsMatchReferenceSpgemm)
 TEST(BatchRunner, SeededTasksAreDeterministic)
 {
     // Two runners with the same base seed derive the same per-task
-    // seeds — and therefore identical seeded workloads — regardless
-    // of thread count.
-    auto factory = [](std::uint64_t seed) {
+    // seeds — and therefore identical workloads seeded from them —
+    // regardless of thread count.
+    auto workload = [](std::uint64_t seed) {
         return Workload("seeded-" + std::to_string(seed),
                         [seed] {
                             return generateUniform(32, 32, 150, seed);
@@ -233,9 +233,12 @@ TEST(BatchRunner, SeededTasksAreDeterministic)
     };
     BatchRunner serial(1, 0xabcdef);
     BatchRunner parallel(4, 0xabcdef);
-    for (int i = 0; i < 16; ++i) {
-        serial.addSeeded("table-I", SpArchConfig{}, factory);
-        parallel.addSeeded("table-I", SpArchConfig{}, factory);
+    for (std::size_t id = 0; id < 16; ++id) {
+        const std::uint64_t seed = BatchRunner::taskSeed(0xabcdef, id);
+        EXPECT_EQ(serial.add("table-I", SpArchConfig{}, workload(seed)),
+                  id);
+        parallel.add("table-I", SpArchConfig{}, workload(seed));
+        EXPECT_EQ(serial.tasks()[id].seed, seed);
     }
     serial.keepProducts(true);
     parallel.keepProducts(true);

@@ -4,18 +4,22 @@
  * exactly once, each port stays within its in-flight window, and the
  * eligible bitmask the issue scan jumps over always equals the scalar
  * per-port predicate, and the landed bits that wake parked multiplier
- * ports name exactly the ports whose reads landed. The landing
- * calendar that holds the in-flight reads must land each read on its
- * cycle and report the earliest landing, near and far alike.
+ * ports name exactly the ports whose reads landed. The round-robin
+ * pointer restarts at port 0 on each round's first cycle and moves one
+ * port per cycle, skipped ones included. The landing calendar that
+ * holds the in-flight reads must land each read on its cycle and
+ * report the earliest landing, near and far alike.
  */
 
 #include <map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.hh"
 #include "core/mata_column_fetcher.hh"
+#include "hw/clocked.hh"
 #include "mem/hbm_backend.hh"
 
 namespace sparch
@@ -51,19 +55,20 @@ TEST(MataColumnFetcher, EligibleBitsMatchScalarPredicate)
         cfg.aElementWindow = 3;
         cfg.mataFetchWidth = 4;
         mem::HbmBackend hbm(cfg.memory.hbm);
-        MataColumnFetcher fetcher(cfg, hbm, "f");
+        MataColumnFetcher fetcher(cfg, hbm);
         Rng rng(ports);
         std::vector<MultTask> tasks;
         std::vector<std::vector<std::uint64_t>> queues;
         std::size_t total = 0;
+        Cycle now = 0;
         for (int round = 0; round < 3; ++round) {
             randomRound(rng, ports, tasks, queues);
-            fetcher.startRound(&tasks, &queues, 0);
+            fetcher.startRound(&tasks, &queues, 0, now);
             std::vector<std::size_t> head(ports, 0);
             std::size_t retired = 0;
             for (int cycle = 0; cycle < 200000 && retired < tasks.size();
-                 ++cycle) {
-                fetcher.clockUpdate();
+                 ++cycle, ++now) {
+                fetcher.clockUpdate(now);
                 // Retire arrived heads on a random subset of ports, as
                 // a back-pressured multiplier would.
                 for (unsigned p = 0; p < ports; ++p) {
@@ -80,7 +85,6 @@ TEST(MataColumnFetcher, EligibleBitsMatchScalarPredicate)
                               fetcher.canIssue(p))
                         << "port " << p << " of " << ports;
                 }
-                fetcher.clockApply();
             }
             ASSERT_EQ(retired, tasks.size()) << ports << " ports";
             total += tasks.size();
@@ -89,7 +93,7 @@ TEST(MataColumnFetcher, EligibleBitsMatchScalarPredicate)
         }
         StatSet stats;
         fetcher.recordStats(stats);
-        EXPECT_EQ(stats.get("f.elements_fetched"),
+        EXPECT_EQ(stats.get("mata_fetcher.elements_fetched"),
                   static_cast<double>(total));
     }
 }
@@ -104,13 +108,14 @@ TEST(MataColumnFetcher, LandedBitsMatchLandings)
         cfg.aElementWindow = 3;
         cfg.mataFetchWidth = 4;
         mem::HbmBackend hbm(cfg.memory.hbm);
-        MataColumnFetcher fetcher(cfg, hbm, "f");
+        MataColumnFetcher fetcher(cfg, hbm);
         Rng rng(ports + 100);
         std::vector<MultTask> tasks;
         std::vector<std::vector<std::uint64_t>> queues;
+        Cycle now = 0;
         for (int round = 0; round < 3; ++round) {
             randomRound(rng, ports, tasks, queues);
-            fetcher.startRound(&tasks, &queues, 0);
+            fetcher.startRound(&tasks, &queues, 0, now);
             std::vector<bool> arrived(tasks.size(), false);
             std::vector<std::size_t> head(ports, 0);
             std::size_t retired = 0;
@@ -118,8 +123,8 @@ TEST(MataColumnFetcher, LandedBitsMatchLandings)
             BitMask quiet;
             quiet.resize(ports);
             for (int cycle = 0; cycle < 200000 && retired < tasks.size();
-                 ++cycle) {
-                fetcher.clockUpdate();
+                 ++cycle, ++now) {
+                fetcher.clockUpdate(now);
                 std::vector<bool> want(ports, false);
                 for (std::size_t pos = 0; pos < tasks.size(); ++pos) {
                     if (!arrived[pos] && fetcher.arrivedAt(pos)) {
@@ -149,12 +154,147 @@ TEST(MataColumnFetcher, LandedBitsMatchLandings)
                         fetcher.noteConsumed(p);
                     }
                 }
-                fetcher.clockApply();
             }
             ASSERT_EQ(retired, tasks.size()) << ports << " ports";
             EXPECT_EQ(landings, tasks.size());
         }
     }
+}
+
+/** A memory that lands every read kLatency cycles after its issue and
+ *  logs (issue cycle, address) of each. */
+class FixedLatency final : public mem::MemoryModel
+{
+  public:
+    static constexpr Cycle kLatency = 10;
+
+    Bytes peakBytesPerCycle() const override { return 0; }
+    mem::MemoryKind
+    kind() const override
+    {
+        return mem::MemoryKind::Ideal;
+    }
+
+    std::vector<std::pair<Cycle, Bytes>> reads;
+
+  protected:
+    Cycle
+    timeAccess(Bytes addr, Bytes, Cycle now, bool) override
+    {
+        reads.emplace_back(now, addr);
+        return now + kLatency;
+    }
+
+    void resetTiming() override {}
+};
+
+/**
+ * Retires the head of every port at once, on the cycle the last of
+ * those heads has arrived, so that after each batch every port with
+ * elements left is eligible on the same cycle.
+ */
+class BatchConsumer
+{
+  public:
+    BatchConsumer(MataColumnFetcher &fetcher,
+                  const std::vector<std::vector<std::uint64_t>> &queues)
+        : fetcher_(&fetcher), queues_(&queues)
+    {}
+
+    void startRound() { head_.assign(queues_->size(), 0); }
+
+    bool
+    clockUpdate(Cycle)
+    {
+        bool any = false;
+        for (std::size_t p = 0; p < queues_->size(); ++p) {
+            if (head_[p] == (*queues_)[p].size())
+                continue;
+            if (!fetcher_->arrivedAt((*queues_)[p][head_[p]]))
+                return false;
+            any = true;
+        }
+        for (std::size_t p = 0; any && p < queues_->size(); ++p) {
+            if (head_[p] < (*queues_)[p].size()) {
+                ++head_[p];
+                fetcher_->noteConsumed(static_cast<unsigned>(p));
+            }
+        }
+        return any;
+    }
+
+    Cycle nextEventCycle(Cycle) const { return hw::kNoEvent; }
+
+    void recordStats(StatSet &) const {}
+
+    bool
+    done() const
+    {
+        for (std::size_t p = 0; p < queues_->size(); ++p) {
+            if (head_[p] < (*queues_)[p].size())
+                return false;
+        }
+        return true;
+    }
+
+  private:
+    MataColumnFetcher *fetcher_;
+    const std::vector<std::vector<std::uint64_t>> *queues_;
+    std::vector<std::size_t> head_;
+};
+
+// Three ports of two elements each, one read per cycle and one element
+// in flight per port. Each round issues every port's first element,
+// waits out a quiet span that the kernel skips (or, under DCHECK,
+// ticks through), lands and retires them, and issues the second
+// elements from the port the round-robin pointer names on that cycle:
+// (cycle - round start) mod 3. The second round starts on cycle 26,
+// not a multiple of 3, so a pointer taken from the absolute cycle, or
+// one that a skip does not advance, issues in another order.
+TEST(MataColumnFetcher, RoundRobinPointerCountsFromTheRoundStart)
+{
+    SpArchConfig cfg;
+    cfg.aElementWindow = 1;
+    cfg.mataFetchWidth = 1;
+    FixedLatency mem;
+    MataColumnFetcher fetcher(cfg, mem);
+    std::vector<MultTask> tasks;
+    std::vector<std::vector<std::uint64_t>> queues(3);
+    for (unsigned p = 0; p < 3; ++p) {
+        for (unsigned i = 0; i < 2; ++i) {
+            MultTask t;
+            t.port = p;
+            t.addr = 100 * p + i; // names (port, index) in the log
+            queues[p].push_back(tasks.size());
+            tasks.push_back(t);
+        }
+    }
+    BatchConsumer consumer(fetcher, queues);
+    hw::SimKernel<MataColumnFetcher, BatchConsumer> kernel(fetcher,
+                                                           consumer);
+
+    // (issue cycle, 100 * port + index) of every read, per round.
+    using Log = std::vector<std::pair<Cycle, Bytes>>;
+    const Log want[] = {
+        {{0, 0}, {1, 100}, {2, 200}, {13, 101}, {14, 201}, {15, 1}},
+        {{26, 0}, {27, 100}, {28, 200}, {39, 101}, {40, 201}, {41, 1}},
+    };
+    for (const Log &round : want) {
+        ASSERT_EQ(kernel.now(), round.front().first);
+        mem.reads.clear();
+        consumer.startRound();
+        fetcher.startRound(&tasks, &queues, 0, kernel.now());
+        ASSERT_TRUE(
+            kernel.run([&](Cycle) { return consumer.done(); }, 1000));
+        EXPECT_EQ(mem.reads, round);
+    }
+    // Each round skips two quiet spans of 6 cycles: one while the
+    // first elements are in flight, one while the second ones are.
+    StatSet stats;
+    kernel.recordStats(stats);
+    EXPECT_EQ(stats.get("kernel.skip_spans"), 4);
+    EXPECT_EQ(stats.get("kernel.skipped_cycles"), 24);
+    EXPECT_EQ(stats.get("mata_fetcher.issue_cycles"), 12);
 }
 
 // Reads land at random distances, some past the calendar's bucket

@@ -68,8 +68,7 @@ driveTree(MergeTree &tree,
             }
             all_fed &= cursor[i] > arrays[i].size();
         }
-        tree.clockUpdate();
-        tree.clockApply();
+        tree.clockUpdate(cycle);
         if (consumer == nullptr || consumer->nextBool(0.5)) {
             while (tree.rootHasPoppable())
                 out.push_back({cycle, tree.popRoot()});
@@ -89,7 +88,7 @@ std::vector<StreamElement>
 mergeArrays(const std::vector<std::vector<StreamElement>> &arrays,
             const MergeTreeConfig &config, unsigned finish_lag = 0)
 {
-    MergeTree tree(config, "tree");
+    MergeTree tree(config);
     std::vector<StreamElement> out;
     for (const RootPop &pop : driveTree(tree, arrays, nullptr,
                                         finish_lag)) {
@@ -173,16 +172,14 @@ TEST(MergeTree, CoalescesDuplicatesAndCountsAdditions)
 {
     MergeTreeConfig cfg;
     cfg.layers = 1;
-    MergeTree tree(cfg, "tree");
+    MergeTree tree(cfg);
     tree.startRound(2);
     tree.pushLeaf(0, {7, 1.0});
     tree.pushLeaf(1, {7, 2.0});
     tree.finishLeaf(0);
     tree.finishLeaf(1);
-    for (int i = 0; i < 10; ++i) {
-        tree.clockUpdate();
-        tree.clockApply();
-    }
+    for (Cycle now = 0; now < 10; ++now)
+        tree.clockUpdate(now);
     ASSERT_TRUE(tree.rootHasPoppable());
     const StreamElement e = tree.popRoot();
     EXPECT_EQ(e.coord, 7u);
@@ -195,20 +192,16 @@ TEST(MergeTree, DoneRequiresAllLeavesFinished)
 {
     MergeTreeConfig cfg;
     cfg.layers = 2;
-    MergeTree tree(cfg, "tree");
+    MergeTree tree(cfg);
     tree.startRound(3);
     tree.finishLeaf(0);
     tree.finishLeaf(1);
-    for (int i = 0; i < 10; ++i) {
-        tree.clockUpdate();
-        tree.clockApply();
-    }
+    for (Cycle now = 0; now < 10; ++now)
+        tree.clockUpdate(now);
     EXPECT_FALSE(tree.done());
     tree.finishLeaf(2);
-    for (int i = 0; i < 10; ++i) {
-        tree.clockUpdate();
-        tree.clockApply();
-    }
+    for (Cycle now = 0; now < 10; ++now)
+        tree.clockUpdate(now);
     EXPECT_TRUE(tree.done());
 }
 
@@ -217,7 +210,7 @@ TEST(MergeTree, PushToFinishedLeafPanics)
 {
     MergeTreeConfig cfg;
     cfg.layers = 1;
-    MergeTree tree(cfg, "tree");
+    MergeTree tree(cfg);
     tree.startRound(1);
     tree.finishLeaf(0);
     EXPECT_THROW(tree.pushLeaf(0, {1, 1.0}), PanicError);
@@ -227,7 +220,7 @@ TEST(MergeTree, OutOfOrderLeafPushPanics)
 {
     MergeTreeConfig cfg;
     cfg.layers = 1;
-    MergeTree tree(cfg, "tree");
+    MergeTree tree(cfg);
     tree.startRound(2);
     tree.pushLeaf(0, {5, 1.0});
     EXPECT_THROW(tree.pushLeaf(0, {3, 1.0}), PanicError);
@@ -240,15 +233,14 @@ TEST(MergeTree, TracksFifoTraffic)
     cfg.layers = 2;
     std::vector<std::vector<StreamElement>> arrays = {
         {{1, 1.0}}, {{2, 1.0}}, {{3, 1.0}}, {{4, 1.0}}};
-    MergeTree tree(cfg, "tree");
+    MergeTree tree(cfg);
     tree.startRound(4);
     for (unsigned i = 0; i < 4; ++i) {
         tree.pushLeaf(i, arrays[i][0]);
         tree.finishLeaf(i);
     }
-    while (!tree.done()) {
-        tree.clockUpdate();
-        tree.clockApply();
+    for (Cycle now = 0; !tree.done(); ++now) {
+        tree.clockUpdate(now);
         while (tree.rootHasPoppable())
             tree.popRoot();
     }
@@ -311,7 +303,7 @@ TEST_P(MergeTreeProperty, LeafFullBitEqualsZeroFreeSpace)
         cfg.layers = layers;
         cfg.mergerWidth = g.width;
         cfg.fifoCapacity = g.fifo;
-        MergeTree tree(cfg, "tree");
+        MergeTree tree(cfg);
         Rng rng(layers * 1000 + g.width);
         const unsigned leaves = tree.leafCount();
         auto check = [&](const char *after) {
@@ -338,8 +330,7 @@ TEST_P(MergeTreeProperty, LeafFullBitEqualsZeroFreeSpace)
                     }
                 }
                 check("pushLeaf");
-                tree.clockUpdate();
-                tree.clockApply();
+                tree.clockUpdate(static_cast<Cycle>(step));
                 check("clockUpdate");
                 if (rng.nextBool(0.5)) {
                     while (tree.rootHasPoppable())
@@ -393,7 +384,7 @@ TEST_P(MergeTreeProperty, RootPopCyclesAndCountersArePinned)
         cfg.mergerWidth = g.width;
         cfg.fifoCapacity = g.fifo;
         cfg.combineDuplicates = combine;
-        MergeTree tree(cfg, "tree");
+        MergeTree tree(cfg);
         Rng rng(g.layers * 10000 + g.width * 100 + g.fifo);
         Rng consumer(rng.next());
         std::uint64_t digest = kFnvOffset;

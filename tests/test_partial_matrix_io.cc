@@ -85,9 +85,8 @@ runRound(const SpArchConfig &cfg,
          bool final_round, bool keep_product)
 {
     AccessLog mem;
-    hw::MergeTree tree(cfg.mergeTree, "tree");
-    PartialMatrixWriter writer(cfg, mem, "writer", kShape, kShape,
-                               keep_product);
+    hw::MergeTree tree(cfg.mergeTree);
+    PartialMatrixWriter writer(cfg, mem, kShape, kShape, keep_product);
     writer.connectTree(&tree);
 
     tree.startRound(static_cast<unsigned>(arrays.size()));
@@ -98,7 +97,8 @@ runRound(const SpArchConfig &cfg,
         tree.finishLeaf(leaf);
     }
     hw::SimKernel<hw::MergeTree, PartialMatrixWriter> kernel(tree, writer);
-    EXPECT_TRUE(kernel.run([&] { return writer.drained(); }, 100000));
+    EXPECT_TRUE(kernel.run(
+        [&](Cycle now) { return writer.drained(now); }, 100000));
 
     RoundOutput out;
     out.emitted = writer.emitted();

@@ -57,24 +57,25 @@ trace(std::initializer_list<Index> rows)
 }
 
 /**
- * Clock a started round of `n` stream entries, consuming them in
- * order as soon as each head row is ready; returns the cycles taken.
+ * Clock a round of `n` stream entries started at cycle `start`,
+ * consuming them in order as soon as each head row is ready; returns
+ * the cycles taken.
  */
 int
-drainRound(RowPrefetcher &p, std::size_t n)
+drainRound(RowPrefetcher &p, std::size_t n, Cycle start = 0)
 {
     std::uint64_t consumed = 0;
-    int cycle = 0;
-    for (; cycle < 1000000 && consumed < n; ++cycle) {
-        p.clockUpdate();
-        while (consumed < n && p.rowReady(consumed)) {
+    int cycles = 0;
+    for (; cycles < 1000000 && consumed < n; ++cycles) {
+        const Cycle now = start + static_cast<Cycle>(cycles);
+        p.clockUpdate(now);
+        while (consumed < n && p.rowReady(consumed, now)) {
             p.noteConsumed(consumed);
             ++consumed;
         }
-        p.clockApply();
     }
     EXPECT_EQ(consumed, n) << "prefetcher not live";
-    return cycle;
+    return cycles;
 }
 
 /** Drive a fresh prefetcher over a trace; returns (hits, misses). */
@@ -83,7 +84,7 @@ runTrace(const SpArchConfig &cfg, const CsrMatrix &b,
          const std::vector<MultTask> &tasks)
 {
     mem::HbmBackend hbm(cfg.memory.hbm);
-    RowPrefetcher p(cfg, hbm, "p");
+    RowPrefetcher p(cfg, hbm);
     p.startRound(&tasks, &b, 0);
     drainRound(p, tasks.size());
     return {p.hits(), p.misses()};
@@ -123,17 +124,18 @@ TEST(RowPrefetcher, GrownRowTableMatchesAFreshInstance)
     const auto tasks = trace({0, 40, 1, 63, 40, 0, 5, 63, 40, 2, 5});
 
     mem::HbmBackend reused_hbm(cfg.memory.hbm);
-    RowPrefetcher reused(cfg, reused_hbm, "p");
+    RowPrefetcher reused(cfg, reused_hbm);
     reused.startRound(&warm, &small, 0);
-    drainRound(reused, warm.size());
+    const int warm_cycles = drainRound(reused, warm.size());
     const std::uint64_t hits0 = reused.hits();
     const std::uint64_t misses0 = reused.misses();
     const std::uint64_t writes0 = reused.bufferWrites();
     reused.startRound(&tasks, &large, 0);
-    const int reused_cycles = drainRound(reused, tasks.size());
+    const int reused_cycles =
+        drainRound(reused, tasks.size(), static_cast<Cycle>(warm_cycles));
 
     mem::HbmBackend fresh_hbm(cfg.memory.hbm);
-    RowPrefetcher fresh(cfg, fresh_hbm, "p");
+    RowPrefetcher fresh(cfg, fresh_hbm);
     fresh.startRound(&tasks, &large, 0);
     const int fresh_cycles = drainRound(fresh, tasks.size());
 
@@ -216,17 +218,16 @@ TEST(RowPrefetcher, BypassModeStreamsEveryUse)
     cfg.rowPrefetcher = false;
 
     mem::HbmBackend hbm(cfg.memory.hbm);
-    RowPrefetcher p(cfg, hbm, "p");
+    RowPrefetcher p(cfg, hbm);
     p.startRound(&tasks, &b, 0);
     std::uint64_t consumed = 0;
-    for (int cycle = 0; cycle < 100000 && consumed < tasks.size();
-         ++cycle) {
-        p.clockUpdate();
-        while (consumed < tasks.size() && p.rowReady(consumed)) {
+    for (Cycle now = 0; now < 100000 && consumed < tasks.size();
+         ++now) {
+        p.clockUpdate(now);
+        while (consumed < tasks.size() && p.rowReady(consumed, now)) {
             p.noteConsumed(consumed);
             ++consumed;
         }
-        p.clockApply();
     }
     ASSERT_EQ(consumed, tasks.size());
     // No reuse without the buffer: four full-row reads.
@@ -255,26 +256,26 @@ TEST(RowPrefetcher, PeekRowReadyPredictsEveryPoll)
         SpArchConfig cfg = smallConfig(4, ReplacementPolicy::Belady);
         cfg.rowPrefetcher = prefetcher;
         mem::HbmBackend hbm(cfg.memory.hbm);
-        RowPrefetcher p(cfg, hbm, "p");
+        RowPrefetcher p(cfg, hbm);
         p.startRound(&tasks, &b, 0);
         std::uint64_t consumed = 0;
-        for (int cycle = 0; cycle < 100000 && consumed < tasks.size();
-             ++cycle) {
-            p.clockUpdate();
+        for (Cycle now = 0; now < 100000 && consumed < tasks.size();
+             ++now) {
+            p.clockUpdate(now);
             // Poll a few heads ahead, as independent ports would.
             const std::uint64_t end =
                 std::min<std::uint64_t>(consumed + 3, tasks.size());
             for (std::uint64_t pos = consumed; pos < end; ++pos) {
-                const bool peeked = p.peekRowReady(pos);
-                ASSERT_EQ(peeked, p.rowReady(pos))
-                    << "pos " << pos << " cycle " << cycle;
+                const bool peeked = p.peekRowReady(pos, now);
+                ASSERT_EQ(peeked, p.rowReady(pos, now))
+                    << "pos " << pos << " cycle " << now;
             }
-            while (consumed < tasks.size() && p.peekRowReady(consumed) &&
-                   p.rowReady(consumed)) {
+            while (consumed < tasks.size() &&
+                   p.peekRowReady(consumed, now) &&
+                   p.rowReady(consumed, now)) {
                 p.noteConsumed(consumed);
                 ++consumed;
             }
-            p.clockApply();
         }
         ASSERT_EQ(consumed, tasks.size());
         if (prefetcher) {
@@ -305,7 +306,7 @@ TEST(RowPrefetcher, PendingUntilPredictsPurePolls)
                 smallConfig(lines, ReplacementPolicy::Belady);
             cfg.rowPrefetcher = prefetcher;
             mem::HbmBackend hbm(cfg.memory.hbm);
-            RowPrefetcher p(cfg, hbm, "p");
+            RowPrefetcher p(cfg, hbm);
             p.startRound(&tasks, &b, 0);
             // Per position: the pending wake cycle (0 = none) and the
             // eviction count it was taken under.
@@ -313,9 +314,9 @@ TEST(RowPrefetcher, PendingUntilPredictsPurePolls)
             std::vector<std::uint64_t> taken(tasks.size(), 0);
             unsigned pure = 0, woke = 0;
             std::uint64_t consumed = 0;
-            for (int cycle = 0; cycle < 100000 && consumed < tasks.size();
-                 ++cycle) {
-                p.clockUpdate();
+            for (Cycle now = 0; now < 100000 && consumed < tasks.size();
+                 ++now) {
+                p.clockUpdate(now);
                 const std::uint64_t end =
                     std::min<std::uint64_t>(consumed + 3, tasks.size());
                 for (std::uint64_t pos = consumed; pos < end; ++pos) {
@@ -324,8 +325,8 @@ TEST(RowPrefetcher, PendingUntilPredictsPurePolls)
                     const std::uint64_t misses = p.misses();
                     const std::uint64_t writes = p.bufferWrites();
                     const std::uint64_t evictions = p.evictions();
-                    const bool ready = p.rowReady(pos);
-                    if (parked && p.now() < wake[pos]) {
+                    const bool ready = p.rowReady(pos, now);
+                    if (parked && now < wake[pos]) {
                         ASSERT_FALSE(ready) << "pos " << pos;
                         ASSERT_EQ(p.misses(), misses) << "pos " << pos;
                         ASSERT_EQ(p.bufferWrites(), writes)
@@ -337,19 +338,19 @@ TEST(RowPrefetcher, PendingUntilPredictsPurePolls)
                         ASSERT_TRUE(ready) << "pos " << pos;
                         ++woke;
                     }
-                    wake[pos] = ready ? 0 : p.pendingUntil(pos);
+                    wake[pos] = ready ? 0 : p.pendingUntil(pos, now);
                     taken[pos] = p.evictions();
                     if (!prefetcher) {
                         ASSERT_EQ(wake[pos], 0u);
                     } else if (wake[pos] != 0) {
-                        ASSERT_GT(wake[pos], p.now());
+                        ASSERT_GT(wake[pos], now);
                     }
                 }
-                while (consumed < tasks.size() && p.rowReady(consumed)) {
+                while (consumed < tasks.size() &&
+                       p.rowReady(consumed, now)) {
                     p.noteConsumed(consumed);
                     ++consumed;
                 }
-                p.clockApply();
             }
             ASSERT_EQ(consumed, tasks.size())
                 << lines << " lines, prefetcher " << prefetcher;
@@ -367,23 +368,22 @@ TEST(RowPrefetcher, HitRateReportedOverLifetime)
     const auto tasks = trace({0, 1, 0, 1});
     SpArchConfig cfg = smallConfig(1024, ReplacementPolicy::Belady);
     mem::HbmBackend hbm(cfg.memory.hbm);
-    RowPrefetcher p(cfg, hbm, "p");
+    RowPrefetcher p(cfg, hbm);
     p.startRound(&tasks, &b, 0);
     std::uint64_t consumed = 0;
-    for (int cycle = 0; cycle < 100000 && consumed < tasks.size();
-         ++cycle) {
-        p.clockUpdate();
-        while (consumed < tasks.size() && p.rowReady(consumed)) {
+    for (Cycle now = 0; now < 100000 && consumed < tasks.size();
+         ++now) {
+        p.clockUpdate(now);
+        while (consumed < tasks.size() && p.rowReady(consumed, now)) {
             p.noteConsumed(consumed);
             ++consumed;
         }
-        p.clockApply();
     }
     EXPECT_DOUBLE_EQ(p.hitRate(), 0.5);
     StatSet stats;
     p.recordStats(stats);
-    EXPECT_DOUBLE_EQ(stats.get("p.hit_rate"), 0.5);
-    EXPECT_DOUBLE_EQ(stats.get("p.hits"), 2.0);
+    EXPECT_DOUBLE_EQ(stats.get("row_prefetcher.hit_rate"), 0.5);
+    EXPECT_DOUBLE_EQ(stats.get("row_prefetcher.hits"), 2.0);
 }
 
 // Belady's next use of a row is its earliest unretired position inside
@@ -397,7 +397,7 @@ TEST(RowPrefetcher, NextUseIsEarliestUnretiredUseInsideTheWindow)
     SpArchConfig cfg = smallConfig(1024, ReplacementPolicy::Belady);
     cfg.lookaheadFifo = 4; // window end: watermark + 4
     mem::HbmBackend hbm(cfg.memory.hbm);
-    RowPrefetcher p(cfg, hbm, "p");
+    RowPrefetcher p(cfg, hbm);
     const auto uses = [&p](std::initializer_list<Index> rows) {
         std::vector<std::uint64_t> next;
         for (Index r : rows)
@@ -410,34 +410,34 @@ TEST(RowPrefetcher, NextUseIsEarliestUnretiredUseInsideTheWindow)
     const auto round1 = trace({0, 1, 0, 2, 0, 1, 0, 3});
     p.startRound(&round1, &b, 0);
     EXPECT_EQ(uses({0, 1, 2, 3}), (Uses{kInf, kInf, kInf, kInf}));
-    p.clockUpdate(); // window [0, 4)
+    p.clockUpdate(0); // window [0, 4)
     EXPECT_EQ(uses({0, 1, 2, 3}), (Uses{0, 1, 3, kInf}));
     p.noteConsumed(2); // a later use of row 0 retires first
     EXPECT_EQ(p.nextUse(0), 0u);
     p.noteConsumed(0); // skips retired 2; 4 is outside the window
     EXPECT_EQ(p.nextUse(0), kInf);
-    p.clockUpdate(); // watermark 1: window [0, 5)
+    p.clockUpdate(1); // watermark 1: window [0, 5)
     EXPECT_EQ(p.nextUse(0), 4u);
     p.noteConsumed(6); // retired before the window reaches it
     p.noteConsumed(1); // row 1 moves to 5, outside the window
     EXPECT_EQ(uses({0, 1}), (Uses{4, kInf}));
-    p.clockUpdate(); // watermark 3: window [0, 7)
+    p.clockUpdate(2); // watermark 3: window [0, 7)
     EXPECT_EQ(uses({0, 1, 2, 3}), (Uses{4, 5, 3, kInf}));
     p.noteConsumed(4); // skips retired 6: row 0 has no use left
     p.noteConsumed(3);
     EXPECT_EQ(uses({0, 1, 2, 3}), (Uses{kInf, 5, kInf, kInf}));
-    p.clockUpdate(); // watermark 5: window [0, 8)
+    p.clockUpdate(3); // watermark 5: window [0, 8)
     EXPECT_EQ(uses({0, 1, 2, 3}), (Uses{kInf, 5, kInf, 7}));
 
     //                   pos: 0  1  2  3  4  5  6  7
     const auto round2 = trace({3, 3, 2, 0, 1, 3, 0, 2});
     p.startRound(&round2, &b, 0);
-    p.clockUpdate(); // window [0, 4)
+    p.clockUpdate(4); // window [0, 4)
     EXPECT_EQ(uses({0, 1, 2, 3}), (Uses{3, kInf, 2, 0}));
     p.noteConsumed(0);
     EXPECT_EQ(p.nextUse(3), 1u);
     p.noteConsumed(1);
-    p.clockUpdate(); // watermark 2: window [0, 6)
+    p.clockUpdate(5); // watermark 2: window [0, 6)
     EXPECT_EQ(uses({0, 1, 2, 3}), (Uses{3, 4, 2, 5}));
 }
 

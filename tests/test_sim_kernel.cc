@@ -7,7 +7,6 @@
  */
 
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,20 +24,20 @@ namespace
  * misreport: `report_lag` delays every event it reports, and
  * `skip_extra` has skipped(k) count that many quiet cycles too many.
  */
-class Timer final : public hw::Clocked
+class Timer final
 {
   public:
     Timer(std::string name, std::vector<Cycle> events,
           Cycle report_lag = 0, std::uint64_t skip_extra = 0)
-        : Clocked(std::move(name)), events_(std::move(events)),
+        : name_(std::move(name)), events_(std::move(events)),
           report_lag_(report_lag), skip_extra_(skip_extra)
     {}
 
     bool
-    clockUpdate()
+    clockUpdate(Cycle now)
     {
-        if (next_ < events_.size() && now_ >= events_[next_]) {
-            fired_at_.push_back(now_);
+        if (next_ < events_.size() && now >= events_[next_]) {
+            fired_at_.push_back(now);
             ++next_;
             return true;
         }
@@ -46,27 +45,25 @@ class Timer final : public hw::Clocked
         return false;
     }
 
-    void clockApply() { ++now_; }
-
     Cycle
-    nextEventCycle() const
+    nextEventCycle(Cycle) const
     {
         return next_ < events_.size() ? events_[next_] + report_lag_
                                       : hw::kNoEvent;
     }
 
-    std::tuple<Cycle, std::uint64_t>
+    std::uint64_t
     skipped(Cycle k) const
     {
-        return {now_ + k, quiet_cycles_ + k + (k > 0 ? skip_extra_ : 0)};
+        return quiet_cycles_ + k + (k > 0 ? skip_extra_ : 0);
     }
 
-    void skip(Cycle k) { std::tie(now_, quiet_cycles_) = skipped(k); }
+    void skip(Cycle k) { quiet_cycles_ = skipped(k); }
 
     void
     recordStats(StatSet &stats) const
     {
-        stats.set(name() + ".quiet_cycles",
+        stats.set(name_ + ".quiet_cycles",
                   static_cast<double>(quiet_cycles_));
     }
 
@@ -74,11 +71,11 @@ class Timer final : public hw::Clocked
     const std::vector<Cycle> &firedAt() const { return fired_at_; }
 
   private:
+    std::string name_;
     std::vector<Cycle> events_;
     Cycle report_lag_;
     std::uint64_t skip_extra_;
     std::size_t next_ = 0;
-    Cycle now_ = 0;
     std::uint64_t quiet_cycles_ = 0;
     std::vector<Cycle> fired_at_;
 };
@@ -89,7 +86,8 @@ TEST(SimKernel, QuietSpansEndAtTheEarliestModuleEvent)
     Timer late("late", {40});
     hw::SimKernel<Timer, Timer> kernel(early, late);
     ASSERT_TRUE(kernel.run(
-        [&] { return early.allFired() && late.allFired(); }, 1u << 20));
+        [&](Cycle) { return early.allFired() && late.allFired(); },
+        1u << 20));
 
     EXPECT_EQ(early.firedAt(), (std::vector<Cycle>{5, 6, 1000}));
     EXPECT_EQ(late.firedAt(), (std::vector<Cycle>{40}));
@@ -111,7 +109,7 @@ TEST(SimKernel, RoundWithoutEventsJumpsToItsCycleCap)
     Timer idle("idle", {});
     hw::SimKernel<Timer> kernel(idle);
     const Cycle cap = 1u << 20;
-    EXPECT_FALSE(kernel.run([] { return false; }, cap));
+    EXPECT_FALSE(kernel.run([](Cycle) { return false; }, cap));
     EXPECT_EQ(kernel.now(), cap);
 
     StatSet stats;
@@ -128,12 +126,14 @@ TEST(SimKernel, MisreportedSpansPanicUnderDcheck)
     Timer late_report("late_report", {10}, /*report_lag=*/5);
     hw::SimKernel<Timer> lagging(late_report);
     const auto run_lagging = [&] {
-        return lagging.run([&] { return late_report.allFired(); }, 100);
+        return lagging.run(
+            [&](Cycle) { return late_report.allFired(); }, 100);
     };
     Timer overcount("overcount", {10}, 0, /*skip_extra=*/1);
     hw::SimKernel<Timer> skewed(overcount);
     const auto run_skewed = [&] {
-        return skewed.run([&] { return overcount.allFired(); }, 100);
+        return skewed.run([&](Cycle) { return overcount.allFired(); },
+                          100);
     };
     if (SPARCH_DCHECK_IS_ON) {
         EXPECT_THROW(run_lagging(), PanicError);
