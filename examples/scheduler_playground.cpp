@@ -104,9 +104,8 @@ main(int argc, char **argv)
                 static_cast<double>(a.cols()) /
                     condensed.numColumns());
 
-    std::vector<std::uint64_t> weights;
-    for (Index j = 0; j < condensed.numColumns(); ++j)
-        weights.push_back(condensed.productWeight(j, a));
+    const std::vector<std::uint64_t> weights =
+        condensed.productWeights(a);
 
     // Build the three plans concurrently, print them in policy order.
     const std::pair<const char *, SchedulerKind> policies[] = {

@@ -12,7 +12,7 @@
  * the element's "never seen" state (every user's epoch 0).
  *
  * Growth copies the existing slots into a fresh zeroed block, and the
- * table is released with its owner. calloc bypasses the operator new
+ * table is freed by release() or with its owner. calloc bypasses the operator new
  * override through which test binaries count heap traffic, so grow()
  * bumps allochook::counter() itself: growth inside the cycle loop
  * trips the zero-allocation check like any other allocation.
@@ -62,6 +62,14 @@ class ZeroedTable
                         size_ * sizeof(T));
         data_.reset(fresh);
         size_ = n;
+    }
+
+    /** Free every slot; the table is empty until it grows again. */
+    void
+    release()
+    {
+        data_.reset();
+        size_ = 0;
     }
 
     /** Return every slot to the all-zero state. */

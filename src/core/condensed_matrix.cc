@@ -5,44 +5,38 @@
 namespace sparch
 {
 
-CondensedMatrix::CondensedMatrix(const CsrMatrix &csr) : csr_(&csr)
+CondensedMatrix::CondensedMatrix(const CsrMatrix &csr)
+    : csr_(&csr), column_length_(csr.maxRowNnz(), 0)
 {
-    column_rows_.resize(csr.maxRowNnz());
+    // Histogram of row lengths, then suffix sums: column j holds
+    // exactly the rows with more than j nonzeros, so lengths are
+    // monotone non-increasing (Fig. 7).
     for (Index r = 0; r < csr.rows(); ++r) {
-        const Index len = csr.rowNnz(r);
-        for (Index j = 0; j < len; ++j)
-            column_rows_[j].push_back(r);
+        if (const Index len = csr.rowNnz(r); len > 0)
+            ++column_length_[len - 1];
     }
-    // Condensed invariants (Fig. 7): column j holds exactly the rows
-    // with more than j nonzeros, so lengths are monotone non-increasing
-    // and each column's rows ascend (the row loop above runs in order).
-    for (std::size_t j = 1; j < column_rows_.size(); ++j) {
-        SPARCH_DCHECK(column_rows_[j].size() <=
-                          column_rows_[j - 1].size(),
-                      "condensed column lengths not monotone at ", j);
-    }
+    for (std::size_t j = column_length_.size(); j-- > 1;)
+        column_length_[j - 1] += column_length_[j];
 }
 
-CondensedElement
-CondensedMatrix::element(Index j, Index k) const
-{
-    SPARCH_DCHECK(j < numColumns(), "condensed column ", j,
-                  " out of range");
-    SPARCH_DCHECK(k < columnLength(j), "element ", k,
-                  " out of range in condensed column ", j);
-    const Index row = column_rows_[j][k];
-    return {row, csr_->rowCols(row)[j], csr_->rowVals(row)[j]};
-}
-
-std::uint64_t
-CondensedMatrix::productWeight(Index j, const CsrMatrix &b) const
+Index
+CondensedMatrix::columnLength(Index j) const
 {
     SPARCH_ASSERT(j < numColumns(), "condensed column ", j,
                   " out of range");
-    std::uint64_t weight = 0;
-    for (Index row : column_rows_[j])
-        weight += b.rowNnz(csr_->rowCols(row)[j]);
-    return weight;
+    return column_length_[j];
+}
+
+std::vector<std::uint64_t>
+CondensedMatrix::productWeights(const CsrMatrix &b) const
+{
+    std::vector<std::uint64_t> weights(numColumns(), 0);
+    for (Index r = 0; r < csr_->rows(); ++r) {
+        const auto cols = csr_->rowCols(r);
+        for (std::size_t j = 0; j < cols.size(); ++j)
+            weights[j] += b.rowNnz(cols[j]);
+    }
+    return weights;
 }
 
 } // namespace sparch

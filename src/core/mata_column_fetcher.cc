@@ -13,13 +13,13 @@ MataColumnFetcher::MataColumnFetcher(const SpArchConfig &config,
 {}
 
 void
-MataColumnFetcher::startRound(
-    const std::vector<MultTask> *tasks,
-    const std::vector<std::vector<std::uint64_t>> *port_queues,
-    Bytes rowptr_bytes, Cycle now)
+MataColumnFetcher::startRound(const std::vector<MultTask> *tasks,
+                              const PortQueues *port_queues, Bytes a_base,
+                              Bytes rowptr_bytes, Cycle now)
 {
     tasks_ = tasks;
     port_queues_ = port_queues;
+    a_base_ = a_base;
     arrived_.assign(tasks ? tasks->size() : 0, false);
     issued_.assign(port_queues ? port_queues->size() : 0, 0);
     retired_.assign(port_queues ? port_queues->size() : 0, 0);
@@ -48,6 +48,14 @@ MataColumnFetcher::startRound(
         mem_->read(DramStream::MatA, 0, rowptr_bytes, now);
 }
 
+void
+MataColumnFetcher::releaseRound()
+{
+    tasks_ = nullptr;
+    port_queues_ = nullptr;
+    decltype(arrived_)().swap(arrived_);
+}
+
 bool
 MataColumnFetcher::clockUpdate(Cycle now)
 {
@@ -55,10 +63,11 @@ MataColumnFetcher::clockUpdate(Cycle now)
         return false;
 
     // Land completed reads.
-    bool moved = inflight_.land(now, [this](std::uint64_t pos) {
-        arrived_[pos] = true;
-        landed_.set((*tasks_)[pos].port);
-    });
+    bool moved =
+        inflight_.land(now, [this](std::uint32_t pos, std::uint32_t port) {
+            arrived_[pos] = true;
+            landed_.set(port);
+        });
     landed_any_ |= moved;
 
     // Issue new element reads, round-robin across the column
@@ -92,11 +101,13 @@ MataColumnFetcher::clockUpdate(Cycle now)
             }
             SPARCH_DCHECK(canIssue(p), "ineligible port ", p,
                           " issued");
-            const std::uint64_t pos = (*port_queues_)[p][issued_[p]];
-            const Cycle ready = mem_->read(
-                DramStream::MatA, (*tasks_)[pos].addr, bytesPerElement,
-                now);
-            inflight_.add(now, ready, pos);
+            const std::uint32_t pos = (*port_queues_)[p][issued_[p]];
+            const Bytes addr =
+                a_base_ +
+                static_cast<Bytes>((*tasks_)[pos].nz) * bytesPerElement;
+            const Cycle ready =
+                mem_->read(DramStream::MatA, addr, bytesPerElement, now);
+            inflight_.add(now, ready, pos, p);
             ++issued_[p];
             refreshEligible(p);
             ++issued_total_;

@@ -26,7 +26,9 @@
  * In-flight reads wait in a LandingCalendar, bucketed by landing
  * cycle, so issuing and landing an element cost O(1) instead of a
  * heap push and pop; nextEventCycle() still reports the earliest
- * landing for the cycle loop's quiet-span skip.
+ * landing for the cycle loop's quiet-span skip. A read carries its
+ * stream position and the port it issued from, since stream entries
+ * do not record their port.
  */
 
 #ifndef SPARCH_CORE_MATA_COLUMN_FETCHER_HH
@@ -35,9 +37,9 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <compare>
 #include <cstdint>
 #include <functional>
-#include <utility>
 #include <vector>
 
 #include "common/bit_mask.hh"
@@ -51,10 +53,11 @@ namespace sparch
 {
 
 /**
- * In-flight element reads keyed by landing cycle: one bucket per cycle
- * over the kHorizon cycles ahead of the current one (an intrusive list
- * through a node pool sized for the most reads that can be in flight),
- * and a min-heap for landings beyond it. Adding and landing a read in
+ * In-flight element reads, each a (stream position, port) pair, keyed
+ * by landing cycle: one bucket per cycle over the kHorizon cycles
+ * ahead of the current one (an intrusive list through a node pool
+ * sized for the most reads that can be in flight), and a min-heap for
+ * landings beyond it. Adding and landing a read in
  * the horizon cost O(1); reads that land on one cycle land in no
  * particular order.
  *
@@ -82,11 +85,11 @@ class LandingCalendar
 
     /** A read issued at `now` lands at `ready` (no earlier than now+1). */
     void
-    add(Cycle now, Cycle ready, std::uint64_t pos)
+    add(Cycle now, Cycle ready, std::uint32_t pos, std::uint32_t port)
     {
         const Cycle at = std::max(ready, now + 1);
         if (at - now >= kHorizon) {
-            far_.emplace_back(at, pos);
+            far_.push_back({at, pos, port});
             std::push_heap(far_.begin(), far_.end(), std::greater<>{});
             return;
         }
@@ -95,13 +98,13 @@ class LandingCalendar
         const std::uint32_t n = free_;
         free_ = nodes_[n].next;
         const auto b = static_cast<std::size_t>(at % kHorizon);
-        nodes_[n] = {pos, head_[b]};
+        nodes_[n] = {pos, port, head_[b]};
         head_[b] = n;
         busy_[b / 64] |= std::uint64_t{1} << (b % 64);
     }
 
-    /** Call on_land(pos) for every read that lands at `now`; true if
-     *  any did. */
+    /** Call on_land(pos, port) for every read that lands at `now`;
+     *  true if any did. */
     template <typename OnLand>
     bool
     land(Cycle now, OnLand &&on_land)
@@ -112,7 +115,7 @@ class LandingCalendar
             busy_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
             for (std::uint32_t n = head_[b]; n != kNil;) {
                 const std::uint32_t next = nodes_[n].next;
-                on_land(nodes_[n].pos);
+                on_land(nodes_[n].pos, nodes_[n].port);
                 nodes_[n].next = free_;
                 free_ = n;
                 n = next;
@@ -120,8 +123,8 @@ class LandingCalendar
             head_[b] = kNil;
             any = true;
         }
-        while (!far_.empty() && far_.front().first <= now) {
-            on_land(far_.front().second);
+        while (!far_.empty() && far_.front().at <= now) {
+            on_land(far_.front().pos, far_.front().port);
             std::pop_heap(far_.begin(), far_.end(), std::greater<>{});
             far_.pop_back();
             any = true;
@@ -133,7 +136,7 @@ class LandingCalendar
     Cycle
     earliest(Cycle now) const
     {
-        Cycle next = far_.empty() ? hw::kNoEvent : far_.front().first;
+        Cycle next = far_.empty() ? hw::kNoEvent : far_.front().at;
         const auto start = static_cast<std::size_t>(now % kHorizon);
         // Scan the bucket bits from `start` round to start - 1.
         for (std::size_t k = 0; k <= kWords; ++k) {
@@ -161,8 +164,19 @@ class LandingCalendar
 
     struct Node
     {
-        std::uint64_t pos;
+        std::uint32_t pos;
+        std::uint32_t port;
         std::uint32_t next;
+    };
+
+    /** A read beyond the horizon; the heap orders by landing cycle. */
+    struct Far
+    {
+        Cycle at;
+        std::uint32_t pos;
+        std::uint32_t port;
+
+        auto operator<=>(const Far &) const = default;
     };
 
     /** Node pool: each node is on the free list or in one bucket. */
@@ -173,7 +187,7 @@ class LandingCalendar
     /** One bit per nonempty bucket. */
     std::array<std::uint64_t, kWords> busy_{};
     /** Reads landing kHorizon or more cycles after their issue. */
-    std::vector<std::pair<Cycle, std::uint64_t>> far_;
+    std::vector<Far> far_;
 };
 
 /** The per-column left-matrix element fetchers. */
@@ -190,19 +204,22 @@ class MataColumnFetcher final
      * @param tasks        The round's element stream.
      * @param port_queues  Per fresh port, global stream positions of
      *                     its elements in order.
+     * @param a_base       DRAM base address of the streamed operand.
      * @param rowptr_bytes Row-pointer metadata read up front.
      * @param now          The round's first cycle: the metadata read
      *                     issues then, and the round-robin scan
      *                     starts at port 0 then.
      */
     void startRound(const std::vector<MultTask> *tasks,
-                    const std::vector<std::vector<std::uint64_t>>
-                        *port_queues,
+                    const PortQueues *port_queues, Bytes a_base,
                     Bytes rowptr_bytes, Cycle now);
+
+    /** Free the round's per-element state once the last round ran. */
+    void releaseRound();
 
     /** True when stream entry `pos` has arrived on chip. */
     bool
-    arrivedAt(std::uint64_t pos) const
+    arrivedAt(std::uint32_t pos) const
     {
         return arrived_[pos];
     }
@@ -266,8 +283,8 @@ class MataColumnFetcher final
     mem::MemoryModel *mem_;
 
     const std::vector<MultTask> *tasks_ = nullptr;
-    const std::vector<std::vector<std::uint64_t>> *port_queues_ =
-        nullptr;
+    const PortQueues *port_queues_ = nullptr;
+    Bytes a_base_ = 0;
 
     std::vector<bool> arrived_;
     std::vector<std::size_t> issued_;  //!< per-port issue cursor

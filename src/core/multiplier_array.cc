@@ -26,11 +26,12 @@ MultiplierArray::connect(MataColumnFetcher *fetcher,
 
 void
 MultiplierArray::startRound(const std::vector<MultTask> *tasks,
+                            std::span<const Value> a_values,
                             const CsrMatrix *b,
-                            const std::vector<std::vector<
-                                std::uint64_t>> *port_queues)
+                            const PortQueues *port_queues)
 {
     tasks_ = tasks;
+    a_values_ = a_values;
     b_ = b;
     port_queues_ = port_queues;
     port_cursor_.assign(port_queues_->size(), 0);
@@ -102,7 +103,7 @@ MultiplierArray::parkedExactly(unsigned port, Cycle now) const
                !fetcher_->arrivedAt(queue[cursor]);
     if (cursor >= queue.size())
         return false;
-    const std::uint64_t pos = queue[cursor];
+    const std::uint32_t pos = queue[cursor];
     if (pending_.test(port))
         return !head_ready_.test(port) && fetcher_->arrivedAt(pos) &&
                prefetcher_->pendingUntil(pos, now) > now;
@@ -188,7 +189,7 @@ MultiplierArray::clockUpdate(Cycle now)
             ++scanned;
             continue;
         }
-        const std::uint64_t pos = (*port_queues_)[p][cursor];
+        const std::uint32_t pos = (*port_queues_)[p][cursor];
         if (!head_ready_.test(p)) {
             if (!fetcher_->arrivedAt(pos)) {
                 quiet_.set(p);
@@ -216,6 +217,7 @@ MultiplierArray::clockUpdate(Cycle now)
                           " latched ready but its row is not");
         }
         const MultTask &task = (*tasks_)[pos];
+        const Value a_value = a_values_[task.nz];
 
         auto b_cols = b_->rowCols(task.bRow);
         auto b_vals = b_->rowVals(task.bRow);
@@ -231,7 +233,7 @@ MultiplierArray::clockUpdate(Cycle now)
             }
             tree_->pushLeaf(p,
                             {packCoord(task.aRow, b_cols[prod]),
-                             task.aValue * b_vals[prod]});
+                             a_value * b_vals[prod]});
             ++multiplies_;
             ++prod;
             --budget;

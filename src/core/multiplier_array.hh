@@ -42,6 +42,7 @@
 #define SPARCH_CORE_MULTIPLIER_ARRAY_HH
 
 #include <cstdint>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -74,15 +75,16 @@ class MultiplierArray final
     /**
      * Begin a merge round.
      * @param tasks       Element stream (Fig. 7 order).
+     * @param a_values    Values of the streamed operand, indexed by
+     *                    MultTask::nz.
      * @param b           Right matrix.
      * @param port_queues Per fresh port, the global stream positions
      *                    of its elements in order; ports consume their
      *                    queues independently (64 column fetchers).
      */
     void startRound(const std::vector<MultTask> *tasks,
-                    const CsrMatrix *b,
-                    const std::vector<std::vector<std::uint64_t>>
-                        *port_queues);
+                    std::span<const Value> a_values, const CsrMatrix *b,
+                    const PortQueues *port_queues);
 
     /** All tasks consumed and all fresh ports finished. */
     bool done() const;
@@ -130,9 +132,9 @@ class MultiplierArray final
     hw::MergeTree *tree_ = nullptr;
 
     const std::vector<MultTask> *tasks_ = nullptr;
+    std::span<const Value> a_values_;
     const CsrMatrix *b_ = nullptr;
-    const std::vector<std::vector<std::uint64_t>> *port_queues_ =
-        nullptr;
+    const PortQueues *port_queues_ = nullptr;
     std::vector<std::size_t> port_cursor_;
     std::vector<Index> product_cursor_; //!< progress inside port heads
     unsigned rr_port_ = 0;

@@ -83,6 +83,17 @@ RowPrefetcher::startRound(const std::vector<MultTask> *tasks,
         streamed_ready_.resize(n, kNotIssued);
 }
 
+void
+RowPrefetcher::releaseRound()
+{
+    tasks_ = nullptr;
+    decltype(next_same_row_)().swap(next_same_row_);
+    decltype(retired_)().swap(retired_);
+    decltype(line_ready_)().swap(line_ready_);
+    decltype(streamed_ready_)().swap(streamed_ready_);
+    rows_.release();
+}
+
 Index
 RowPrefetcher::rowLines(Index row) const
 {

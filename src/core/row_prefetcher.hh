@@ -95,6 +95,13 @@ class RowPrefetcher final
                     const CsrMatrix *b, Bytes b_base);
 
     /**
+     * Free the per-element and per-row state once the last round ran:
+     * the next-use chain, the line slots, the retired and streamed
+     * positions and the row table. The counters stay.
+     */
+    void releaseRound();
+
+    /**
      * True once the look-ahead window has filled to its capacity (or
      * the whole round stream fits inside it). The multipliers hold off
      * until then so replacement decisions see a full horizon; this is

@@ -116,8 +116,8 @@ class RunContext
         if (prof)
             t3 = ProfClock::now();
 
-        // The round scratch is dead once the last round has run; free
-        // it before the CSR conversion allocates the product.
+        // The round state is dead once the last round has run; free it
+        // before the CSR conversion allocates the product.
         releaseRoundScratch();
         res.resultNnz = writer_.emitted(); // the root round runs last
         if (mode_ == ProductMode::Build) {
@@ -151,11 +151,9 @@ class RunContext
     buildLeaves()
     {
         if (config_.matrixCondensing) {
-            for (Index j = 0; j < condensed_.numColumns(); ++j) {
+            leaf_weights_ = condensed_.productWeights(b_);
+            for (Index j = 0; j < condensed_.numColumns(); ++j)
                 leaf_columns_.push_back(j);
-                leaf_weights_.push_back(
-                    condensed_.productWeight(j, b_));
-            }
         } else {
             a_csc_ = a_.transpose(); // row k of a_csc = column k of A
             for (Index k = 0; k < a_csc_.rows(); ++k) {
@@ -188,48 +186,32 @@ class RunContext
 
         // Build the shared left-element stream in Fig. 7 load order,
         // plus each port's queue of stream positions. The containers
-        // are members so their capacity carries across rounds.
+        // are members so their capacity carries across rounds. The
+        // stream refers to the nonzeros of the operand it reads: A's
+        // CSR with condensing, its CSC without.
+        std::vector<Index> columns;
+        for (const std::uint32_t f : fresh)
+            columns.push_back(plan_.nodes[f].column);
         Bytes rowptr_bytes = 0;
-        std::uint64_t total_inputs = 0;
-
+        std::span<const Value> a_values;
         if (config_.matrixCondensing) {
-            std::vector<Index> columns;
-            for (const std::uint32_t f : fresh)
-                columns.push_back(plan_.nodes[f].column);
             const Index visited_rows = buildCondensedStream(
-                condensed_, columns, a_base_, tasks_, port_queues_);
+                condensed_, columns, tasks_, port_queues_);
             rowptr_bytes = static_cast<Bytes>(visited_rows) *
                            bytesPerRowPtr;
+            a_values = a_.values();
         } else {
             // Plain outer product: one original column per port. The
             // plan's leaf column is an index into leaf_columns (empty
             // columns were skipped), so translate back.
-            tasks_.clear();
-            port_queues_.resize(fresh.size());
-            for (auto &queue : port_queues_)
-                queue.clear();
-            for (unsigned p = 0; p < fresh.size(); ++p) {
-                const Index k =
-                    leaf_columns_[plan_.nodes[fresh[p]].column];
-                auto rows = a_csc_.rowCols(k);
-                auto vals = a_csc_.rowVals(k);
-                for (std::size_t i = 0; i < rows.size(); ++i) {
-                    MultTask t;
-                    t.aRow = rows[i];
-                    t.bRow = k;
-                    t.aValue = vals[i];
-                    t.port = p;
-                    t.addr = a_base_ +
-                             (static_cast<Bytes>(a_csc_.rowPtr()[k]) +
-                              i) * bytesPerElement;
-                    port_queues_[p].push_back(tasks_.size());
-                    tasks_.push_back(t);
-                }
-            }
+            for (Index &column : columns)
+                column = leaf_columns_[column];
+            buildColumnStream(a_csc_, columns, tasks_, port_queues_);
             rowptr_bytes =
                 static_cast<Bytes>(fresh.size() + 1) * bytesPerRowPtr;
+            a_values = a_csc_.values();
         }
-        total_inputs += tasks_.size();
+        std::uint64_t total_inputs = tasks_.size();
 
         // Stored inputs occupy the ports after the fresh ones.
         std::vector<StoredInput> stored_inputs;
@@ -261,10 +243,10 @@ class RunContext
         const auto active =
             static_cast<unsigned>(fresh.size() + stored.size());
         tree_.startRound(active);
-        fetcher_.startRound(&tasks_, &port_queues_, rowptr_bytes,
+        fetcher_.startRound(&tasks_, &port_queues_, a_base_, rowptr_bytes,
                             kernel_.now());
         prefetcher_.startRound(&tasks_, &b_, b_base_);
-        multiplier_.startRound(&tasks_, &b_, &port_queues_);
+        multiplier_.startRound(&tasks_, a_values, &b_, &port_queues_);
         partial_fetcher_.startRound(std::move(stored_inputs));
         writer_.startRound(final_round, out_base, final_rowptr,
                            static_cast<std::size_t>(node.weight),
@@ -320,13 +302,19 @@ class RunContext
         }
     }
 
-    /** Free the per-round scratch containers and their capacity. */
+    /**
+     * Free the per-round scratch and the modules' round state, with
+     * their capacity, and the CSC copy of A.
+     */
     void
     releaseRoundScratch()
     {
+        fetcher_.releaseRound();
+        prefetcher_.releaseRound();
         decltype(tasks_)().swap(tasks_);
         decltype(port_queues_)().swap(port_queues_);
         decltype(spares_)().swap(spares_);
+        a_csc_ = CsrMatrix();
     }
 
     /** Fill in timings, traffic and module statistics. */
@@ -396,7 +384,7 @@ class RunContext
 
     // ---- per-round scratch, reused across rounds ----
     std::vector<MultTask> tasks_;
-    std::vector<std::vector<std::uint64_t>> port_queues_;
+    PortQueues port_queues_;
     std::vector<std::vector<StreamElement>> spares_;
 
     /** Stored partial results: node id -> (data, DRAM address). */

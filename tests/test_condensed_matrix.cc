@@ -1,13 +1,17 @@
 /**
  * @file
  * Tests for matrix condensing (Section II-B): the condensed-column
- * view must be exactly "another view of the same data" as CSR.
+ * view must be exactly "another view of the same data" as CSR. The
+ * view keeps no per-element index, so its column lengths and leaf
+ * weights are checked against what the CSR rows imply, and the
+ * elements against the round stream built from it.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
 #include "core/condensed_matrix.hh"
+#include "core/round_stream.hh"
 #include "matrix/generators.hh"
 
 namespace sparch
@@ -31,15 +35,16 @@ TEST(CondensedMatrix, EmptyMatrixHasNoColumns)
 
 TEST(CondensedMatrix, ColumnLengthsAreMonotoneNonIncreasing)
 {
-    const CsrMatrix m = generateUniform(80, 80, 640, 2);
+    const CsrMatrix m = generatePowerLaw(300, 5.0, 2.0, 2);
     const CondensedMatrix c(m);
     for (Index j = 1; j < c.numColumns(); ++j)
         EXPECT_LE(c.columnLength(j), c.columnLength(j - 1));
-    // And every column's contributing rows ascend.
+    // Column j holds exactly the rows with more than j nonzeros.
     for (Index j = 0; j < c.numColumns(); ++j) {
-        const auto &rows = c.columnRows(j);
-        for (std::size_t k = 1; k < rows.size(); ++k)
-            EXPECT_LT(rows[k - 1], rows[k]);
+        Index rows = 0;
+        for (Index r = 0; r < m.rows(); ++r)
+            rows += m.rowNnz(r) > j;
+        EXPECT_EQ(c.columnLength(j), rows) << "column " << j;
     }
 }
 
@@ -56,22 +61,28 @@ TEST(CondensedMatrix, TotalElementsEqualNnz)
 TEST(CondensedMatrix, ElementMatchesCsrView)
 {
     // The i-th element of a CSR row sits in condensed column i, with
-    // its original column index preserved (Fig. 7).
+    // its original column index preserved (Fig. 7). A stream of every
+    // condensed column holds each element once; port j's queue is
+    // column j, rows ascending.
     const CsrMatrix m = generateUniform(40, 60, 350, 4);
     const CondensedMatrix c(m);
+    std::vector<Index> all(c.numColumns());
+    for (Index j = 0; j < c.numColumns(); ++j)
+        all[j] = j;
+    std::vector<MultTask> tasks;
+    PortQueues queues;
+    buildCondensedStream(c, all, tasks, queues);
+    ASSERT_EQ(tasks.size(), m.nnz());
     for (Index j = 0; j < c.numColumns(); ++j) {
-        Index prev_row = 0;
-        bool first = true;
-        for (Index k = 0; k < c.columnLength(j); ++k) {
-            const CondensedElement e = c.element(j, k);
-            EXPECT_GT(m.rowNnz(e.row), j);
-            EXPECT_EQ(e.originalCol, m.rowCols(e.row)[j]);
-            EXPECT_DOUBLE_EQ(e.value, m.rowVals(e.row)[j]);
-            if (!first) {
-                EXPECT_GT(e.row, prev_row); // rows ascending
+        ASSERT_EQ(queues[j].size(), c.columnLength(j));
+        for (std::size_t k = 0; k < queues[j].size(); ++k) {
+            const MultTask &e = tasks[queues[j][k]];
+            EXPECT_GT(m.rowNnz(e.aRow), j);
+            EXPECT_EQ(e.nz, m.rowPtr()[e.aRow] + j);
+            EXPECT_EQ(e.bRow, m.rowCols(e.aRow)[j]);
+            if (k > 0) {
+                EXPECT_GT(e.aRow, tasks[queues[j][k - 1]].aRow);
             }
-            prev_row = e.row;
-            first = false;
         }
     }
 }
@@ -81,12 +92,18 @@ TEST(CondensedMatrix, ProductWeightSumsRightRowLengths)
     const CsrMatrix a = generateUniform(30, 30, 200, 5);
     const CsrMatrix b = generateUniform(30, 30, 200, 6);
     const CondensedMatrix c(a);
+    const std::vector<std::uint64_t> weights = c.productWeights(b);
+    ASSERT_EQ(weights.size(), c.numColumns());
     std::uint64_t total = 0;
     for (Index j = 0; j < c.numColumns(); ++j) {
+        // Column j's elements are the j-th nonzeros of the rows longer
+        // than j.
         std::uint64_t expect = 0;
-        for (Index k = 0; k < c.columnLength(j); ++k)
-            expect += b.rowNnz(c.element(j, k).originalCol);
-        EXPECT_EQ(c.productWeight(j, b), expect);
+        for (Index r = 0; r < a.rows(); ++r) {
+            if (a.rowNnz(r) > j)
+                expect += b.rowNnz(a.rowCols(r)[j]);
+        }
+        EXPECT_EQ(weights[j], expect) << "column " << j;
         total += expect;
     }
     // Summed over all condensed columns, the weights are exactly the
@@ -108,16 +125,13 @@ TEST(CondensedMatrix, OutOfRangeAccessPanics)
 {
     const CsrMatrix m = generateUniform(10, 10, 40, 8);
     const CondensedMatrix c(m);
-#if SPARCH_DCHECK_IS_ON
-    // element() range checking is SPARCH_DCHECK (hot path): enforced
-    // only in debug/sanitizer/-DSPARCH_DCHECK=ON builds.
-    EXPECT_THROW(c.element(c.numColumns(), 0), PanicError);
-    EXPECT_THROW(c.columnRows(0).size() > 0 &&
-                     c.element(0, c.columnLength(0)).row,
+    // columnLength() is read once per port and round: hard-checked.
+    EXPECT_THROW(c.columnLength(c.numColumns()), PanicError);
+    const Index columns[] = {c.numColumns()};
+    std::vector<MultTask> tasks;
+    PortQueues queues;
+    EXPECT_THROW(buildCondensedStream(c, columns, tasks, queues),
                  PanicError);
-#endif
-    // productWeight() is cold scheduler setup: hard-checked always.
-    EXPECT_THROW(c.productWeight(c.numColumns(), m), PanicError);
 }
 
 } // namespace

@@ -1,15 +1,21 @@
 /**
  * @file
  * The simulator's zero-heap-allocation contract for the cycle loop,
- * the bit identity of repeated multiplies, and the ZeroedTable that
- * backs the prefetcher's per-row state.
+ * the heap high-water mark of a multiply, the bit identity of
+ * repeated multiplies, and the ZeroedTable that backs the prefetcher's
+ * per-row state.
  *
  * This binary overrides global operator new/delete to bump
  * allochook::counter() on every heap allocation — that is what arms
  * the simulator's in-loop allocation check (SPARCH_DCHECK builds) and
- * lets the tests here measure heap traffic directly.
+ * lets the tests here measure heap traffic directly. The overrides
+ * also keep the live and peak bytes of the blocks they hand out
+ * (malloc_usable_size), which calloc'ed ZeroedTable storage bypasses.
  */
 
+#include <malloc.h>
+
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -30,11 +36,50 @@
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 
+namespace
+{
+
+/** Bytes of the blocks operator new handed out and not yet freed. */
+std::atomic<std::int64_t> g_live_bytes{0};
+/** The most g_live_bytes has been since the last resetHeapPeak(). */
+std::atomic<std::int64_t> g_peak_bytes{0};
+
+/** Count one allocation of block `p` (may be null). */
+void *
+noteAlloc(void *p)
+{
+    sparch::allochook::counter().fetch_add(1, std::memory_order_relaxed);
+    if (p == nullptr)
+        return p;
+    const auto bytes = static_cast<std::int64_t>(malloc_usable_size(p));
+    const std::int64_t live =
+        g_live_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+    std::int64_t peak = g_peak_bytes.load(std::memory_order_relaxed);
+    while (live > peak &&
+           !g_peak_bytes.compare_exchange_weak(peak, live,
+                                               std::memory_order_relaxed))
+        ;
+    return p;
+}
+
+/** Free block `p` (may be null). */
+void
+freeBlock(void *p) noexcept
+{
+    if (p != nullptr) {
+        g_live_bytes.fetch_sub(
+            static_cast<std::int64_t>(malloc_usable_size(p)),
+            std::memory_order_relaxed);
+    }
+    std::free(p);
+}
+
+} // namespace
+
 void *
 operator new(std::size_t size)
 {
-    sparch::allochook::counter().fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size))
+    if (void *p = noteAlloc(std::malloc(size)))
         return p;
     throw std::bad_alloc();
 }
@@ -50,8 +95,7 @@ operator new[](std::size_t size)
 void *
 operator new(std::size_t size, const std::nothrow_t &) noexcept
 {
-    sparch::allochook::counter().fetch_add(1, std::memory_order_relaxed);
-    return std::malloc(size);
+    return noteAlloc(std::malloc(size));
 }
 
 void *
@@ -63,37 +107,37 @@ operator new[](std::size_t size, const std::nothrow_t &tag) noexcept
 void
 operator delete(void *p, const std::nothrow_t &) noexcept
 {
-    std::free(p);
+    freeBlock(p);
 }
 
 void
 operator delete[](void *p, const std::nothrow_t &) noexcept
 {
-    std::free(p);
+    freeBlock(p);
 }
 
 void
 operator delete(void *p) noexcept
 {
-    std::free(p);
+    freeBlock(p);
 }
 
 void
 operator delete(void *p, std::size_t) noexcept
 {
-    std::free(p);
+    freeBlock(p);
 }
 
 void
 operator delete[](void *p) noexcept
 {
-    std::free(p);
+    freeBlock(p);
 }
 
 void
 operator delete[](void *p, std::size_t) noexcept
 {
-    std::free(p);
+    freeBlock(p);
 }
 
 #pragma GCC diagnostic pop
@@ -107,6 +151,15 @@ std::uint64_t
 heapAllocations()
 {
     return allochook::counter().load(std::memory_order_relaxed);
+}
+
+/** Restart the peak at the live bytes; returns them. */
+std::int64_t
+resetHeapPeak()
+{
+    const std::int64_t live = g_live_bytes.load(std::memory_order_relaxed);
+    g_peak_bytes.store(live, std::memory_order_relaxed);
+    return live;
 }
 
 TEST(ZeroedTable, GrowthKeepsSlotsAndZeroFillsTheTail)
@@ -159,6 +212,33 @@ TEST(CycleLoop, RepeatedMultipliesAreBitIdentical)
         EXPECT_EQ(again.stats.all(), first.stats.all())
             << "run " << run;
     }
+}
+
+/**
+ * The round state a multiply keeps on the heap per left nonzero: one
+ * 12-byte stream entry, its 4-byte position in a port queue and its
+ * 4-byte link in the prefetcher's next-use chain, plus the line slots
+ * and bit vectors of the round. Copying each element's value, port
+ * and address into the stream, 64-bit queue positions and a
+ * per-nonzero row index in the condensed view add 28 B, past the
+ * bound. The operand is a road network: one round of short rows, the
+ * shape of each shard of a sharded roadNet-CA multiply.
+ */
+TEST(CycleLoop, HeapHighWaterPerLeftNonzeroIsBounded)
+{
+    const CsrMatrix a = generateRoadNetwork(50000, 1);
+    const SpArchSimulator sim;
+    const std::int64_t before = resetHeapPeak();
+    const SpArchResult res = sim.multiply(a, a, ProductMode::Count);
+    const double per_nnz =
+        static_cast<double>(g_peak_bytes.load() - before) /
+        static_cast<double>(a.nnz());
+    EXPECT_EQ(res.mergeRounds, 1u);
+    EXPECT_GT(res.resultNnz, a.nnz());
+    // About 24 B, and 53 B with those copies. The floor guards the
+    // measurement: the stream entries and queues alone are 16 B.
+    EXPECT_LE(per_nnz, 32.0) << "peak heap bytes per left nonzero";
+    EXPECT_GE(per_nnz, 16.0) << "peak heap bytes per left nonzero";
 }
 
 /**

@@ -7,8 +7,8 @@
  * ports name exactly the ports whose reads landed. The round-robin
  * pointer restarts at port 0 on each round's first cycle and moves one
  * port per cycle, skipped ones included. The landing calendar that
- * holds the in-flight reads must land each read on its cycle and
- * report the earliest landing, near and far alike.
+ * holds the in-flight reads must land each read, with its port, on its
+ * cycle and report the earliest landing, near and far alike.
  */
 
 #include <map>
@@ -30,7 +30,7 @@ namespace
 /** `ports` port queues of random length over one task stream. */
 void
 randomRound(Rng &rng, unsigned ports, std::vector<MultTask> &tasks,
-            std::vector<std::vector<std::uint64_t>> &queues)
+            PortQueues &queues)
 {
     tasks.clear();
     queues.assign(ports, {});
@@ -38,11 +38,9 @@ randomRound(Rng &rng, unsigned ports, std::vector<MultTask> &tasks,
         // Some ports stay empty; others outlast their window.
         const auto len = rng.nextBounded(3) == 0 ? 0 : rng.nextBounded(40);
         for (std::uint64_t i = 0; i < len; ++i) {
-            MultTask t;
-            t.port = p;
-            t.addr = tasks.size() * bytesPerElement;
-            queues[p].push_back(tasks.size());
-            tasks.push_back(t);
+            const auto pos = static_cast<std::uint32_t>(tasks.size());
+            queues[p].push_back(pos);
+            tasks.push_back({0, 0, pos});
         }
     }
 }
@@ -58,12 +56,12 @@ TEST(MataColumnFetcher, EligibleBitsMatchScalarPredicate)
         MataColumnFetcher fetcher(cfg, hbm);
         Rng rng(ports);
         std::vector<MultTask> tasks;
-        std::vector<std::vector<std::uint64_t>> queues;
+        PortQueues queues;
         std::size_t total = 0;
         Cycle now = 0;
         for (int round = 0; round < 3; ++round) {
             randomRound(rng, ports, tasks, queues);
-            fetcher.startRound(&tasks, &queues, 0, now);
+            fetcher.startRound(&tasks, &queues, 0, 0, now);
             std::vector<std::size_t> head(ports, 0);
             std::size_t retired = 0;
             for (int cycle = 0; cycle < 200000 && retired < tasks.size();
@@ -111,12 +109,17 @@ TEST(MataColumnFetcher, LandedBitsMatchLandings)
         MataColumnFetcher fetcher(cfg, hbm);
         Rng rng(ports + 100);
         std::vector<MultTask> tasks;
-        std::vector<std::vector<std::uint64_t>> queues;
+        PortQueues queues;
         Cycle now = 0;
         for (int round = 0; round < 3; ++round) {
             randomRound(rng, ports, tasks, queues);
-            fetcher.startRound(&tasks, &queues, 0, now);
+            fetcher.startRound(&tasks, &queues, 0, 0, now);
             std::vector<bool> arrived(tasks.size(), false);
+            std::vector<unsigned> port_of(tasks.size());
+            for (unsigned p = 0; p < ports; ++p) {
+                for (const std::uint32_t pos : queues[p])
+                    port_of[pos] = p;
+            }
             std::vector<std::size_t> head(ports, 0);
             std::size_t retired = 0;
             std::size_t landings = 0;
@@ -129,7 +132,7 @@ TEST(MataColumnFetcher, LandedBitsMatchLandings)
                 for (std::size_t pos = 0; pos < tasks.size(); ++pos) {
                     if (!arrived[pos] && fetcher.arrivedAt(pos)) {
                         arrived[pos] = true;
-                        want[tasks[pos].port] = true;
+                        want[port_of[pos]] = true;
                         ++landings;
                     }
                 }
@@ -162,7 +165,7 @@ TEST(MataColumnFetcher, LandedBitsMatchLandings)
 }
 
 /** A memory that lands every read kLatency cycles after its issue and
- *  logs (issue cycle, address) of each. */
+ *  logs (issue cycle, address / bytesPerElement) of each. */
 class FixedLatency final : public mem::MemoryModel
 {
   public:
@@ -181,7 +184,7 @@ class FixedLatency final : public mem::MemoryModel
     Cycle
     timeAccess(Bytes addr, Bytes, Cycle now, bool) override
     {
-        reads.emplace_back(now, addr);
+        reads.emplace_back(now, addr / bytesPerElement);
         return now + kLatency;
     }
 
@@ -196,8 +199,7 @@ class FixedLatency final : public mem::MemoryModel
 class BatchConsumer
 {
   public:
-    BatchConsumer(MataColumnFetcher &fetcher,
-                  const std::vector<std::vector<std::uint64_t>> &queues)
+    BatchConsumer(MataColumnFetcher &fetcher, const PortQueues &queues)
         : fetcher_(&fetcher), queues_(&queues)
     {}
 
@@ -239,7 +241,7 @@ class BatchConsumer
 
   private:
     MataColumnFetcher *fetcher_;
-    const std::vector<std::vector<std::uint64_t>> *queues_;
+    const PortQueues *queues_;
     std::vector<std::size_t> head_;
 };
 
@@ -259,14 +261,12 @@ TEST(MataColumnFetcher, RoundRobinPointerCountsFromTheRoundStart)
     FixedLatency mem;
     MataColumnFetcher fetcher(cfg, mem);
     std::vector<MultTask> tasks;
-    std::vector<std::vector<std::uint64_t>> queues(3);
+    PortQueues queues(3);
     for (unsigned p = 0; p < 3; ++p) {
         for (unsigned i = 0; i < 2; ++i) {
-            MultTask t;
-            t.port = p;
-            t.addr = 100 * p + i; // names (port, index) in the log
-            queues[p].push_back(tasks.size());
-            tasks.push_back(t);
+            queues[p].push_back(static_cast<std::uint32_t>(tasks.size()));
+            // The operand position names (port, index) in the log.
+            tasks.push_back({0, 0, 100 * p + i});
         }
     }
     BatchConsumer consumer(fetcher, queues);
@@ -283,7 +283,7 @@ TEST(MataColumnFetcher, RoundRobinPointerCountsFromTheRoundStart)
         ASSERT_EQ(kernel.now(), round.front().first);
         mem.reads.clear();
         consumer.startRound();
-        fetcher.startRound(&tasks, &queues, 0, kernel.now());
+        fetcher.startRound(&tasks, &queues, 0, 0, kernel.now());
         ASSERT_TRUE(
             kernel.run([&](Cycle) { return consumer.done(); }, 1000));
         EXPECT_EQ(mem.reads, round);
@@ -300,7 +300,7 @@ TEST(MataColumnFetcher, RoundRobinPointerCountsFromTheRoundStart)
 // Reads land at random distances, some past the calendar's bucket
 // horizon; the clock either ticks or jumps to earliest(), as the
 // cycle loop does. Each cycle must land exactly the reads a
-// landing-ordered multimap says are due. The busy pass keeps up to 96
+// landing-ordered multimap says are due, each with its port. The busy pass keeps up to 96
 // reads in flight; the sparse pass at most two, so that every bucket
 // of the horizon, and the heap beyond it, in turn holds the earliest
 // landing.
@@ -318,14 +318,17 @@ TEST(LandingCalendar, LandsEveryReadOnItsCycle)
         Rng rng(5 + pass.max_inflight);
         LandingCalendar calendar;
         calendar.reset(pass.max_inflight);
-        std::multimap<Cycle, std::uint64_t> model;
-        std::uint64_t next_pos = 0;
+        std::multimap<Cycle, std::uint32_t> model;
+        std::uint32_t next_pos = 0;
+        const auto port_of = [](std::uint32_t pos) { return pos % 61; };
         std::uint64_t landed = 0;
         Cycle now = 0;
         for (int step = 0; step < 20000; ++step) {
-            std::vector<std::uint64_t> got, want;
-            calendar.land(now,
-                          [&](std::uint64_t pos) { got.push_back(pos); });
+            std::vector<std::uint32_t> got, want;
+            calendar.land(now, [&](std::uint32_t pos, std::uint32_t port) {
+                EXPECT_EQ(port, port_of(pos)) << "read " << pos;
+                got.push_back(pos);
+            });
             while (!model.empty() && model.begin()->first <= now) {
                 want.push_back(model.begin()->second);
                 model.erase(model.begin());
@@ -340,7 +343,7 @@ TEST(LandingCalendar, LandsEveryReadOnItsCycle)
                 const auto dist = rng.nextBounded(8) == 0
                                       ? rng.nextBounded(pass.far)
                                       : rng.nextBounded(pass.near);
-                calendar.add(now, now + dist, next_pos);
+                calendar.add(now, now + dist, next_pos, port_of(next_pos));
                 model.emplace(std::max(now + dist, now + 1), next_pos);
                 ++next_pos;
             }

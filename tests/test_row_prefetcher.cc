@@ -43,15 +43,9 @@ std::vector<MultTask>
 trace(std::initializer_list<Index> rows)
 {
     std::vector<MultTask> tasks;
-    unsigned port = 0;
     for (Index r : rows) {
-        MultTask t;
-        t.aRow = static_cast<Index>(tasks.size());
-        t.bRow = r;
-        t.aValue = 1.0;
-        t.port = port++ % 4;
-        t.addr = tasks.size() * bytesPerElement;
-        tasks.push_back(t);
+        const auto i = static_cast<std::uint32_t>(tasks.size());
+        tasks.push_back({i, r, i});
     }
     return tasks;
 }
