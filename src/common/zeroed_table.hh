@@ -12,10 +12,11 @@
  * the element's "never seen" state (every user's epoch 0).
  *
  * Growth copies the existing slots into a fresh zeroed block, and the
- * table is freed by release() or with its owner. calloc bypasses the operator new
- * override through which test binaries count heap traffic, so grow()
- * bumps allochook::counter() itself: growth inside the cycle loop
- * trips the zero-allocation check like any other allocation.
+ * table is freed by release() or with its owner. calloc bypasses the
+ * operator new override through which test binaries count heap
+ * traffic, so grow() bumps allochook::counter() itself: growth inside
+ * the cycle loop trips the zero-allocation check like any other
+ * allocation.
  */
 
 #ifndef SPARCH_COMMON_ZEROED_TABLE_HH

@@ -302,10 +302,7 @@ class RunContext
         }
     }
 
-    /**
-     * Free the per-round scratch and the modules' round state, with
-     * their capacity, and the CSC copy of A.
-     */
+    /** Free the per-round scratch and the modules' round state. */
     void
     releaseRoundScratch()
     {
@@ -314,7 +311,6 @@ class RunContext
         decltype(tasks_)().swap(tasks_);
         decltype(port_queues_)().swap(port_queues_);
         decltype(spares_)().swap(spares_);
-        a_csc_ = CsrMatrix();
     }
 
     /** Fill in timings, traffic and module statistics. */

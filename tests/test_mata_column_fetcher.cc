@@ -300,10 +300,10 @@ TEST(MataColumnFetcher, RoundRobinPointerCountsFromTheRoundStart)
 // Reads land at random distances, some past the calendar's bucket
 // horizon; the clock either ticks or jumps to earliest(), as the
 // cycle loop does. Each cycle must land exactly the reads a
-// landing-ordered multimap says are due, each with its port. The busy pass keeps up to 96
-// reads in flight; the sparse pass at most two, so that every bucket
-// of the horizon, and the heap beyond it, in turn holds the earliest
-// landing.
+// landing-ordered multimap says are due, each with its port. The
+// busy pass keeps up to 96 reads in flight; the sparse pass at most
+// two, so that every bucket of the horizon, and the heap beyond it, in
+// turn holds the earliest landing.
 TEST(LandingCalendar, LandsEveryReadOnItsCycle)
 {
     struct Pass
