@@ -22,8 +22,7 @@
  *    pool's requeue/flush paths, ResultCache). When a schedule is
  *    active they inject seeded timing perturbation (yields and short
  *    spins) to shake out interleavings; when none is active they cost
- *    one relaxed atomic load, and with -DSPARCH_SCHEDULE_POINTS=OFF
- *    they compile to nothing.
+ *    one relaxed atomic load.
  */
 
 #ifndef SPARCH_CHECK_SCHEDULE_HH
@@ -149,13 +148,8 @@ schedulePoint(const char *name) noexcept
 
 /**
  * Mark a concurrency decision point (queue handoff, steal, requeue,
- * flush). Free when no Schedule is active; compiled out entirely with
- * -DSPARCH_SCHEDULE_POINTS=OFF.
+ * flush). One relaxed atomic load when no Schedule is active.
  */
-#if defined(SPARCH_NO_SCHEDULE_POINTS)
-#define SPARCH_SCHEDULE_POINT(name) ((void)0)
-#else
 #define SPARCH_SCHEDULE_POINT(name) ::sparch::check::schedulePoint(name)
-#endif
 
 #endif // SPARCH_CHECK_SCHEDULE_HH

@@ -123,10 +123,6 @@ const char *kUsage =
     "                         groups (default 10% of the grid, at "
     "least one per\n"
     "                         group; 0 = the whole Pareto frontier)\n"
-    "  --surrogate-eps E      relative epsilon-dominance slack "
-    "(default 0):\n"
-    "                         larger values thin near-ties off the "
-    "frontier\n"
     "\n"
     "convert flags:\n"
     "  --buffer-bytes N       read-buffer size per pool slot (default "
@@ -329,9 +325,7 @@ surrogateSurvivors(const GridSpec &grid, unsigned threads,
     // cheapest workload instead of ranking design points.
     const std::size_t groups =
         grid.workloads.size() * grid.shards.size();
-    std::vector<dse::ParetoFilter> filters(
-        groups,
-        dse::ParetoFilter(flags.getDouble("surrogate-eps", 0.0)));
+    std::vector<dse::ParetoFilter> filters(groups);
     scored.reserve(total);
     for (std::size_t id = 0; id < total; ++id) {
         const GridPointRef ref = gridPointAt(grid, id);
@@ -538,7 +532,7 @@ cmdSweep(const std::vector<std::string> &args, std::ostream &out,
     const FlagSet flags(
         args,
         {"grid", "csv", "cache", "threads", "exec", "procs",
-         "surrogate-keep", "surrogate-eps"},
+         "surrogate-keep"},
         {"table", "check", "surrogate"});
     if (!flags.positional().empty())
         fatal("sweep: unexpected argument '", flags.positional()[0],
@@ -549,10 +543,8 @@ cmdSweep(const std::vector<std::string> &args, std::ostream &out,
         fatal("sweep: --grid FILE is required");
 
     GridSpec grid = parseGridSpecFile(grid_path);
-    if (!flags.has("surrogate") &&
-        (flags.has("surrogate-keep") || flags.has("surrogate-eps")))
-        fatal("sweep: --surrogate-keep/--surrogate-eps need "
-              "--surrogate");
+    if (!flags.has("surrogate") && flags.has("surrogate-keep"))
+        fatal("sweep: --surrogate-keep needs --surrogate");
     if (flags.has("threads"))
         grid.threads = flags.getUnsigned("threads", 0);
 

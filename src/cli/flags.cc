@@ -88,15 +88,6 @@ FlagSet::getUnsigned(const std::string &name, unsigned fallback) const
     return static_cast<unsigned>(getU64(name, fallback));
 }
 
-double
-FlagSet::getDouble(const std::string &name, double fallback) const
-{
-    const auto it = values_.find(name);
-    if (it == values_.end())
-        return fallback;
-    return parseDouble(it->second, "--" + name);
-}
-
 std::uint64_t
 parseU64(const std::string &text, const std::string &what)
 {

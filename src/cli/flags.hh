@@ -52,8 +52,6 @@ class FlagSet
     unsigned getUnsigned(const std::string &name,
                          unsigned fallback) const;
 
-    double getDouble(const std::string &name, double fallback) const;
-
     const std::vector<std::string> &positional() const
     {
         return positional_;

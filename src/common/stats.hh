@@ -6,6 +6,11 @@
  * benches and tests read them back by name or dump the whole set. This
  * keeps instrumentation declarative and avoids ad-hoc printf plumbing
  * through the simulator.
+ *
+ * Every statistic is a count or a total (cycles, bytes, seconds), so
+ * the sets of several runs — the shards of one sharded multiply, say —
+ * combine by plain summation with merge(). A ratio such as a hit rate
+ * is not stored; a reader derives it from the summed counts.
  */
 
 #ifndef SPARCH_COMMON_STATS_HH
@@ -39,15 +44,6 @@ class StatSet
         values_[name] = value;
     }
 
-    /** Track the maximum seen for a gauge-style statistic. */
-    void
-    max(const std::string &name, double value)
-    {
-        auto it = values_.find(name);
-        if (it == values_.end() || it->second < value)
-            values_[name] = value;
-    }
-
     /** Read a value; zero if never touched. */
     double
     get(const std::string &name) const
@@ -69,21 +65,6 @@ class StatSet
     {
         for (const auto &[name, value] : other.values_)
             values_[name] += value;
-    }
-
-    /**
-     * Merge another set keeping the elementwise maximum. This is the
-     * shard-aware counterpart of merge(): when one simulation is split
-     * into row-block shards, throughput counters (bytes, multiplies)
-     * sum across shards, while gauge-style statistics (cycle counts,
-     * peak occupancies) are governed by the worst shard on the
-     * critical path. ShardedSimulator keeps both views.
-     */
-    void
-    mergeMax(const StatSet &other)
-    {
-        for (const auto &[name, value] : other.values_)
-            max(name, value);
     }
 
     /** Remove all statistics. */

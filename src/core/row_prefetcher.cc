@@ -492,7 +492,6 @@ RowPrefetcher::recordStats(StatSet &stats) const
 {
     stats.set("row_prefetcher.hits", static_cast<double>(hits_));
     stats.set("row_prefetcher.misses", static_cast<double>(misses_));
-    stats.set("row_prefetcher.hit_rate", hitRate());
     stats.set("row_prefetcher.evictions", static_cast<double>(evictions_));
     stats.set("row_prefetcher.stall_cycles",
               static_cast<double>(stall_cycles_));

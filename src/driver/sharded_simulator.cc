@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <future>
-#include <string>
-#include <string_view>
-#include <utility>
+#include <span>
+#include <vector>
 
 #include "common/logging.hh"
 #include "driver/thread_pool.hh"
-#include "matrix/scsr.hh"
 
 namespace sparch
 {
@@ -30,19 +28,13 @@ shardPolicyName(ShardPolicy policy)
 namespace
 {
 
-/**
- * The planning algorithms, generic over the row-pointer element type:
- * Index for an in-memory CsrMatrix, std::uint64_t for the on-disk
- * index of an .scsr file. Both instantiations run the identical
- * arithmetic, so a plan cut from a mapped file matches the plan cut
- * from the materialized matrix element for element.
- */
-template <typename IndexT>
+/** Split into (near-)equal row counts. */
 std::vector<ShardRange>
-rowBalancedRanges(std::span<const IndexT> rp, unsigned shards)
+rowBalanced(const CsrMatrix &a, unsigned shards)
 {
+    const std::vector<Index> &rp = a.rowPtr();
+    const Index rows = a.rows();
     std::vector<ShardRange> ranges;
-    const Index rows = static_cast<Index>(rp.size() - 1);
     const Index k = std::min<Index>(std::max(shards, 1u), rows);
     for (Index s = 0; s < k; ++s) {
         ShardRange r;
@@ -50,25 +42,26 @@ rowBalancedRanges(std::span<const IndexT> rp, unsigned shards)
             static_cast<std::uint64_t>(rows) * s / k);
         r.end = static_cast<Index>(
             static_cast<std::uint64_t>(rows) * (s + 1) / k);
-        r.nnz = static_cast<std::size_t>(rp[r.end] - rp[r.begin]);
+        r.nnz = rp[r.end] - rp[r.begin];
         ranges.push_back(r);
     }
     return ranges;
 }
 
-template <typename IndexT>
+/** Greedy contiguous split targeting equal nonzeros per shard. */
 std::vector<ShardRange>
-nnzBalancedRanges(std::span<const IndexT> rp, unsigned shards)
+nnzBalanced(const CsrMatrix &a, unsigned shards)
 {
     // With no nonzeros there is nothing to balance on; fall back to
     // row counts so every shard still gets work.
-    const Index rows = static_cast<Index>(rp.size() - 1);
-    if (rp[rows] == rp[0])
-        return rowBalancedRanges(rp, shards);
+    if (a.nnz() == 0)
+        return rowBalanced(a, shards);
 
+    const std::vector<Index> &rp = a.rowPtr();
+    const Index rows = a.rows();
     std::vector<ShardRange> ranges;
     const Index k = std::min<Index>(std::max(shards, 1u), rows);
-    std::size_t remaining_nnz = static_cast<std::size_t>(rp[rows] - rp[0]);
+    std::size_t remaining_nnz = a.nnz();
     Index row = 0;
     for (Index s = 0; s < k; ++s) {
         ShardRange r;
@@ -87,12 +80,12 @@ nnzBalancedRanges(std::span<const IndexT> rp, unsigned shards)
             while (end < max_end &&
                    (end == row ||
                     static_cast<double>(acc) < target)) {
-                acc += static_cast<std::size_t>(rp[end + 1] - rp[end]);
+                acc += rp[end + 1] - rp[end];
                 ++end;
             }
             r.end = end;
         }
-        r.nnz = static_cast<std::size_t>(rp[r.end] - rp[r.begin]);
+        r.nnz = rp[r.end] - rp[r.begin];
         remaining_nnz -= r.nnz;
         row = r.end;
         ranges.push_back(r);
@@ -103,54 +96,13 @@ nnzBalancedRanges(std::span<const IndexT> rp, unsigned shards)
 } // namespace
 
 ShardPlan
-ShardPlan::rowBalanced(const CsrMatrix &a, unsigned shards)
-{
-    return ShardPlan(
-        rowBalancedRanges(std::span<const Index>(a.rowPtr()), shards));
-}
-
-ShardPlan
-ShardPlan::nnzBalanced(const CsrMatrix &a, unsigned shards)
-{
-    return ShardPlan(
-        nnzBalancedRanges(std::span<const Index>(a.rowPtr()), shards));
-}
-
-ShardPlan
 ShardPlan::make(ShardPolicy policy, const CsrMatrix &a, unsigned shards)
 {
     switch (policy) {
     case ShardPolicy::RowBalanced:
-        return rowBalanced(a, shards);
+        return ShardPlan(rowBalanced(a, shards));
     case ShardPolicy::NnzBalanced:
-        return nnzBalanced(a, shards);
-    }
-    fatal("unknown shard policy");
-}
-
-ShardPlan
-ShardPlan::rowBalanced(std::span<const std::uint64_t> row_ptr,
-                       unsigned shards)
-{
-    return ShardPlan(rowBalancedRanges(row_ptr, shards));
-}
-
-ShardPlan
-ShardPlan::nnzBalanced(std::span<const std::uint64_t> row_ptr,
-                       unsigned shards)
-{
-    return ShardPlan(nnzBalancedRanges(row_ptr, shards));
-}
-
-ShardPlan
-ShardPlan::make(ShardPolicy policy, std::span<const std::uint64_t> row_ptr,
-                unsigned shards)
-{
-    switch (policy) {
-    case ShardPolicy::RowBalanced:
-        return rowBalanced(row_ptr, shards);
-    case ShardPolicy::NnzBalanced:
-        return nnzBalanced(row_ptr, shards);
+        return ShardPlan(nnzBalanced(a, shards));
     }
     fatal("unknown shard policy");
 }
@@ -182,62 +134,13 @@ ShardedResult
 ShardedSimulator::multiply(const CsrMatrix &a, const CsrMatrix &b,
                            ShardProducts products) const
 {
-    const unsigned k =
-        shards_ > 0 ? shards_ : ThreadPool::hardwareThreads();
-    return multiply(a, b, ShardPlan::make(policy_, a, k), products);
+    return multiply(a, b, ShardPlan::make(policy_, a, shards_), products);
 }
 
-namespace
-{
-
-/** The left operand as one whole matrix, for the empty-plan path. */
-const CsrMatrix &
-wholeOf(const CsrMatrix &a)
-{
-    return a;
-}
-
-CsrMatrix
-wholeOf(const MappedCsr &a)
-{
-    return a.toCsr();
-}
-
-/**
- * Re-derive every "<stem>hit_rate" statistic from the summed
- * "<stem>hits" and "<stem>misses" beside it (row_prefetcher.hit_rate,
- * dram.row_hit_rate): a ratio does not sum across shards.
- */
-void
-recomputeHitRates(StatSet &stats)
-{
-    static constexpr std::string_view kRate = "hit_rate";
-    // Overwriting existing names inserts nothing, so the iteration
-    // stays valid.
-    for (const auto &[name, value] : stats.all()) {
-        if (!name.ends_with(kRate))
-            continue;
-        const std::string stem =
-            name.substr(0, name.size() - kRate.size());
-        if (!stats.has(stem + "hits") || !stats.has(stem + "misses"))
-            continue;
-        const double hits = stats.get(stem + "hits");
-        const double total = hits + stats.get(stem + "misses");
-        stats.set(name, total > 0.0 ? hits / total : 0.0);
-    }
-}
-
-/**
- * The fan-out/merge engine behind every multiply overload, generic
- * over the left operand: an in-memory CsrMatrix, or a MappedCsr whose
- * rowSlice materializes each shard's block straight from the file so
- * no single allocation ever holds the whole operand.
- */
-template <typename Left>
 ShardedResult
-multiplyPlanned(const SpArchSimulator &sim, const SpArchConfig &config,
-                unsigned threads, const Left &a, const CsrMatrix &b,
-                const ShardPlan &plan, ShardProducts products)
+ShardedSimulator::multiply(const CsrMatrix &a, const CsrMatrix &b,
+                           const ShardPlan &plan,
+                           ShardProducts products) const
 {
     if (a.cols() != b.rows()) {
         fatal("sharded: dimension mismatch ", a.rows(), "x", a.cols(),
@@ -263,8 +166,8 @@ multiplyPlanned(const SpArchSimulator &sim, const SpArchConfig &config,
 
     if (plan.empty()) {
         // A rowless operand: one monolithic call gives the shape.
-        out.combined = sim.multiply(
-            wholeOf(a), b, stack ? ProductMode::Build : ProductMode::Count);
+        out.combined = sim_.multiply(
+            a, b, stack ? ProductMode::Build : ProductMode::Count);
         return out;
     }
 
@@ -276,11 +179,11 @@ multiplyPlanned(const SpArchSimulator &sim, const SpArchConfig &config,
     auto run_shard = [&](std::size_t i) {
         const ShardRange &r = plan.ranges()[i];
         out.shards[i] =
-            sim.multiply(a.rowSlice(r.begin, r.end), b, mode);
+            sim_.multiply(a.rowSlice(r.begin, r.end), b, mode);
     };
-    if (threads > 1 && plan.size() > 1) {
+    if (threads_ > 1 && plan.size() > 1) {
         ThreadPool pool(std::min<unsigned>(
-            threads, static_cast<unsigned>(plan.size())));
+            threads_, static_cast<unsigned>(plan.size())));
         std::vector<std::future<void>> futures;
         futures.reserve(plan.size());
         for (std::size_t i = 0; i < plan.size(); ++i)
@@ -316,7 +219,6 @@ multiplyPlanned(const SpArchSimulator &sim, const SpArchConfig &config,
         hit_sum += s.prefetchHitRate *
                    static_cast<double>(s.multiplies);
         c.stats.merge(s.stats);
-        out.maxStats.mergeMax(s.stats);
     }
     if (stack) {
         std::vector<const CsrMatrix *> blocks;
@@ -334,7 +236,7 @@ multiplyPlanned(const SpArchSimulator &sim, const SpArchConfig &config,
                 static_cast<Bytes>(r.rows() + 1) * bytesPerRowPtr;
         out.stitchBytes +=
             static_cast<Bytes>(a.rows() + 1) * bytesPerRowPtr;
-        const mem::MemoryConfig &memcfg = config.memory;
+        const mem::MemoryConfig &memcfg = config().memory;
         const Bytes peak = memcfg.peakBytesPerCycle();
         // peak == 0 means unlimited bandwidth (the ideal backend):
         // stitching costs only the access latency.
@@ -344,7 +246,7 @@ multiplyPlanned(const SpArchSimulator &sim, const SpArchConfig &config,
     }
 
     c.cycles = max_cycles + out.stitchCycles;
-    c.seconds = static_cast<double>(c.cycles) / config.clockHz;
+    c.seconds = static_cast<double>(c.cycles) / config().clockHz;
     c.gflops = c.seconds > 0.0
                    ? static_cast<double>(c.flops) / c.seconds / 1e9
                    : 0.0;
@@ -352,13 +254,12 @@ multiplyPlanned(const SpArchSimulator &sim, const SpArchConfig &config,
     // the fleet's peak is K memories' worth over the critical path.
     const double peak_bytes =
         static_cast<double>(plan.size()) *
-        static_cast<double>(config.memory.peakBytesPerCycle()) *
+        static_cast<double>(config().memory.peakBytesPerCycle()) *
         static_cast<double>(c.cycles);
     c.bandwidthUtilization =
         peak_bytes > 0.0 ? static_cast<double>(c.bytesTotal) / peak_bytes
                          : 0.0;
     c.prefetchHitRate = hit_weight > 0.0 ? hit_sum / hit_weight : 0.0;
-    recomputeHitRates(c.stats);
 
     c.stats.set("shard.count", static_cast<double>(plan.size()));
     c.stats.set("shard.max_cycles", static_cast<double>(max_cycles));
@@ -368,36 +269,6 @@ multiplyPlanned(const SpArchSimulator &sim, const SpArchConfig &config,
                 static_cast<double>(out.stitchBytes));
     c.stats.set("shard.nnz_imbalance", plan.nnzImbalance());
     return out;
-}
-
-} // namespace
-
-ShardedResult
-ShardedSimulator::multiply(const CsrMatrix &a, const CsrMatrix &b,
-                           const ShardPlan &plan,
-                           ShardProducts products) const
-{
-    return multiplyPlanned(sim_, config(), threads_, a, b, plan,
-                           products);
-}
-
-ShardedResult
-ShardedSimulator::multiply(const MappedCsr &a, const CsrMatrix &b,
-                           ShardProducts products) const
-{
-    const unsigned k =
-        shards_ > 0 ? shards_ : ThreadPool::hardwareThreads();
-    return multiply(a, b, ShardPlan::make(policy_, a.rowPtr(), k),
-                    products);
-}
-
-ShardedResult
-ShardedSimulator::multiply(const MappedCsr &a, const CsrMatrix &b,
-                           const ShardPlan &plan,
-                           ShardProducts products) const
-{
-    return multiplyPlanned(sim_, config(), threads_, a, b, plan,
-                           products);
 }
 
 } // namespace driver

@@ -34,10 +34,12 @@
  *    utilization   cycle x merged cycles): each accelerator of the
  *                  fleet streams through its own memory, so the
  *                  merged value stays in [0, 1];
- *  - statistics  = summed over shards, except each "<stem>hit_rate"
- *                  (row_prefetcher.hit_rate, dram.row_hit_rate),
- *                  which is re-derived from the summed "<stem>hits"
- *                  and "<stem>misses".
+ *  - statistics  = summed over shards, name by name, plus the five
+ *                  shard.* gauges (count, max_cycles, stitch_cycles,
+ *                  stitch_bytes, nnz_imbalance). Every module stat
+ *                  is a count, so the sum is exact; a reader derives
+ *                  a ratio from the summed counts (hits over hits +
+ *                  misses).
  *
  * None of the measurements depends on what is built of the product.
  *
@@ -58,8 +60,6 @@
 #define SPARCH_DRIVER_SHARDED_SIMULATOR_HH
 
 #include <cstddef>
-#include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/sparch_simulator.hh"
@@ -67,9 +67,6 @@
 
 namespace sparch
 {
-
-class MappedCsr;
-
 namespace driver
 {
 
@@ -105,37 +102,14 @@ class ShardPlan
   public:
     ShardPlan() = default;
 
-    /** Split into (near-)equal row counts. */
-    static ShardPlan rowBalanced(const CsrMatrix &a, unsigned shards);
-
     /**
-     * Greedy contiguous split targeting equal nonzeros per shard,
-     * re-aiming at the remaining average after each cut so one heavy
-     * row early on does not starve the later shards of rows.
+     * Cut a's rows by policy: RowBalanced splits into (near-)equal
+     * row counts; NnzBalanced greedily targets equal nonzeros per
+     * shard, re-aiming at the remaining average after each cut so one
+     * heavy row early on does not starve the later shards of rows.
+     * A shard count of 0 is treated as 1.
      */
-    static ShardPlan nnzBalanced(const CsrMatrix &a, unsigned shards);
-
-    /** Dispatch on policy. */
     static ShardPlan make(ShardPolicy policy, const CsrMatrix &a,
-                          unsigned shards);
-
-    /**
-     * Cut directly against a CSR row-pointer array — row_ptr.size()
-     * is rows + 1 — without the matrix behind it. This is how file
-     * workloads plan against an .scsr's on-disk 64-bit row index
-     * (MappedCsr::rowPtr) before any element data is touched; the
-     * same inputs produce the same plan as the CsrMatrix overloads.
-     */
-    static ShardPlan rowBalanced(std::span<const std::uint64_t> row_ptr,
-                                 unsigned shards);
-
-    /** Greedy nnz split over a raw row-pointer array. */
-    static ShardPlan nnzBalanced(std::span<const std::uint64_t> row_ptr,
-                                 unsigned shards);
-
-    /** Dispatch on policy over a raw row-pointer array. */
-    static ShardPlan make(ShardPolicy policy,
-                          std::span<const std::uint64_t> row_ptr,
                           unsigned shards);
 
     const std::vector<ShardRange> &ranges() const { return ranges_; }
@@ -172,8 +146,8 @@ struct ShardedResult
      * Merged view: the stacked product (ShardProducts::Stacked only),
      * its summed nonzero count, critical-path cycles (max over shards
      * + stitch), summed traffic/operation counters, fleet bandwidth
-     * utilization, and summed per-module stats (hit rates re-derived)
-     * plus the shard.* gauges.
+     * utilization, and the per-module stats summed over shards plus
+     * the shard.* gauges.
      */
     SpArchResult combined;
 
@@ -185,9 +159,6 @@ struct ShardedResult
 
     /** The row-block partition that was executed. */
     ShardPlan plan;
-
-    /** Worst shard per statistic (StatSet::mergeMax over shards). */
-    StatSet maxStats;
 
     /** Modeled row-pointer stitch pass: cycles and bytes moved. */
     Cycle stitchCycles = 0;
@@ -206,14 +177,12 @@ class ShardedSimulator
     /**
      * @param config  Accelerator configuration for every shard.
      * @param policy  How to cut the left operand.
-     * @param shards  Row blocks per multiply; 0 means one per
-     *                hardware thread.
+     * @param shards  Row blocks per multiply (0 is treated as 1).
      * @param threads Pool workers; <= 1 runs shards serially on the
      *                calling thread (useful inside an outer pool).
      */
-    explicit ShardedSimulator(const SpArchConfig &config = SpArchConfig{},
-                              ShardPolicy policy = ShardPolicy::NnzBalanced,
-                              unsigned shards = 0, unsigned threads = 1);
+    ShardedSimulator(const SpArchConfig &config, ShardPolicy policy,
+                     unsigned shards, unsigned threads = 1);
 
     /**
      * Simulate C = a x b with a plan cut by the configured policy.
@@ -229,24 +198,7 @@ class ShardedSimulator
     multiply(const CsrMatrix &a, const CsrMatrix &b, const ShardPlan &plan,
              ShardProducts products = ShardProducts::Stacked) const;
 
-    /**
-     * Out-of-core left operand: plan against the mapped file's
-     * on-disk row index, then materialize only one row block per
-     * shard — no single materialization of the whole of a. Results
-     * are bit-identical to multiplying a.toCsr() with the same plan.
-     */
-    ShardedResult
-    multiply(const MappedCsr &a, const CsrMatrix &b,
-             ShardProducts products = ShardProducts::Stacked) const;
-
-    /** Out-of-core left operand with an explicit plan. */
-    ShardedResult
-    multiply(const MappedCsr &a, const CsrMatrix &b, const ShardPlan &plan,
-             ShardProducts products = ShardProducts::Stacked) const;
-
     const SpArchConfig &config() const { return sim_.config(); }
-    ShardPolicy policy() const { return policy_; }
-    unsigned shards() const { return shards_; }
 
   private:
     SpArchSimulator sim_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.hh"
-
 namespace sparch
 {
 namespace dse
@@ -29,12 +27,12 @@ dominates(const Objectives &a, const Objectives &b)
     return strict;
 }
 
-/** a <= b * (1 + eps) everywhere (weak epsilon-dominance). */
+/** a <= b everywhere (weak dominance). */
 bool
-epsilonDominates(const Objectives &a, const Objectives &b, double eps)
+weaklyDominates(const Objectives &a, const Objectives &b)
 {
     for (std::size_t k = 0; k < kParetoObjectives; ++k)
-        if (a[k] > b[k] * (1.0 + eps))
+        if (a[k] > b[k])
             return false;
     return true;
 }
@@ -51,11 +49,6 @@ scalarize(const Objectives &o)
 
 } // namespace
 
-ParetoFilter::ParetoFilter(double epsilon) : epsilon_(epsilon)
-{
-    SPARCH_ASSERT(epsilon >= 0.0, "negative pareto epsilon");
-}
-
 bool
 ParetoFilter::offer(std::size_t id, const Objectives &objectives)
 {
@@ -70,7 +63,7 @@ ParetoFilter::offer(std::size_t id, const Objectives &objectives)
                        }),
         archive_.end());
     for (const ParetoPoint &p : archive_)
-        if (epsilonDominates(p.objectives, objectives, epsilon_))
+        if (weaklyDominates(p.objectives, objectives))
             return false;
     archive_.push_back({id, objectives});
     return true;

@@ -3,12 +3,11 @@
  * Streaming Pareto-frontier filter over surrogate objectives.
  *
  * The surrogate tier scores every grid point on (cycles, energy, DRAM
- * traffic); only points on (or epsilon-close to) the Pareto frontier
- * of those three minimization objectives graduate to the
- * cycle-accurate tier. The filter is streaming — offer() one point at
- * a time, in grid-id order — and maintains the invariant that the
- * archive never contains a point another archived point strictly
- * dominates.
+ * traffic); only points on the Pareto frontier of those three
+ * minimization objectives graduate to the cycle-accurate tier. The
+ * filter is streaming — offer() one point at a time, in grid-id
+ * order — and maintains the invariant that the archive never contains
+ * a point another archived point strictly dominates.
  *
  * Correctness property (pinned by tests/test_dse.cc): a dropped point
  * never dominates a kept one. offer() removes everything the incoming
@@ -44,23 +43,18 @@ struct ParetoPoint
     std::array<double, kParetoObjectives> objectives{};
 };
 
-/** Streaming epsilon-Pareto archive. */
+/**
+ * Streaming exact Pareto archive. An archived point a blocks an
+ * incoming point p when a <= p in every objective, so duplicates
+ * resolve to the earliest id.
+ */
 class ParetoFilter
 {
   public:
     /**
-     * @param epsilon Relative dominance slack: an archived point a
-     *        blocks an incoming point p when a <= p * (1 + epsilon)
-     *        in every objective. 0 keeps the exact frontier
-     *        (duplicates resolve to the earliest id); larger values
-     *        thin near-ties and shrink the survivor set.
-     */
-    explicit ParetoFilter(double epsilon = 0.0);
-
-    /**
      * Offer one point. Returns true when it entered the archive
      * (possibly evicting dominated points), false when an existing
-     * point epsilon-dominates it.
+     * point weakly dominates it.
      */
     bool offer(std::size_t id,
                const std::array<double, kParetoObjectives> &objectives);
@@ -81,7 +75,6 @@ class ParetoFilter
     std::vector<ParetoPoint> survivors(std::size_t keep = 0) const;
 
   private:
-    double epsilon_;
     std::size_t offered_ = 0;
     std::vector<ParetoPoint> archive_;
 };

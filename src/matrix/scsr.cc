@@ -252,46 +252,24 @@ MappedCsr::open(const std::string &path)
     return m;
 }
 
-std::span<const Index>
-MappedCsr::rowCols(Index row) const
-{
-    const auto rp = rowPtr();
-    return colIdx().subspan(rp[row], rp[row + 1] - rp[row]);
-}
-
-std::span<const Value>
-MappedCsr::rowVals(Index row) const
-{
-    const auto rp = rowPtr();
-    return values().subspan(rp[row], rp[row + 1] - rp[row]);
-}
-
-CsrMatrix
-MappedCsr::rowSlice(Index begin, Index end) const
-{
-    SPARCH_ASSERT(begin <= end && end <= rows(), "row slice out of range");
-    const auto rp = rowPtr();
-    const std::uint64_t base = rp[begin];
-    const std::uint64_t stop = rp[end];
-    const std::uint64_t slice_nnz = stop - base;
-    if (slice_nnz > std::numeric_limits<Index>::max()) {
-        fatal("scsr: '", path(), "' rows [", begin, ", ", end, ") hold ",
-              slice_nnz, " nonzeros, too many for one in-memory slice");
-    }
-    std::vector<Index> row_ptr(end - begin + 1);
-    for (std::size_t i = 0; i < row_ptr.size(); ++i)
-        row_ptr[i] = static_cast<Index>(rp[begin + i] - base);
-    const auto cols_span = colIdx().subspan(base, slice_nnz);
-    const auto vals_span = values().subspan(base, slice_nnz);
-    return CsrMatrix(end - begin, cols(), std::move(row_ptr),
-                     {cols_span.begin(), cols_span.end()},
-                     {vals_span.begin(), vals_span.end()});
-}
-
 CsrMatrix
 MappedCsr::toCsr() const
 {
-    return rowSlice(0, rows());
+    const auto rp = rowPtr();
+    const std::uint64_t base = rp[0];
+    const std::uint64_t total = rp[rows()] - base;
+    if (total > std::numeric_limits<Index>::max()) {
+        fatal("scsr: '", path(), "' holds ", total,
+              " nonzeros, too many for one in-memory matrix");
+    }
+    std::vector<Index> row_ptr(rp.size());
+    for (std::size_t i = 0; i < row_ptr.size(); ++i)
+        row_ptr[i] = static_cast<Index>(rp[i] - base);
+    const auto cols_span = colIdx().subspan(base, total);
+    const auto vals_span = values().subspan(base, total);
+    return CsrMatrix(rows(), cols(), std::move(row_ptr),
+                     {cols_span.begin(), cols_span.end()},
+                     {vals_span.begin(), vals_span.end()});
 }
 
 void

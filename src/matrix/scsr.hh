@@ -148,10 +148,9 @@ class ScsrWriter
 ScsrHeader writeScsr(const CsrMatrix &m, const std::string &path);
 
 /**
- * Zero-copy view of an .scsr file. The sections are read straight out
- * of the mapping; rowSlice materializes only the requested row block,
- * which is how a shard fan-out touches a GB-scale operand without any
- * worker holding all of it.
+ * Zero-copy view of an .scsr file. open() validates the header (one
+ * page of I/O); the sections are read straight out of the mapping,
+ * and toCsr() materializes the operand in one pass.
  */
 class MappedCsr
 {
@@ -185,7 +184,7 @@ class MappedCsr
         return header_.nnz;
     }
 
-    /** The on-disk 64-bit row index; what ShardPlan cuts against. */
+    /** The on-disk 64-bit row index. */
     std::span<const std::uint64_t>
     rowPtr() const
     {
@@ -210,20 +209,10 @@ class MappedCsr
                 static_cast<std::size_t>(header_.nnz)};
     }
 
-    /** Column indices of one row, zero-copy. */
-    std::span<const Index> rowCols(Index row) const;
-
-    /** Values of one row, zero-copy. */
-    std::span<const Value> rowVals(Index row) const;
-
     /**
-     * Materialize rows [begin, end) as a standalone CsrMatrix,
-     * bit-identical to toCsr().rowSlice(begin, end) but touching only
-     * the pages backing that block.
+     * Materialize the whole matrix. Fatal when it holds more nonzeros
+     * than an in-memory CsrMatrix can index.
      */
-    CsrMatrix rowSlice(Index begin, Index end) const;
-
-    /** Materialize the whole matrix. */
     CsrMatrix toCsr() const;
 
     /**

@@ -78,16 +78,6 @@ BankedDramBackend::timeAccess(Bytes addr, Bytes bytes, Cycle now,
     return is_write ? last_done : last_done + config_.rowHitLatency;
 }
 
-double
-BankedDramBackend::rowHitRate() const
-{
-    const std::uint64_t total = row_hits_ + row_misses_;
-    return total == 0
-               ? 0.0
-               : static_cast<double>(row_hits_) /
-                     static_cast<double>(total);
-}
-
 void
 BankedDramBackend::resetTiming()
 {
@@ -102,7 +92,6 @@ BankedDramBackend::recordTimingStats(StatSet &stats) const
 {
     stats.set("dram.row_hits", static_cast<double>(row_hits_));
     stats.set("dram.row_misses", static_cast<double>(row_misses_));
-    stats.set("dram.row_hit_rate", rowHitRate());
 }
 
 } // namespace mem

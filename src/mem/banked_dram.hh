@@ -52,9 +52,6 @@ class BankedDramBackend : public MemoryModel
     /** Chunk accesses that had to open a new row. */
     std::uint64_t rowMisses() const { return row_misses_; }
 
-    /** Row-buffer hit rate over all chunk accesses. */
-    double rowHitRate() const;
-
   protected:
     Cycle timeAccess(Bytes addr, Bytes bytes, Cycle now,
                      bool is_write) override;

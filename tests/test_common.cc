@@ -173,7 +173,7 @@ TEST(BitMask, WrappedCountMatchesBitByBitWalk)
     }
 }
 
-TEST(Stats, IncSetMaxGet)
+TEST(Stats, IncSetGet)
 {
     StatSet s;
     EXPECT_DOUBLE_EQ(s.get("missing"), 0.0);
@@ -182,10 +182,9 @@ TEST(Stats, IncSetMaxGet)
     s.inc("counter", 2.5);
     EXPECT_DOUBLE_EQ(s.get("counter"), 3.5);
     s.set("gauge", 7.0);
-    s.max("gauge", 3.0);
     EXPECT_DOUBLE_EQ(s.get("gauge"), 7.0);
-    s.max("gauge", 11.0);
-    EXPECT_DOUBLE_EQ(s.get("gauge"), 11.0);
+    s.set("gauge", 3.0);
+    EXPECT_DOUBLE_EQ(s.get("gauge"), 3.0);
     EXPECT_TRUE(s.has("gauge"));
 }
 

@@ -4,7 +4,7 @@
  * stats extraction and its sidecar cache, the batched surrogate
  * evaluator's determinism and internal consistency, and the streaming
  * Pareto filter's correctness property — a dropped point never
- * dominates a kept one, under any epsilon and top-K cap.
+ * dominates a kept one, under any top-K cap.
  */
 
 #include <array>
@@ -258,35 +258,29 @@ syntheticObjectives(std::size_t count, std::uint64_t seed)
 
 TEST(Pareto, NeverDropsAPointThatDominatesAKeptOne)
 {
-    for (const double eps : {0.0, 0.05, 0.25}) {
-        for (const std::size_t keep : {std::size_t{0}, std::size_t{5},
-                                       std::size_t{1}}) {
-            const std::vector<Objectives> points =
-                syntheticObjectives(400, 0x5eed0000 + keep);
-            ParetoFilter filter(eps);
-            for (std::size_t id = 0; id < points.size(); ++id)
-                filter.offer(id, points[id]);
-            const std::vector<ParetoPoint> kept =
-                filter.survivors(keep);
-            ASSERT_FALSE(kept.empty());
-            if (keep > 0) {
-                EXPECT_LE(kept.size(), keep);
-            }
+    for (const std::size_t keep : {std::size_t{0}, std::size_t{5},
+                                   std::size_t{1}}) {
+        const std::vector<Objectives> points =
+            syntheticObjectives(400, 0x5eed0000 + keep);
+        ParetoFilter filter;
+        for (std::size_t id = 0; id < points.size(); ++id)
+            filter.offer(id, points[id]);
+        const std::vector<ParetoPoint> kept = filter.survivors(keep);
+        ASSERT_FALSE(kept.empty());
+        if (keep > 0) {
+            EXPECT_LE(kept.size(), keep);
+        }
 
-            std::vector<char> is_kept(points.size(), 0);
-            for (const ParetoPoint &p : kept)
-                is_kept[p.id] = 1;
-            for (std::size_t id = 0; id < points.size(); ++id) {
-                if (is_kept[id])
-                    continue;
-                for (const ParetoPoint &q : kept) {
-                    EXPECT_FALSE(
-                        strictlyDominates(points[id], q.objectives))
-                        << "dropped point " << id
-                        << " dominates kept point " << q.id
-                        << " (eps=" << eps << ", keep=" << keep
-                        << ")";
-                }
+        std::vector<char> is_kept(points.size(), 0);
+        for (const ParetoPoint &p : kept)
+            is_kept[p.id] = 1;
+        for (std::size_t id = 0; id < points.size(); ++id) {
+            if (is_kept[id])
+                continue;
+            for (const ParetoPoint &q : kept) {
+                EXPECT_FALSE(strictlyDominates(points[id], q.objectives))
+                    << "dropped point " << id << " dominates kept point "
+                    << q.id << " (keep=" << keep << ")";
             }
         }
     }
@@ -296,7 +290,7 @@ TEST(Pareto, ArchiveIsDominanceFreeAndOrderDeterministic)
 {
     const std::vector<Objectives> points =
         syntheticObjectives(300, 0xfeedface);
-    ParetoFilter filter(0.0);
+    ParetoFilter filter;
     for (std::size_t id = 0; id < points.size(); ++id)
         filter.offer(id, points[id]);
     const std::vector<ParetoPoint> frontier = filter.survivors(0);
@@ -318,27 +312,22 @@ TEST(Pareto, ArchiveIsDominanceFreeAndOrderDeterministic)
         EXPECT_EQ(again[i].id, frontier[i].id);
 }
 
-TEST(Pareto, EpsilonThinsNearTiesAndDuplicatesResolveToEarliest)
+TEST(Pareto, DuplicatesResolveToEarliestAndDominatorsEvict)
 {
-    ParetoFilter exact_filter(0.0);
-    EXPECT_TRUE(exact_filter.offer(0, {10.0, 10.0, 10.0}));
+    ParetoFilter filter;
+    EXPECT_TRUE(filter.offer(0, {10.0, 10.0, 10.0}));
     // An exact duplicate is weakly dominated: the first id stays.
-    EXPECT_FALSE(exact_filter.offer(1, {10.0, 10.0, 10.0}));
+    EXPECT_FALSE(filter.offer(1, {10.0, 10.0, 10.0}));
     // Incomparable point joins the frontier.
-    EXPECT_TRUE(exact_filter.offer(2, {5.0, 20.0, 10.0}));
-    // A dominating point evicts and enters.
-    EXPECT_TRUE(exact_filter.offer(3, {10.0, 9.0, 10.0}));
-    const std::vector<ParetoPoint> kept = exact_filter.survivors(0);
+    EXPECT_TRUE(filter.offer(2, {5.0, 20.0, 10.0}));
+    // A near-tie that is not dominated joins too: no slack.
+    EXPECT_TRUE(filter.offer(3, {10.5, 9.5, 10.0}));
+    // A point dominating ids 0 and 3 evicts them and enters.
+    EXPECT_TRUE(filter.offer(4, {10.0, 9.0, 10.0}));
+    const std::vector<ParetoPoint> kept = filter.survivors(0);
     ASSERT_EQ(kept.size(), 2u);
     EXPECT_EQ(kept[0].id, 2u);
-    EXPECT_EQ(kept[1].id, 3u);
-
-    // With 10% slack, a point within epsilon of an archived one is
-    // thinned even though it is not exactly dominated.
-    ParetoFilter eps_filter(0.1);
-    EXPECT_TRUE(eps_filter.offer(0, {10.0, 10.0, 10.0}));
-    EXPECT_FALSE(eps_filter.offer(1, {10.5, 9.5, 10.0}));
-    EXPECT_TRUE(eps_filter.offer(2, {8.0, 10.0, 10.0}));
+    EXPECT_EQ(kept[1].id, 4u);
 }
 
 } // namespace

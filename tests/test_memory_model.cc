@@ -271,7 +271,7 @@ TEST(Ddr4Backend, SequentialStreamMostlyHitsTheRowBuffer)
     Cycle now = 0;
     for (Bytes addr = 0; addr < 64 * 1024; addr += 256)
         now = ddr.read(DramStream::MatB, addr, 256, now);
-    EXPECT_GT(ddr.rowHitRate(), 0.5);
+    EXPECT_GT(ddr.rowHits(), ddr.rowMisses()); // hit rate above 0.5
     StatSet stats;
     ddr.recordStats(stats);
     EXPECT_GT(stats.get("dram.row_hits"), 0.0);

@@ -2,8 +2,8 @@
  * @file
  * Tests for the .scsr on-disk format: writer/mmap round trips, the
  * streaming converter's bit-identity with the in-core path, corruption
- * rejection, out-of-core shard planning, and the O(buffer-pool)
- * memory accounting the converter claims.
+ * rejection, workload identities, and the O(buffer-pool) memory
+ * accounting the converter claims.
  */
 
 #include <cstdint>
@@ -109,34 +109,6 @@ TEST(Scsr, EmptyMatrixRoundTrips)
     EXPECT_EQ(mapped.cols(), 5u);
     EXPECT_EQ(mapped.nnz(), 0u);
     expectBitIdentical(mapped.toCsr(), m);
-    expectBitIdentical(mapped.rowSlice(1, 3), m.rowSlice(1, 3));
-    std::filesystem::remove(path);
-}
-
-// ------------------------------------------------------- row slices
-
-TEST(Scsr, RowSliceMatchesInCoreSliceEverywhere)
-{
-    // 64 rows, 40 nonzeros: guaranteed empty rows mixed in.
-    const CsrMatrix m = generateUniform(64, 64, 40, 11);
-    const std::string path = uniqueTempPath("scsr_slices.scsr");
-    writeScsr(m, path);
-    const MappedCsr mapped = MappedCsr::open(path);
-
-    struct Range {
-        Index begin, end;
-    };
-    // First block, interior block at odd offsets (sections are page
-    // aligned but row cuts are not), trailing block, single row,
-    // empty range, whole matrix.
-    const Range ranges[] = {{0, 16}, {13, 29}, {48, 64},
-                            {31, 32}, {5, 5},  {0, 64}};
-    for (const Range &r : ranges) {
-        SCOPED_TRACE(std::to_string(r.begin) + ".." +
-                     std::to_string(r.end));
-        expectBitIdentical(mapped.rowSlice(r.begin, r.end),
-                           m.rowSlice(r.begin, r.end));
-    }
     std::filesystem::remove(path);
 }
 
@@ -407,61 +379,6 @@ TEST_F(ScsrCorruption, MissingFileFailsLoudly)
     EXPECT_THROW(MappedCsr::open("/nonexistent/file.scsr"),
                  FatalError);
     EXPECT_THROW(readScsrHeader("/nonexistent/file.scsr"), FatalError);
-}
-
-// ------------------------------------------- out-of-core shard plans
-
-TEST(ScsrShardPlan, SpanPlansMatchCsrPlans)
-{
-    const CsrMatrix m = generateUniform(200, 200, 1500, 29);
-    const std::string path = uniqueTempPath("scsr_plan.scsr");
-    writeScsr(m, path);
-    const MappedCsr mapped = MappedCsr::open(path);
-
-    using driver::ShardPlan;
-    using driver::ShardPolicy;
-    for (const ShardPolicy policy :
-         {ShardPolicy::RowBalanced, ShardPolicy::NnzBalanced}) {
-        for (const unsigned shards : {1u, 3u, 7u, 16u, 300u}) {
-            SCOPED_TRACE(std::string(shardPolicyName(policy)) + " x" +
-                         std::to_string(shards));
-            const ShardPlan from_csr =
-                ShardPlan::make(policy, m, shards);
-            const ShardPlan from_span =
-                ShardPlan::make(policy, mapped.rowPtr(), shards);
-            ASSERT_EQ(from_span.size(), from_csr.size());
-            for (std::size_t i = 0; i < from_csr.size(); ++i) {
-                EXPECT_EQ(from_span.ranges()[i].begin,
-                          from_csr.ranges()[i].begin);
-                EXPECT_EQ(from_span.ranges()[i].end,
-                          from_csr.ranges()[i].end);
-                EXPECT_EQ(from_span.ranges()[i].nnz,
-                          from_csr.ranges()[i].nnz);
-            }
-        }
-    }
-    std::filesystem::remove(path);
-}
-
-TEST(ScsrShardPlan, MappedMultiplyIsBitIdenticalToInCore)
-{
-    const CsrMatrix a = generateUniform(64, 64, 500, 31);
-    const std::string path = uniqueTempPath("scsr_multiply.scsr");
-    writeScsr(a, path);
-    const MappedCsr mapped = MappedCsr::open(path);
-
-    const driver::ShardedSimulator sim(
-        SpArchConfig{}, driver::ShardPolicy::NnzBalanced, 4, 2);
-    const driver::ShardedResult in_core = sim.multiply(a, a);
-    const driver::ShardedResult out_of_core = sim.multiply(mapped, a);
-
-    expectBitIdentical(out_of_core.combined.result,
-                       in_core.combined.result);
-    EXPECT_EQ(out_of_core.combined.cycles, in_core.combined.cycles);
-    EXPECT_EQ(out_of_core.combined.bytesTotal,
-              in_core.combined.bytesTotal);
-    EXPECT_EQ(out_of_core.shards.size(), in_core.shards.size());
-    std::filesystem::remove(path);
 }
 
 // --------------------------------------------- workload identities
