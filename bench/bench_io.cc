@@ -12,7 +12,13 @@
  *  - from_chars parse readMatrixMarketFile, the production reader
  *                    (buffered std::from_chars scan). The ratio of
  *                    the two medians is the recorded text-parse
- *                    speedup;
+ *                    speedup. Both legs build their CSR through the
+ *                    library's canonical pass (canonicalRows), so a
+ *                    change to that pass moves both and shifts the
+ *                    ratio: the counting pass that replaced the
+ *                    global stable sort made the baseline faster too,
+ *                    and entries before and after it do not compare
+ *                    on this ratio;
  *  - convert         convertMatrixMarketToScsr, the streaming
  *                    double-buffered .mtx -> .scsr pipeline;
  *  - mapped load     MappedCsr::open + toCsr on the converted file.
@@ -54,9 +60,9 @@ namespace
 using Clock = std::chrono::steady_clock;
 
 /**
- * The reader loop this PR replaced: one operator>> extraction per
- * token into a CooMatrix, then canonicalize + fromCoo — kept here,
- * and only here, as the speedup baseline.
+ * The reader loop the from_chars rewrite replaced: one operator>>
+ * extraction per token into a CooMatrix, then canonicalize + fromCoo
+ * — kept here, and only here, as the speedup baseline.
  */
 sparch::CsrMatrix
 istreamRead(const std::string &path)

@@ -1,11 +1,122 @@
 #include "matrix/coo.hh"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include "common/logging.hh"
 
 namespace sparch
 {
+
+namespace
+{
+
+/** Rows up to this length are ordered by insertion sort. */
+constexpr Index kInsertionSortMax = 32;
+
+/**
+ * Order one row's entries by (column, arrival), where arrival is the
+ * position in the row, so duplicates keep insertion order. `keys` and
+ * `vals` are scratch for rows too long for insertion sort.
+ */
+void
+sortRow(Index *col, Value *val, Index len,
+        std::vector<std::uint64_t> &keys, std::vector<Value> &vals)
+{
+    if (len <= kInsertionSortMax) {
+        for (Index i = 1; i < len; ++i) {
+            const Index c = col[i];
+            const Value v = val[i];
+            Index j = i;
+            for (; j > 0 && col[j - 1] > c; --j) {
+                col[j] = col[j - 1];
+                val[j] = val[j - 1];
+            }
+            col[j] = c;
+            val[j] = v;
+        }
+        return;
+    }
+    if (std::is_sorted(col, col + len))
+        return;
+    // Unique keys (column, arrival): an unstable sort is stable here.
+    keys.resize(len);
+    for (Index i = 0; i < len; ++i)
+        keys[i] = (std::uint64_t{col[i]} << 32) | i;
+    std::sort(keys.begin(), keys.end());
+    vals.assign(val, val + len);
+    for (Index i = 0; i < len; ++i) {
+        col[i] = static_cast<Index>(keys[i] >> 32);
+        val[i] = vals[static_cast<Index>(keys[i])];
+    }
+}
+
+} // namespace
+
+CanonicalRows
+canonicalRows(Index rows, Index cols, std::vector<Triplet> triplets,
+              bool drop_zeros)
+{
+    SPARCH_ASSERT(triplets.size() <= std::numeric_limits<Index>::max(),
+                  triplets.size(), " triplets exceed 32-bit indices");
+    CanonicalRows out;
+    std::vector<Index> &ptr = out.rowPtr;
+    ptr.assign(std::size_t{rows} + 1, 0);
+    for (const Triplet &t : triplets) {
+        SPARCH_ASSERT(t.row < rows && t.col < cols, "triplet (", t.row,
+                      ",", t.col, ") outside ", rows, "x", cols);
+        ++ptr[t.row + 1];
+    }
+    for (Index r = 0; r < rows; ++r)
+        ptr[r + 1] += ptr[r];
+
+    // Stable scatter by row; ptr[r] advances from the start of row r
+    // to its end.
+    const auto n = static_cast<Index>(triplets.size());
+    std::vector<Index> &col = out.colIdx;
+    std::vector<Value> &val = out.values;
+    col.resize(n);
+    val.resize(n);
+    for (const Triplet &t : triplets) {
+        const Index pos = ptr[t.row]++;
+        col[pos] = t.col;
+        val[pos] = t.value;
+    }
+    std::vector<Triplet>().swap(triplets);
+
+    // Per row: order, sum duplicates left to right, drop zeros, and
+    // compact to `w`, which never passes the row being read. ptr[r]
+    // holds row r's end until the row is read, then its new start.
+    std::vector<std::uint64_t> keys;
+    std::vector<Value> vals;
+    Index w = 0;
+    Index begin = 0;
+    for (Index r = 0; r < rows; ++r) {
+        const Index end = ptr[r];
+        ptr[r] = w;
+        sortRow(col.data() + begin, val.data() + begin, end - begin, keys,
+                vals);
+        for (Index i = begin; i < end;) {
+            const Index c = col[i];
+            Value v = val[i];
+            for (++i; i < end && col[i] == c; ++i)
+                v += val[i];
+            if (drop_zeros && v == 0.0)
+                continue;
+            col[w] = c;
+            val[w] = v;
+            ++w;
+        }
+        begin = end;
+    }
+    ptr[rows] = w;
+    col.resize(w);
+    val.resize(w);
+    col.shrink_to_fit();
+    val.shrink_to_fit();
+    return out;
+}
 
 void
 CooMatrix::add(Index row, Index col, Value value)
@@ -19,34 +130,14 @@ CooMatrix::add(Index row, Index col, Value value)
 void
 CooMatrix::canonicalize(bool drop_zeros)
 {
-    // Stable so duplicates of one coordinate keep insertion order:
-    // the merge below then sums them left-to-right in that order,
-    // which is what lets the streaming .scsr converter (which sums in
-    // file order) produce bit-identical values to this path.
-    std::stable_sort(triplets_.begin(), triplets_.end(),
-                     [](const Triplet &a, const Triplet &b) {
-                         return a.row != b.row ? a.row < b.row
-                                               : a.col < b.col;
-                     });
-
-    std::vector<Triplet> merged;
-    merged.reserve(triplets_.size());
-    for (const auto &t : triplets_) {
-        if (!merged.empty() && merged.back().row == t.row &&
-            merged.back().col == t.col) {
-            merged.back().value += t.value;
-        } else {
-            merged.push_back(t);
-        }
+    const CanonicalRows c =
+        canonicalRows(rows_, cols_, std::move(triplets_), drop_zeros);
+    triplets_.clear();
+    triplets_.reserve(c.colIdx.size());
+    for (Index r = 0; r < rows_; ++r) {
+        for (Index i = c.rowPtr[r]; i < c.rowPtr[r + 1]; ++i)
+            triplets_.push_back({r, c.colIdx[i], c.values[i]});
     }
-    if (drop_zeros) {
-        merged.erase(std::remove_if(merged.begin(), merged.end(),
-                                    [](const Triplet &t) {
-                                        return t.value == 0.0;
-                                    }),
-                     merged.end());
-    }
-    triplets_ = std::move(merged);
 }
 
 bool

@@ -33,6 +33,34 @@ struct Triplet
 };
 
 /**
+ * A matrix's canonical entries as CSR arrays: rows in order, columns
+ * strictly increasing within each row.
+ */
+struct CanonicalRows
+{
+    std::vector<Index> rowPtr;
+    std::vector<Index> colIdx;
+    std::vector<Value> values;
+};
+
+/**
+ * Canonicalize a triplet list straight into CSR arrays, consuming it.
+ * The order is by (row, col); duplicates of one coordinate are summed
+ * left to right in insertion order.
+ *
+ * One counting pass in O(rows + nnz) memory: a stable scatter by row
+ * (which yields the row pointer), then per row an order on (column,
+ * arrival) and the duplicate sums, compacted in place. No array is
+ * sized by the column count.
+ *
+ * @param drop_zeros If true, remove entries whose summed value is
+ *        exactly zero (either sign).
+ */
+CanonicalRows canonicalRows(Index rows, Index cols,
+                            std::vector<Triplet> triplets,
+                            bool drop_zeros);
+
+/**
  * Sparse matrix in coordinate format. Triplets may be unsorted and may
  * contain duplicates until canonicalize() is called.
  */
@@ -53,9 +81,9 @@ class CooMatrix
     void add(Index row, Index col, Value value);
 
     /**
-     * Sort by (row, col) and sum duplicate coordinates. After this the
-     * matrix is in the canonical sorted-unique form every consumer
-     * assumes.
+     * Sort by (row, col) and sum duplicate coordinates left to right
+     * in insertion order (canonicalRows). After this the matrix is in
+     * the canonical sorted-unique form every consumer assumes.
      *
      * @param drop_zeros If true, remove entries whose merged value is
      *        exactly zero. Generators want this; SpGEMM merge phases

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -39,27 +40,26 @@ CsrMatrix::CsrMatrix(Index rows, Index cols, std::vector<Index> row_ptr,
 }
 
 CsrMatrix
-CsrMatrix::fromCoo(const CooMatrix &coo)
+CsrMatrix::fromCoo(CooMatrix coo, bool drop_zeros)
 {
-    CooMatrix canon = coo;
-    if (!canon.isCanonical())
-        canon.canonicalize();
-
     CsrMatrix m;
-    m.rows_ = canon.rows();
-    m.cols_ = canon.cols();
-    m.row_ptr_.assign(m.rows_ + 1, 0);
-    m.col_idx_.reserve(canon.nnz());
-    m.values_.reserve(canon.nnz());
-    for (const auto &t : canon.triplets())
-        ++m.row_ptr_[t.row + 1];
-    for (Index r = 0; r < m.rows_; ++r)
-        m.row_ptr_[r + 1] += m.row_ptr_[r];
-    for (const auto &t : canon.triplets()) {
-        m.col_idx_.push_back(t.col);
-        m.values_.push_back(t.value);
-    }
+    m.rows_ = coo.rows();
+    m.cols_ = coo.cols();
+    CanonicalRows c = canonicalRows(m.rows_, m.cols_,
+                                    std::move(coo.triplets()), drop_zeros);
+    m.row_ptr_ = std::move(c.rowPtr);
+    m.col_idx_ = std::move(c.colIdx);
+    m.values_ = std::move(c.values);
     return m;
+}
+
+CsrMatrix
+CsrMatrix::fromCoo(CooMatrix coo)
+{
+    // On canonical input the pass only copies, so keeping its zeros
+    // takes the input as is.
+    const bool drop_zeros = !coo.isCanonical();
+    return fromCoo(std::move(coo), drop_zeros);
 }
 
 CooMatrix

@@ -38,8 +38,20 @@ class CsrMatrix
     CsrMatrix(Index rows, Index cols, std::vector<Index> row_ptr,
               std::vector<Index> col_idx, std::vector<Value> values);
 
-    /** Convert from (canonicalized) COO. */
-    static CsrMatrix fromCoo(const CooMatrix &coo);
+    /**
+     * Build from triplets in one pass (canonicalRows): entries ordered
+     * by (row, col), duplicates summed left to right in insertion
+     * order, and exact-zero sums dropped if `drop_zeros`. Pass the
+     * COO by std::move to spare a copy of its triplets.
+     */
+    static CsrMatrix fromCoo(CooMatrix coo, bool drop_zeros);
+
+    /**
+     * Convert from COO. Canonical input (CooMatrix::isCanonical) is
+     * taken as is, explicit zeros included; any other input is
+     * canonicalized with exact-zero sums dropped.
+     */
+    static CsrMatrix fromCoo(CooMatrix coo);
 
     /** Convert to COO triplets (already canonical). */
     CooMatrix toCoo() const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -23,8 +24,7 @@ generateUniform(Index rows, Index cols, std::uint64_t nnz,
                 static_cast<Index>(rng.nextBounded(cols)),
                 rng.nextDouble(0.5, 1.5));
     }
-    coo.canonicalize();
-    return CsrMatrix::fromCoo(coo);
+    return CsrMatrix::fromCoo(std::move(coo), /*drop_zeros=*/true);
 }
 
 CsrMatrix
@@ -53,8 +53,7 @@ generateBanded(Index n, Index bandwidth, double avg_row_nnz,
                 coo.add(r, c, rng.nextDouble(-1.0, 1.0));
         }
     }
-    coo.canonicalize();
-    return CsrMatrix::fromCoo(coo);
+    return CsrMatrix::fromCoo(std::move(coo), /*drop_zeros=*/true);
 }
 
 CsrMatrix
@@ -94,8 +93,7 @@ generatePowerLaw(Index n, double avg_degree, double exponent,
                     rng.nextDouble(0.5, 1.5));
         }
     }
-    coo.canonicalize();
-    return CsrMatrix::fromCoo(coo);
+    return CsrMatrix::fromCoo(std::move(coo), /*drop_zeros=*/true);
 }
 
 CsrMatrix
@@ -127,8 +125,7 @@ generateBlockDiagonal(Index n, Index block_size, double avg_row_nnz,
             coo.add(r, c, rng.nextDouble(-1.0, 1.0));
         }
     }
-    coo.canonicalize();
-    return CsrMatrix::fromCoo(coo);
+    return CsrMatrix::fromCoo(std::move(coo), /*drop_zeros=*/true);
 }
 
 CsrMatrix
@@ -153,8 +150,7 @@ generateRoadNetwork(Index n, std::uint64_t seed)
                 coo.add(r, static_cast<Index>(c), rng.nextDouble(0.5, 1.5));
         }
     }
-    coo.canonicalize();
-    return CsrMatrix::fromCoo(coo);
+    return CsrMatrix::fromCoo(std::move(coo), /*drop_zeros=*/true);
 }
 
 } // namespace sparch

@@ -1,12 +1,14 @@
 #include "matrix/matrix_market.hh"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstring>
 #include <fstream>
-#include <iomanip>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -36,6 +38,23 @@ isBlank(const std::string &line)
             return false;
     }
     return true;
+}
+
+/** Entries reserved up front when the stream's length is unknown. */
+constexpr std::uint64_t kUnsizedReserve = 1 << 20;
+
+/** Bytes from the stream's position to its end, or -1 if unseekable. */
+std::streamoff
+remainingBytes(std::istream &in)
+{
+    const std::streampos here = in.tellg();
+    if (here == std::streampos(-1))
+        return -1;
+    in.seekg(0, std::ios::end);
+    const std::streampos end = in.tellg();
+    in.clear();
+    in.seekg(here);
+    return end == std::streampos(-1) ? -1 : end - here;
 }
 
 } // namespace
@@ -118,14 +137,17 @@ readMatrixMarket(std::istream &in)
 
     CooMatrix coo(static_cast<Index>(rows), static_cast<Index>(cols));
     const bool symmetric = header.symmetry == MmSymmetry::Symmetric;
-    // Trust small declarations only: a header-legal but enormous
-    // count (a dense petascale pattern) must not turn into one giant
-    // up-front reserve; the vector grows as entries actually arrive
-    // and a lying size line fails cleanly at "truncated at entry".
-    const std::uint64_t expected =
-        symmetric ? header.entries * 2 : header.entries;
-    if (expected <= (1ULL << 32))
-        coo.triplets().reserve(expected);
+    // Reserve no more than the input can hold: an entry line takes at
+    // least 4 bytes ("1 1\n"), so a size line that declares more than
+    // the rest of the stream can carry does not turn into one giant
+    // up-front reserve. Past the reserve the vector grows as entries
+    // actually arrive, and a lying size line fails cleanly at
+    // "truncated at entry".
+    const std::streamoff left = remainingBytes(in);
+    const std::uint64_t can_hold =
+        left < 0 ? kUnsizedReserve : static_cast<std::uint64_t>(left) / 4;
+    const std::uint64_t lines = std::min(header.entries, can_hold);
+    coo.triplets().reserve(symmetric ? lines * 2 : lines);
 
     // Buffered from_chars tokenizing (mm_scan.hh), shared with the
     // .scsr converter so text and binary paths accept the same
@@ -183,8 +205,7 @@ readMatrixMarket(std::istream &in)
     if (seen > header.entries)
         fatal("matrix market: size line declares ", header.entries,
               " entries but the file contains ", seen);
-    coo.canonicalize();
-    return CsrMatrix::fromCoo(coo);
+    return CsrMatrix::fromCoo(std::move(coo), /*drop_zeros=*/true);
 }
 
 CsrMatrix
@@ -200,16 +221,35 @@ void
 writeMatrixMarket(const CsrMatrix &m, std::ostream &out)
 {
     out << "%%MatrixMarket matrix coordinate real general\n";
-    out << std::setprecision(17);
     out << m.rows() << " " << m.cols() << " " << m.nnz() << "\n";
+    // Entries go through std::to_chars into one buffer that is written
+    // out in large blocks. chars_format::general at precision 17 is
+    // defined as printf's %.17g: the bytes an ostream at
+    // setprecision(17) writes, without its per-insertion cost.
+    std::vector<char> buf(1 << 16);
+    char *p = buf.data();
+    char *const end = buf.data() + buf.size();
+    // Two 10-digit indices, a 24-character value and three separators.
+    constexpr std::ptrdiff_t kLineMax = 10 + 1 + 10 + 1 + 24 + 1;
     for (Index r = 0; r < m.rows(); ++r) {
         auto cols = m.rowCols(r);
         auto vals = m.rowVals(r);
         for (std::size_t i = 0; i < cols.size(); ++i) {
-            out << (r + 1) << " " << (cols[i] + 1) << " " << vals[i]
-                << "\n";
+            if (end - p < kLineMax) {
+                out.write(buf.data(), p - buf.data());
+                p = buf.data();
+            }
+            p = std::to_chars(p, end, std::uint64_t{r} + 1).ptr;
+            *p++ = ' ';
+            p = std::to_chars(p, end, std::uint64_t{cols[i]} + 1).ptr;
+            *p++ = ' ';
+            p = std::to_chars(p, end, vals[i], std::chars_format::general,
+                              17)
+                    .ptr;
+            *p++ = '\n';
         }
     }
+    out.write(buf.data(), p - buf.data());
 }
 
 void

@@ -1,6 +1,7 @@
 #include "matrix/rmat.hh"
 
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -75,8 +76,7 @@ rmatGenerate(Index scale_vertices, Index edge_factor, std::uint64_t seed,
         ++placed;
     }
 
-    coo.canonicalize();
-    return CsrMatrix::fromCoo(coo);
+    return CsrMatrix::fromCoo(std::move(coo), /*drop_zeros=*/true);
 }
 
 } // namespace sparch

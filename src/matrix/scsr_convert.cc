@@ -293,7 +293,8 @@ streamEntries(const std::string &path, std::uint64_t data_offset,
 
     // In-order consumer: batches arrive in any order, apply in seq
     // order so pass 2's scatter preserves file order (which is what
-    // makes duplicate summation match CooMatrix::canonicalize).
+    // makes duplicate summation match canonicalRows, the in-memory
+    // reader's pass).
     std::uint64_t next = 0;
     std::uint64_t file_entries = 0;
     std::map<std::uint64_t, unsigned> pending;
@@ -435,9 +436,9 @@ convertMatrixMarketToScsr(const std::string &mtx_path,
     stats.scatter_seconds = secondsSince(t0);
 
     // Merge pass: per row, order by (col, arrival), sum duplicates in
-    // arrival order and drop exact-zero results — precisely what
-    // CooMatrix::canonicalize does, so the output is bit-identical to
-    // the in-memory reader's. Compacted rows stay at counts[r].
+    // arrival order and drop exact-zero results — the same per-row
+    // pass as canonicalRows, so the output is bit-identical to the
+    // in-memory reader's. Compacted rows stay at counts[r].
     t0 = Clock::now();
     std::vector<std::uint64_t> final_rp(rows + 1, 0);
     for (std::uint64_t r = 0; r < rows; ++r) {

@@ -11,8 +11,9 @@
  * each row is sorted/merged in place and the sections stream out
  * through ScsrWriter. The result is byte-identical to
  * writeScsr(readMatrixMarketFile(path), out): same duplicate
- * summation order (file order, matching CooMatrix::canonicalize's
- * stable sort), same explicit-zero dropping, same layout.
+ * summation order (file order, matching canonicalRows' (column,
+ * arrival) order within a row), same explicit-zero dropping, same
+ * layout.
  */
 
 #ifndef SPARCH_MATRIX_SCSR_CONVERT_HH

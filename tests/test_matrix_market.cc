@@ -3,9 +3,15 @@
  * Matrix Market I/O tests, including malformed-input failure injection.
  */
 
+#include <cfloat>
 #include <cstdio>
 #include <fstream>
+#include <iomanip>
+#include <limits>
+#include <numeric>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -69,6 +75,110 @@ TEST(MatrixMarket, RoundTripsThroughWriter)
     std::istringstream in(out.str());
     const CsrMatrix back = readMatrixMarket(in);
     EXPECT_TRUE(m.almostEqual(back, 1e-12));
+}
+
+/**
+ * The writer before std::to_chars, kept as the reference: every entry
+ * through an ostream at setprecision(17).
+ */
+std::string
+ostreamWrite(const CsrMatrix &m)
+{
+    std::ostringstream out;
+    out << "%%MatrixMarket matrix coordinate real general\n";
+    out << std::setprecision(17);
+    out << m.rows() << " " << m.cols() << " " << m.nnz() << "\n";
+    for (Index r = 0; r < m.rows(); ++r) {
+        auto cols = m.rowCols(r);
+        auto vals = m.rowVals(r);
+        for (std::size_t i = 0; i < cols.size(); ++i) {
+            out << (r + 1) << " " << (cols[i] + 1) << " " << vals[i]
+                << "\n";
+        }
+    }
+    return out.str();
+}
+
+std::string
+written(const CsrMatrix &m)
+{
+    std::ostringstream out;
+    writeMatrixMarket(m, out);
+    return out.str();
+}
+
+TEST(MatrixMarket, WriterMatchesTheOstreamFormatByteForByte)
+{
+    // The power-law matrix writes several times the sink's buffer.
+    for (const CsrMatrix &m :
+         {generateUniform(40, 30, 200, 11), generateBanded(500, 4, 5.0, 2),
+          generatePowerLaw(3000, 8.0, 0.8, 5), CsrMatrix(3, 4)})
+        EXPECT_EQ(written(m), ostreamWrite(m));
+
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    const std::vector<Value> edges = {
+        0.0,     -0.0,   5e-324, -5e-324, DBL_MAX, -DBL_MAX, 0.1,
+        1.0 / 3, 2.0,    1e21,   1e-7,    inf,     -inf,
+        std::numeric_limits<double>::quiet_NaN()};
+    std::vector<Index> cols(edges.size());
+    std::iota(cols.begin(), cols.end(), Index{0});
+    const CsrMatrix m(
+        2, static_cast<Index>(edges.size()),
+        {0, 0, static_cast<Index>(edges.size())}, cols, edges);
+    EXPECT_EQ(written(m), ostreamWrite(m));
+}
+
+/** A stream buffer that cannot seek, like a pipe's. */
+class UnseekableBuf : public std::stringbuf
+{
+  public:
+    using std::stringbuf::stringbuf;
+
+  protected:
+    pos_type
+    seekoff(off_type, std::ios_base::seekdir, std::ios_base::openmode) override
+    {
+        return pos_type(off_type(-1));
+    }
+
+    pos_type
+    seekpos(pos_type, std::ios_base::openmode) override
+    {
+        return pos_type(off_type(-1));
+    }
+};
+
+TEST(MatrixMarket, ReadsAnUnseekableStream)
+{
+    const CsrMatrix m = generateUniform(40, 30, 200, 11);
+    UnseekableBuf buf(written(m));
+    std::istream in(&buf);
+    EXPECT_EQ(readMatrixMarket(in), m);
+}
+
+// A size line may declare far more entries than follow. The up-front
+// reserve is bounded by what the input can hold, so the read fails at
+// the missing entries instead of asking for 64 GB first.
+TEST(MatrixMarket, LyingSizeLineFailsWithoutAGiantReserve)
+{
+    const std::string text =
+        "%%MatrixMarket matrix coordinate real general\n"
+        "4000000000 4000000000 4000000000\n"
+        "1 1 1.0\n";
+    std::istringstream seekable(text);
+    UnseekableBuf buf(text);
+    std::istream unseekable(&buf);
+    for (std::istream *in : {static_cast<std::istream *>(&seekable),
+                             &unseekable}) {
+        try {
+            readMatrixMarket(*in);
+            ADD_FAILURE() << "a lying size line was accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("truncated at entry 1"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(MatrixMarket, RejectsMissingBanner)
