@@ -1,7 +1,7 @@
 /**
  * @file
- * I/O microbenchmark: the text-parse, convert and mapped-load legs of
- * the out-of-core matrix pipeline.
+ * I/O microbenchmark: the text-parse, convert and load legs of the
+ * file-operand pipeline.
  *
  * Four timings on one generated Matrix Market file:
  *
@@ -19,9 +19,11 @@
  *                    global stable sort made the baseline faster too,
  *                    and entries before and after it do not compare
  *                    on this ratio;
- *  - convert         convertMatrixMarketToScsr, the streaming
- *                    double-buffered .mtx -> .scsr pipeline;
- *  - mapped load     MappedCsr::open + toCsr on the converted file.
+ *  - convert         readMatrixMarketFile + writeScsr, what
+ *                    `sparch convert` runs. It is timed after the
+ *                    parse legs' matrices are freed, so it starts on
+ *                    the same clean heap every repetition;
+ *  - load            readScsr on the converted file.
  *
  * Knobs: SPARCH_BENCH_IO_NNZ (generated nonzeros, default 2000000),
  * SPARCH_BENCH_REPS (repetitions, default 3; medians are reported).
@@ -30,7 +32,7 @@
  * SPARCH_BENCH_JSON=<path> the result is written as one
  * BENCH_simulator.json trajectory entry (bench::writeEntry) under the
  * workload "uniform-1pct-square". `convert_mb_per_calibration`
- * multiplies converter throughput by the fixed-work calibration time
+ * multiplies convert throughput by the fixed-work calibration time
  * so two machines can be compared ratio-to-ratio (scripts/
  * bench_gate.py, ci.yml perf-smoke).
  */
@@ -52,7 +54,6 @@
 #include "matrix/generators.hh"
 #include "matrix/matrix_market.hh"
 #include "matrix/scsr.hh"
-#include "matrix/scsr_convert.hh"
 
 namespace
 {
@@ -115,7 +116,7 @@ runBench()
     const CsrMatrix m = generateUniform(side, side, nnz, 42);
 
     // Scratch names carry the process id: concurrent runs would
-    // otherwise overwrite a file the other has mapped.
+    // otherwise overwrite a file the other is reading.
     // sparch-audit: allow(shared-temp-path, names carry the process id)
     const auto tmp = std::filesystem::temp_directory_path();
     const std::string stem =
@@ -135,25 +136,27 @@ runBench()
 
     std::vector<double> istream_s, from_chars_s, convert_s, load_s;
     for (unsigned rep = 0; rep < reps; ++rep) {
+        {
+            auto start = Clock::now();
+            const CsrMatrix legacy = istreamRead(mtx);
+            istream_s.push_back(secondsSince(start));
+
+            start = Clock::now();
+            const CsrMatrix fast = readMatrixMarketFile(mtx);
+            from_chars_s.push_back(secondsSince(start));
+            if (fast.nnz() != legacy.nnz())
+                fatal("bench_io: readers disagree on nnz");
+        }
+
         auto start = Clock::now();
-        const CsrMatrix legacy = istreamRead(mtx);
-        istream_s.push_back(secondsSince(start));
-
-        start = Clock::now();
-        const CsrMatrix fast = readMatrixMarketFile(mtx);
-        from_chars_s.push_back(secondsSince(start));
-        if (fast.nnz() != legacy.nnz())
-            fatal("bench_io: readers disagree on nnz");
-
-        start = Clock::now();
-        convertMatrixMarketToScsr(mtx, scsr);
+        writeScsr(readMatrixMarketFile(mtx), scsr);
         convert_s.push_back(secondsSince(start));
 
         start = Clock::now();
-        const CsrMatrix loaded = MappedCsr::open(scsr).toCsr();
+        const CsrMatrix loaded = readScsr(scsr);
         load_s.push_back(secondsSince(start));
         if (loaded.nnz() != m.nnz())
-            fatal("bench_io: mapped load lost entries");
+            fatal("bench_io: load lost entries");
     }
 
     const double istream_med = medianOf(istream_s);
@@ -167,7 +170,7 @@ runBench()
     const double load_mb_s = scsr_mb / load_med;
     const double calib = calibrationSeconds();
 
-    TablePrinter table("I/O pipeline: parse, convert, mapped load");
+    TablePrinter table("I/O pipeline: parse, convert, load");
     table.header({"metric", "value"});
     table.row({"nnz", std::to_string(m.nnz())});
     table.row({"mtx MB", TablePrinter::num(file_mb)});
@@ -178,8 +181,8 @@ runBench()
     table.row({"parse speedup", TablePrinter::num(speedup)});
     table.row({"convert s", TablePrinter::num(convert_med)});
     table.row({"convert MB/s", TablePrinter::num(convert_mb_s)});
-    table.row({"mapped load s", TablePrinter::num(load_med)});
-    table.row({"mapped load MB/s", TablePrinter::num(load_mb_s)});
+    table.row({"load s", TablePrinter::num(load_med)});
+    table.row({"load MB/s", TablePrinter::num(load_mb_s)});
     table.row({"calibration seconds", TablePrinter::num(calib)});
     table.row({"convert MB/calibration",
                TablePrinter::num(convert_mb_s * calib)});

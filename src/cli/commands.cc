@@ -1,6 +1,7 @@
 #include "cli/commands.hh"
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iomanip>
@@ -31,8 +32,8 @@
 #include "dse/workload_stats.hh"
 #include "exec/executor.hh"
 #include "exec/process_pool_executor.hh"
+#include "matrix/matrix_market.hh"
 #include "matrix/scsr.hh"
-#include "matrix/scsr_convert.hh"
 
 namespace sparch
 {
@@ -58,8 +59,8 @@ const char *kUsage =
     "spec grammar\n"
     "  cache stats|clear --cache FILE   inspect or drop a result "
     "cache\n"
-    "  convert <in.mtx> <out.scsr>      stream a Matrix Market file "
-    "into the\n"
+    "  convert <in.mtx> <out.scsr>      convert a Matrix Market file "
+    "to the\n"
     "                                   binary .scsr format\n"
     "  worker --tasks FILE              internal: simulate manifest "
     "task ids fed on stdin\n"
@@ -125,13 +126,6 @@ const char *kUsage =
     "                         group; 0 = the whole Pareto frontier)\n"
     "\n"
     "convert flags:\n"
-    "  --buffer-bytes N       read-buffer size per pool slot (default "
-    "1 MiB);\n"
-    "                         peak resident memory is "
-    "O(buffers x buffer-bytes)\n"
-    "  --buffers N            buffers in the pool (default 4, min 2)\n"
-    "  --parse-threads N      from_chars tokenizer workers (default "
-    "2)\n"
     "  --verify               re-read the written file and check its "
     "content\n"
     "                         hash before reporting success\n"
@@ -143,9 +137,8 @@ const char *kUsage =
     "  dnn:<hidden>x<batch>:<density>    pruned-MLP layer W x X\n"
     "  mtx:<path> or <path>.mtx          Matrix Market file squared\n"
     "  scsr:<path> or <path>.scsr        binary CSR file squared "
-    "(mmap-backed;\n"
-    "                                    produce with sparch "
-    "convert)\n";
+    "(produce\n"
+    "                                    with sparch convert)\n";
 
 unsigned
 resolveThreads(unsigned requested)
@@ -621,42 +614,34 @@ cmdCache(const std::vector<std::string> &args, std::ostream &out)
 }
 
 /**
- * Stream a Matrix Market file into the binary .scsr format through
- * the double-buffered converter. Output is bit-identical to loading
- * the file in memory and writing it with writeScsr, but peak resident
- * memory stays O(buffer pool) + O(rows) however large the file is.
+ * Convert a Matrix Market file to the binary .scsr format: read it
+ * into memory with readMatrixMarketFile, write it with writeScsr and,
+ * under --verify, re-hash the written sections against the header.
  */
 int
 cmdConvert(const std::vector<std::string> &args, std::ostream &out)
 {
-    const FlagSet flags(args,
-                        {"buffer-bytes", "buffers", "parse-threads"},
-                        {"verify"});
+    const FlagSet flags(args, {}, {"verify"});
     if (flags.positional().size() != 2)
         fatal("convert: expected <in.mtx> <out.scsr>");
     const std::string &in_path = flags.positional()[0];
     const std::string &out_path = flags.positional()[1];
 
-    ConvertOptions opts;
-    opts.buffer_bytes = static_cast<std::size_t>(
-        flags.getU64("buffer-bytes", opts.buffer_bytes));
-    opts.buffers = flags.getUnsigned("buffers", opts.buffers);
-    opts.parser_threads =
-        flags.getUnsigned("parse-threads", opts.parser_threads);
-
     // sparch-audit: allow(nondet-in-keyed, wall-clock throughput
     // report on the human-facing summary line - never keyed or CSV)
     const auto t0 = std::chrono::steady_clock::now();
-    const ConvertStats stats =
-        convertMatrixMarketToScsr(in_path, out_path, opts);
-    const double seconds =
-        // sparch-audit: allow(nondet-in-keyed, same timing report)
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
+    const CsrMatrix m = readMatrixMarketFile(in_path);
+    // sparch-audit: allow(nondet-in-keyed, same timing report)
+    const auto t1 = std::chrono::steady_clock::now();
+    const ScsrHeader header = writeScsr(m, out_path);
+    // sparch-audit: allow(nondet-in-keyed, same timing report)
+    const auto t2 = std::chrono::steady_clock::now();
+    const double read_s = std::chrono::duration<double>(t1 - t0).count();
+    const double write_s = std::chrono::duration<double>(t2 - t1).count();
+    const double seconds = read_s + write_s;
 
     if (flags.has("verify"))
-        MappedCsr::open(out_path).verifyContent();
+        verifyScsrContent(out_path);
 
     const auto mb = [](std::uint64_t bytes) {
         std::ostringstream s;
@@ -669,35 +654,27 @@ cmdConvert(const std::vector<std::string> &args, std::ostream &out)
         s << std::fixed << std::setprecision(3) << v << " s";
         return s.str();
     };
+    const std::uint64_t bytes_in = std::filesystem::file_size(in_path);
     TablePrinter table("convert " + in_path + " -> " + out_path);
     table.header({"stat", "value"});
-    table.row({"shape", std::to_string(stats.rows) + " x " +
-                            std::to_string(stats.cols)});
-    table.row({"entries", std::to_string(stats.entries)});
-    table.row({"stored (with mirrors)", std::to_string(stats.stored)});
-    table.row({"nnz (merged)", std::to_string(stats.nnz)});
-    table.row({"bytes in", mb(stats.bytes_in)});
-    table.row({"bytes out", mb(stats.bytes_out)});
-    table.row({"chunks parsed", std::to_string(stats.chunks)});
-    table.row({"pool resident", mb(stats.pool_bytes)});
-    table.row({"row tables", mb(stats.table_bytes)});
-    table.row({"scratch file", mb(stats.scratch_file_bytes)});
-    table.row({"count pass", secs(stats.count_seconds)});
-    table.row({"scatter pass", secs(stats.scatter_seconds)});
-    table.row({"merge pass", secs(stats.merge_seconds)});
-    table.row({"write pass", secs(stats.write_seconds)});
+    table.row({"shape", std::to_string(header.rows) + " x " +
+                            std::to_string(header.cols)});
+    table.row({"nnz (merged)", std::to_string(header.nnz)});
+    table.row({"bytes in", mb(bytes_in)});
+    table.row({"bytes out", mb(header.file_bytes)});
+    table.row({"read", secs(read_s)});
+    table.row({"write", secs(write_s)});
     table.print(out);
 
     std::ostringstream rate;
     rate << std::fixed << std::setprecision(1);
     if (seconds > 0.0) {
-        rate << static_cast<double>(stats.bytes_in) / 1e6 / seconds
-             << " MB/s";
+        rate << static_cast<double>(bytes_in) / 1e6 / seconds << " MB/s";
     } else {
         rate << "inf MB/s";
     }
-    out << "sparch: converted " << mb(stats.bytes_in) << " in "
-        << secs(seconds) << " (" << rate.str() << ")"
+    out << "sparch: converted " << mb(bytes_in) << " in " << secs(seconds)
+        << " (" << rate.str() << ")"
         << (flags.has("verify") ? ", content hash verified" : "")
         << "\n";
     return 0;

@@ -223,7 +223,7 @@ Workload
 scsrWorkload(const std::string &path)
 {
     Workload w(fileWorkloadName(path), [path] {
-        return MappedCsr::open(path).toCsr();
+        return readScsr(path);
     });
     w.withValidator([path] {
         try {

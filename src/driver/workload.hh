@@ -177,10 +177,10 @@ Workload matrixMarketWorkload(const std::string &path);
 
 /**
  * Binary .scsr file squared, named by the file's stem like
- * matrixMarketWorkload. Loading goes through the mmap-backed
- * MappedCsr view, the header is validated (checksummed) when the
- * workload is parsed, and the cache identity pins the header checksum
- * so a re-converted file never serves stale cached results.
+ * matrixMarketWorkload. Loading is one readScsr, which checks the
+ * structure of the sections; the header is validated (checksummed)
+ * when the workload is parsed, and the cache identity pins the header
+ * checksum so a re-converted file never serves stale cached results.
  */
 Workload scsrWorkload(const std::string &path);
 

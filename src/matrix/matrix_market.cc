@@ -8,11 +8,11 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/logging.hh"
-#include "matrix/mm_scan.hh"
 
 namespace sparch
 {
@@ -55,6 +55,121 @@ remainingBytes(std::istream &in)
     in.clear();
     in.seekg(here);
     return end == std::streampos(-1) ? -1 : end - here;
+}
+
+// Entry-line tokenizer. Lines are parsed with std::from_chars:
+// blank lines are skipped, '\r' line endings are tolerated, a line
+// may carry several entries, but one entry may not span lines.
+
+/** One parsed coordinate entry, still 1-based as in the file. */
+struct Entry {
+    std::uint64_t row = 0;
+    std::uint64_t col = 0;
+    double value = 1.0;
+};
+
+bool
+isSpace(char c)
+{
+    return c == ' ' || c == '\t' || c == '\r' || c == '\f' || c == '\v';
+}
+
+const char *
+skipSpace(const char *p, const char *end)
+{
+    while (p != end && isSpace(*p))
+        ++p;
+    return p;
+}
+
+/** Parse one unsigned decimal token; advances p past it on success. */
+bool
+parseU64(const char *&p, const char *end, std::uint64_t &out)
+{
+    const auto [next, ec] = std::from_chars(p, end, out);
+    if (ec != std::errc() || next == p)
+        return false;
+    p = next;
+    return true;
+}
+
+/**
+ * Parse one floating-point token; advances p past it on success.
+ * istream extraction accepted an explicit leading '+', which
+ * from_chars does not, so strip it here.
+ */
+bool
+parseDouble(const char *&p, const char *end, double &out)
+{
+    const char *q = p;
+    if (q != end && *q == '+')
+        ++q;
+    const auto [next, ec] = std::from_chars(q, end, out);
+    if (ec != std::errc() || next == q)
+        return false;
+    p = next;
+    return true;
+}
+
+/**
+ * Parse every entry on one line [begin, end) (no trailing '\n').
+ * Pattern files carry no value token; entries get value 1.0.
+ *
+ * Returns the number of entries appended to `out`, 0 for a blank
+ * line, or -1 if the line is malformed (stray characters, missing
+ * value, partial entry).
+ */
+int
+parseLine(const char *begin, const char *end, bool pattern,
+          std::vector<Entry> &out)
+{
+    const char *p = skipSpace(begin, end);
+    int parsed = 0;
+    while (p != end) {
+        Entry e;
+        if (!parseU64(p, end, e.row))
+            return -1;
+        p = skipSpace(p, end);
+        if (!parseU64(p, end, e.col))
+            return -1;
+        if (!pattern) {
+            p = skipSpace(p, end);
+            if (!parseDouble(p, end, e.value))
+                return -1;
+        }
+        // A token must end at whitespace or end-of-line; "1 2 3x" is
+        // corrupt, not an entry followed by junk.
+        if (p != end && !isSpace(*p))
+            return -1;
+        out.push_back(e);
+        ++parsed;
+        p = skipSpace(p, end);
+    }
+    return parsed;
+}
+
+/**
+ * Split [begin, end) into lines and parse each through parseLine.
+ * Returns the number of entries appended, or -(offset+1) of the start
+ * of the first malformed line.
+ */
+std::int64_t
+parseChunk(const char *begin, const char *end, bool pattern,
+           std::vector<Entry> &out)
+{
+    std::int64_t parsed = 0;
+    const char *line = begin;
+    while (line < end) {
+        const char *nl = line;
+        while (nl != end && *nl != '\n')
+            ++nl;
+        const int n = parseLine(line, nl, pattern, out);
+        if (n < 0)
+            return -static_cast<std::int64_t>(line - begin) - 1;
+        parsed += n;
+        line = (nl == end) ? end : nl + 1;
+    }
+    return parsed;
 }
 
 } // namespace
@@ -149,15 +264,13 @@ readMatrixMarket(std::istream &in)
     const std::uint64_t lines = std::min(header.entries, can_hold);
     coo.triplets().reserve(symmetric ? lines * 2 : lines);
 
-    // Buffered from_chars tokenizing (mm_scan.hh), shared with the
-    // .scsr converter so text and binary paths accept the same
-    // syntax. Entries are line-oriented: a line may carry several,
-    // one may not span lines, and every data line must parse — a
-    // trailing region of junk that the old token-by-token loop would
-    // have silently ignored is now an error.
+    // Buffered from_chars tokenizing (parseChunk). Entries are
+    // line-oriented: a line may carry several, one may not span
+    // lines, and every data line must parse — a trailing region of
+    // junk is an error, not ignored.
     const bool pattern = header.field == MmField::Pattern;
     std::vector<char> buf(1 << 16);
-    std::vector<mmscan::Entry> entries;
+    std::vector<Entry> entries;
     std::size_t carry = 0;
     std::uint64_t seen = 0;
     bool eof = false;
@@ -181,10 +294,10 @@ readMatrixMarket(std::istream &in)
             }
         }
         entries.clear();
-        if (mmscan::parseChunk(buf.data(), buf.data() + cut, pattern,
+        if (parseChunk(buf.data(), buf.data() + cut, pattern,
                                entries) < 0)
             fatal("matrix market: malformed entry line after entry ", seen);
-        for (const mmscan::Entry &e : entries) {
+        for (const Entry &e : entries) {
             if (e.row < 1 || e.row > rows || e.col < 1 || e.col > cols) {
                 fatal("matrix market: entry ", seen, " coordinate (", e.row,
                       ",", e.col, ") out of range");
@@ -214,7 +327,16 @@ readMatrixMarketFile(const std::string &path)
     std::ifstream in(path);
     if (!in)
         fatal("matrix market: cannot open '", path, "'");
-    return readMatrixMarket(in);
+    try {
+        return readMatrixMarket(in);
+    } catch (const FatalError &e) {
+        // Name the file in every parse error: "matrix market: 'p': ...".
+        constexpr std::string_view kTag = "matrix market: ";
+        std::string detail = fatalDetail(e);
+        if (detail.starts_with(kTag))
+            detail.erase(0, kTag.size());
+        fatal("matrix market: '", path, "': ", detail);
+    }
 }
 
 void

@@ -66,7 +66,7 @@ MatrixMarketHeader readMatrixMarketHeader(std::istream &in);
 /** Parse a Matrix Market stream. Throws FatalError on malformed input. */
 CsrMatrix readMatrixMarket(std::istream &in);
 
-/** Load a Matrix Market file from disk. */
+/** Load a Matrix Market file from disk; every error names the file. */
 CsrMatrix readMatrixMarketFile(const std::string &path);
 
 /** Write a matrix in `coordinate real general` format. */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <vector>
 
@@ -58,6 +59,38 @@ validateScsrHeader(const ScsrHeader &h, std::uint64_t actual_bytes,
     }
 }
 
+/**
+ * Read and validate the header of the file `in` was opened on,
+ * leaving the stream open for the section reads.
+ */
+ScsrHeader
+readHeaderFrom(std::ifstream &in, const std::string &path)
+{
+    if (!in)
+        fatal("scsr: cannot open '", path, "'");
+    in.seekg(0, std::ios::end);
+    const std::uint64_t actual = static_cast<std::uint64_t>(in.tellg());
+    in.seekg(0);
+    ScsrHeader h{};
+    if (actual < kScsrAlign ||
+        !in.read(reinterpret_cast<char *>(&h), sizeof(h))) {
+        fatal("scsr: '", path, "' is too short to hold a header (",
+              actual, " bytes)");
+    }
+    validateScsrHeader(h, actual, path);
+    return h;
+}
+
+/** Read bytes [offset, offset + n) of `in` into dst. Fatal if short. */
+void
+readSection(std::ifstream &in, std::uint64_t offset, void *dst,
+            std::uint64_t n, const std::string &path)
+{
+    in.seekg(static_cast<std::streamoff>(offset));
+    if (!in.read(static_cast<char *>(dst), static_cast<std::streamsize>(n)))
+        fatal("scsr: '", path, "' cannot be read at offset ", offset);
+}
+
 } // namespace
 
 std::uint64_t
@@ -99,191 +132,153 @@ ScsrHeader
 readScsrHeader(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
-    if (!in)
-        fatal("scsr: cannot open '", path, "'");
-    in.seekg(0, std::ios::end);
-    const std::uint64_t actual = static_cast<std::uint64_t>(in.tellg());
-    in.seekg(0);
-    ScsrHeader h{};
-    if (actual < kScsrAlign ||
-        !in.read(reinterpret_cast<char *>(&h), sizeof(h))) {
-        fatal("scsr: '", path, "' is too short to hold a header (",
-              actual, " bytes)");
-    }
-    validateScsrHeader(h, actual, path);
-    return h;
-}
-
-ScsrWriter::ScsrWriter(const std::string &path, std::uint64_t rows,
-                       std::uint64_t cols, std::uint64_t nnz)
-    : path_(path), out_(path, std::ios::binary | std::ios::trunc)
-{
-    if (!out_)
-        fatal("scsr: cannot open '", path, "' for writing");
-    layout_ = ScsrLayout::of(rows, nnz);
-    std::memcpy(header_.magic, kScsrMagic, sizeof(kScsrMagic));
-    header_.version = 1;
-    header_.index_bytes = sizeof(Index);
-    header_.value_bytes = sizeof(Value);
-    header_.reserved = 0;
-    header_.rows = rows;
-    header_.cols = cols;
-    header_.nnz = nnz;
-    header_.row_ptr_offset = layout_.row_ptr_offset;
-    header_.col_idx_offset = layout_.col_idx_offset;
-    header_.values_offset = layout_.values_offset;
-    header_.file_bytes = layout_.file_bytes;
-    // Page 0 is written as zeros now and replaced by the checksummed
-    // header in finish(), so a crashed convert leaves a file that
-    // readScsrHeader rejects rather than a plausible-looking torso.
-    out_.write(kZeroPage, kScsrAlign);
-    written_ = kScsrAlign;
-}
-
-void
-ScsrWriter::appendBytes(const void *data, std::size_t n)
-{
-    out_.write(static_cast<const char *>(data),
-               static_cast<std::streamsize>(n));
-    hash_ = fnv1a(data, n, hash_);
-    written_ += n;
-}
-
-void
-ScsrWriter::padTo(std::uint64_t offset)
-{
-    SPARCH_ASSERT(offset >= written_, "scsr writer padding backwards");
-    std::uint64_t gap = offset - written_;
-    while (gap > 0) {
-        const std::uint64_t n = std::min<std::uint64_t>(gap, kScsrAlign);
-        out_.write(kZeroPage, static_cast<std::streamsize>(n));
-        gap -= n;
-    }
-    written_ = offset;
-}
-
-void
-ScsrWriter::appendRowPtr(std::span<const std::uint64_t> chunk)
-{
-    SPARCH_ASSERT(!finished_ && col_idx_done_ == 0 && values_done_ == 0,
-                  "scsr sections must be appended in order");
-    row_ptr_done_ += chunk.size();
-    SPARCH_ASSERT(row_ptr_done_ <= header_.rows + 1,
-                  "scsr row_ptr section overflow");
-    appendBytes(chunk.data(), chunk.size_bytes());
-}
-
-void
-ScsrWriter::appendColIdx(std::span<const Index> chunk)
-{
-    SPARCH_ASSERT(!finished_ && values_done_ == 0,
-                  "scsr sections must be appended in order");
-    if (col_idx_done_ == 0) {
-        SPARCH_ASSERT(row_ptr_done_ == header_.rows + 1,
-                      "scsr row_ptr section incomplete");
-        padTo(layout_.col_idx_offset);
-    }
-    col_idx_done_ += chunk.size();
-    SPARCH_ASSERT(col_idx_done_ <= header_.nnz,
-                  "scsr col_idx section overflow");
-    appendBytes(chunk.data(), chunk.size_bytes());
-}
-
-void
-ScsrWriter::appendValues(std::span<const Value> chunk)
-{
-    SPARCH_ASSERT(!finished_, "scsr writer already finished");
-    if (values_done_ == 0) {
-        SPARCH_ASSERT(col_idx_done_ == header_.nnz,
-                      "scsr col_idx section incomplete");
-        padTo(layout_.values_offset);
-    }
-    values_done_ += chunk.size();
-    SPARCH_ASSERT(values_done_ <= header_.nnz,
-                  "scsr values section overflow");
-    appendBytes(chunk.data(), chunk.size_bytes());
-}
-
-ScsrHeader
-ScsrWriter::finish()
-{
-    SPARCH_ASSERT(!finished_, "scsr writer already finished");
-    SPARCH_ASSERT(row_ptr_done_ == header_.rows + 1,
-                  "scsr row_ptr section incomplete at finish");
-    SPARCH_ASSERT(col_idx_done_ == header_.nnz && values_done_ == header_.nnz,
-                  "scsr data sections incomplete at finish");
-    // An empty matrix never enters appendColIdx/appendValues, so the
-    // inter-section pads may still be pending; padTo is monotone and
-    // collapses them into one final pad.
-    padTo(layout_.file_bytes);
-    header_.content_hash = hash_;
-    header_.header_checksum = scsrHeaderChecksum(header_);
-    out_.seekp(0);
-    out_.write(reinterpret_cast<const char *>(&header_), sizeof(header_));
-    out_.flush();
-    if (!out_)
-        fatal("scsr: write to '", path_, "' failed");
-    finished_ = true;
-    return header_;
+    return readHeaderFrom(in, path);
 }
 
 ScsrHeader
 writeScsr(const CsrMatrix &m, const std::string &path)
 {
-    ScsrWriter w(path, m.rows(), m.cols(), m.nnz());
-    std::vector<std::uint64_t> rp(m.rowPtr().begin(), m.rowPtr().end());
-    w.appendRowPtr(rp);
-    w.appendColIdx(m.colIdx());
-    w.appendValues(m.values());
-    return w.finish();
-}
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    if (!out)
+        fatal("scsr: cannot open '", path, "' for writing");
+    const ScsrLayout layout = ScsrLayout::of(m.rows(), m.nnz());
+    ScsrHeader h{};
+    std::memcpy(h.magic, kScsrMagic, sizeof(kScsrMagic));
+    h.version = 1;
+    h.index_bytes = sizeof(Index);
+    h.value_bytes = sizeof(Value);
+    h.rows = m.rows();
+    h.cols = m.cols();
+    h.nnz = m.nnz();
+    h.row_ptr_offset = layout.row_ptr_offset;
+    h.col_idx_offset = layout.col_idx_offset;
+    h.values_offset = layout.values_offset;
+    h.file_bytes = layout.file_bytes;
 
-MappedCsr
-MappedCsr::open(const std::string &path)
-{
-    MappedCsr m;
-    m.file_ = MappedFile::openRead(path);
-    if (m.file_.size() < kScsrAlign) {
-        fatal("scsr: '", path, "' is too short to hold a header (",
-              m.file_.size(), " bytes)");
-    }
-    std::memcpy(&m.header_, m.file_.data(), sizeof(m.header_));
-    validateScsrHeader(m.header_, m.file_.size(), path);
-    return m;
+    std::uint64_t written = 0;
+    h.content_hash = kFnvOffset;
+    const auto padTo = [&](std::uint64_t offset) {
+        for (std::uint64_t gap = offset - written; gap > 0;) {
+            const std::uint64_t n = std::min<std::uint64_t>(gap, kScsrAlign);
+            out.write(kZeroPage, static_cast<std::streamsize>(n));
+            gap -= n;
+        }
+        written = offset;
+    };
+    const auto append = [&](const void *data, std::size_t n) {
+        out.write(static_cast<const char *>(data),
+                  static_cast<std::streamsize>(n));
+        h.content_hash = fnv1a(data, n, h.content_hash);
+        written += n;
+    };
+    // Page 0 stays zero until every section is out (see scsr.hh).
+    padTo(layout.row_ptr_offset);
+    const std::vector<std::uint64_t> rp(m.rowPtr().begin(),
+                                        m.rowPtr().end());
+    append(rp.data(), rp.size() * sizeof(std::uint64_t));
+    padTo(layout.col_idx_offset);
+    append(m.colIdx().data(), m.colIdx().size() * sizeof(Index));
+    padTo(layout.values_offset);
+    append(m.values().data(), m.values().size() * sizeof(Value));
+    padTo(layout.file_bytes);
+
+    h.header_checksum = scsrHeaderChecksum(h);
+    out.seekp(0);
+    out.write(reinterpret_cast<const char *>(&h), sizeof(h));
+    out.flush();
+    if (!out)
+        fatal("scsr: write to '", path, "' failed");
+    return h;
 }
 
 CsrMatrix
-MappedCsr::toCsr() const
+readScsr(const std::string &path)
 {
-    const auto rp = rowPtr();
-    const std::uint64_t base = rp[0];
-    const std::uint64_t total = rp[rows()] - base;
-    if (total > std::numeric_limits<Index>::max()) {
-        fatal("scsr: '", path(), "' holds ", total,
+    std::ifstream in(path, std::ios::binary);
+    const ScsrHeader h = readHeaderFrom(in, path);
+    if (h.nnz > std::numeric_limits<Index>::max()) {
+        fatal("scsr: '", path, "' holds ", h.nnz,
               " nonzeros, too many for one in-memory matrix");
     }
-    std::vector<Index> row_ptr(rp.size());
-    for (std::size_t i = 0; i < row_ptr.size(); ++i)
-        row_ptr[i] = static_cast<Index>(rp[i] - base);
-    const auto cols_span = colIdx().subspan(base, total);
-    const auto vals_span = values().subspan(base, total);
-    return CsrMatrix(rows(), cols(), std::move(row_ptr),
-                     {cols_span.begin(), cols_span.end()},
-                     {vals_span.begin(), vals_span.end()});
+    const auto rows = static_cast<Index>(h.rows);
+    const auto cols = static_cast<Index>(h.cols);
+
+    // Once row_ptr starts at 0, never decreases and ends at nnz, every
+    // entry fits Index and indexes col_idx in bounds. It is narrowed
+    // through a buffer below glibc's mmap threshold (128 KiB): freeing
+    // a section-sized temporary raises that threshold, and the heap
+    // the simulation then grows added 7 MB to the peak RSS of a
+    // 4-shard roadNet-CA run.
+    std::vector<Index> row_ptr(std::size_t{rows} + 1);
+    std::vector<std::uint64_t> wide(8192);
+    std::uint64_t prev = 0;
+    for (std::size_t at = 0; at < row_ptr.size();) {
+        const std::size_t n = std::min(wide.size(), row_ptr.size() - at);
+        readSection(in, h.row_ptr_offset + at * sizeof(std::uint64_t),
+                    wide.data(), n * sizeof(std::uint64_t), path);
+        for (std::size_t k = 0; k < n; ++k, ++at) {
+            if (at == 0 && wide[k] != 0) {
+                fatal("scsr: '", path, "' row_ptr starts at ", wide[k],
+                      ", not 0 (corrupt file)");
+            }
+            if (wide[k] < prev) {
+                fatal("scsr: '", path, "' row_ptr decreases after row ",
+                      at - 1, " (corrupt file)");
+            }
+            prev = wide[k];
+            row_ptr[at] = static_cast<Index>(prev);
+        }
+    }
+    if (prev != h.nnz) {
+        fatal("scsr: '", path, "' row_ptr ends at ", prev, ", not at its ",
+              h.nnz, " nonzeros (corrupt file)");
+    }
+
+    std::vector<Index> col_idx(h.nnz);
+    readSection(in, h.col_idx_offset, col_idx.data(),
+                h.nnz * sizeof(Index), path);
+    for (Index r = 0; r < rows; ++r) {
+        for (Index i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
+            if (col_idx[i] >= cols) {
+                fatal("scsr: '", path, "' row ", r, " has column ",
+                      col_idx[i], " of a ", cols,
+                      "-column matrix (corrupt file)");
+            }
+            if (i > row_ptr[r] && col_idx[i - 1] >= col_idx[i]) {
+                fatal("scsr: '", path, "' row ", r, " columns are not ",
+                      "strictly ascending (corrupt file)");
+            }
+        }
+    }
+
+    std::vector<Value> values(h.nnz);
+    readSection(in, h.values_offset, values.data(), h.nnz * sizeof(Value),
+                path);
+    return CsrMatrix(rows, cols, std::move(row_ptr), std::move(col_idx),
+                     std::move(values));
 }
 
 void
-MappedCsr::verifyContent() const
+verifyScsrContent(const std::string &path)
 {
-    std::uint64_t h = kFnvOffset;
-    h = fnv1a(file_.data() + header_.row_ptr_offset,
-              (header_.rows + 1) * sizeof(std::uint64_t), h);
-    h = fnv1a(file_.data() + header_.col_idx_offset,
-              header_.nnz * sizeof(Index), h);
-    h = fnv1a(file_.data() + header_.values_offset,
-              header_.nnz * sizeof(Value), h);
-    if (h != header_.content_hash) {
-        fatal("scsr: '", path(), "' section data does not match the ",
+    std::ifstream in(path, std::ios::binary);
+    const ScsrHeader h = readHeaderFrom(in, path);
+    std::vector<char> buf(1 << 20);
+    std::uint64_t hash = kFnvOffset;
+    const auto hashSection = [&](std::uint64_t offset, std::uint64_t bytes) {
+        for (std::uint64_t done = 0; done < bytes;) {
+            const std::uint64_t n =
+                std::min<std::uint64_t>(bytes - done, buf.size());
+            readSection(in, offset + done, buf.data(), n, path);
+            hash = fnv1a(buf.data(), n, hash);
+            done += n;
+        }
+    };
+    hashSection(h.row_ptr_offset, (h.rows + 1) * sizeof(std::uint64_t));
+    hashSection(h.col_idx_offset, h.nnz * sizeof(Index));
+    hashSection(h.values_offset, h.nnz * sizeof(Value));
+    if (hash != h.content_hash) {
+        fatal("scsr: '", path, "' section data does not match the ",
               "header's content hash (corrupt file)");
     }
 }

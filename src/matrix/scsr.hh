@@ -1,8 +1,9 @@
 /**
  * @file
- * The .scsr on-disk binary CSR format and its mmap-backed view.
+ * The .scsr on-disk binary CSR format: writer, loader and integrity
+ * check.
  *
- * Layout (all offsets page-aligned so any section maps cleanly):
+ * Layout (all offsets page-aligned):
  *
  *   page 0      ScsrHeader (96 bytes) + zero padding to 4096
  *   row_ptr     std::uint64_t[rows + 1]   cumulative nnz, 64-bit-safe
@@ -25,13 +26,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <fstream>
-#include <span>
 #include <string>
 
 #include "common/types.hh"
 #include "matrix/csr.hh"
-#include "matrix/mmap_file.hh"
 
 namespace sparch
 {
@@ -108,130 +106,30 @@ std::uint64_t scsrHeaderChecksum(const ScsrHeader &h);
 ScsrHeader readScsrHeader(const std::string &path);
 
 /**
- * Streaming .scsr emitter shared by writeScsr and the Matrix Market
- * converter, so both produce byte-identical files for the same
- * matrix: sections are appended in order (row_ptr, col_idx, values),
- * in as many calls as the producer likes, while the writer keeps the
- * running content hash and inserts the zero padding; finish() seals
- * the file by seeking back and writing the checksummed header.
+ * Write m to path in .scsr format. Page 0 is written as zeros first
+ * and replaced by the checksummed header once every section is out,
+ * so a crashed write leaves a file that readScsrHeader rejects rather
+ * than a plausible-looking torso.
  */
-class ScsrWriter
-{
-  public:
-    ScsrWriter(const std::string &path, std::uint64_t rows,
-               std::uint64_t cols, std::uint64_t nnz);
-
-    void appendRowPtr(std::span<const std::uint64_t> chunk);
-    void appendColIdx(std::span<const Index> chunk);
-    void appendValues(std::span<const Value> chunk);
-
-    /** Pad, write the header, flush. Fatal if any section is short. */
-    ScsrHeader finish();
-
-  private:
-    void appendBytes(const void *data, std::size_t n);
-    void padTo(std::uint64_t offset);
-
-    std::string path_;
-    std::ofstream out_;
-    ScsrHeader header_{};
-    ScsrLayout layout_{};
-    std::uint64_t written_ = 0; ///< bytes emitted so far (incl. page 0)
-    std::uint64_t hash_ = kFnvOffset;
-    std::uint64_t row_ptr_done_ = 0;
-    std::uint64_t col_idx_done_ = 0;
-    std::uint64_t values_done_ = 0;
-    bool finished_ = false;
-};
-
-/** Write m to path in .scsr format. */
 ScsrHeader writeScsr(const CsrMatrix &m, const std::string &path);
 
 /**
- * Zero-copy view of an .scsr file. open() validates the header (one
- * page of I/O); the sections are read straight out of the mapping,
- * and toCsr() materializes the operand in one pass.
+ * Load an .scsr file into memory: readScsrHeader, then one plain read
+ * per section. The structure is checked as it lands (row_ptr starts
+ * at 0, ends at nnz and never decreases; columns are in range and
+ * strictly ascending within each row), and any fault is fatal with
+ * the file named. Values are not re-hashed; verifyScsrContent does
+ * that.
  */
-class MappedCsr
-{
-  public:
-    MappedCsr() = default;
+CsrMatrix readScsr(const std::string &path);
 
-    /** Map path and validate its header. Fatal on corruption. */
-    static MappedCsr open(const std::string &path);
-
-    const ScsrHeader &
-    header() const
-    {
-        return header_;
-    }
-
-    Index
-    rows() const
-    {
-        return static_cast<Index>(header_.rows);
-    }
-
-    Index
-    cols() const
-    {
-        return static_cast<Index>(header_.cols);
-    }
-
-    std::uint64_t
-    nnz() const
-    {
-        return header_.nnz;
-    }
-
-    /** The on-disk 64-bit row index. */
-    std::span<const std::uint64_t>
-    rowPtr() const
-    {
-        return {reinterpret_cast<const std::uint64_t *>(
-                    file_.data() + header_.row_ptr_offset),
-                static_cast<std::size_t>(header_.rows + 1)};
-    }
-
-    std::span<const Index>
-    colIdx() const
-    {
-        return {reinterpret_cast<const Index *>(file_.data() +
-                                                header_.col_idx_offset),
-                static_cast<std::size_t>(header_.nnz)};
-    }
-
-    std::span<const Value>
-    values() const
-    {
-        return {reinterpret_cast<const Value *>(file_.data() +
-                                                header_.values_offset),
-                static_cast<std::size_t>(header_.nnz)};
-    }
-
-    /**
-     * Materialize the whole matrix. Fatal when it holds more nonzeros
-     * than an in-memory CsrMatrix can index.
-     */
-    CsrMatrix toCsr() const;
-
-    /**
-     * Re-hash the mapped sections and compare against the header's
-     * content_hash; fatal on mismatch. Reads the whole file, so it is
-     * an explicit integrity pass, not part of open().
-     */
-    void verifyContent() const;
-
-    const std::string &
-    path() const
-    {
-        return file_.path();
-    }
-
-  private:
-    MappedFile file_;
-    ScsrHeader header_{};
-};
+/**
+ * Stream the three sections through FNV-1a and compare the result
+ * with the header's content_hash; fatal, naming the file, on a
+ * mismatch. Reads the whole file, so it is an explicit integrity
+ * pass (`sparch convert --verify`), not part of readScsr.
+ */
+void verifyScsrContent(const std::string &path);
 
 } // namespace sparch
 

@@ -1,7 +1,6 @@
-// Seeded violations for the raw-mmap rule. Fixture mode checks every
-// file; in the real tree only src/matrix/mmap_file.cc — the RAII
-// wrapper that owns every mapping — may touch the mmap syscall family
-// directly. This file is an audit fixture, not part of the build.
+// Seeded violations for the raw-mmap rule. No file in the tree may
+// touch the mmap syscall family: operands are read with plain reads.
+// This file is an audit fixture, not part of the build.
 
 #include <cstddef>
 #include <sys/mman.h>

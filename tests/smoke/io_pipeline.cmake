@@ -1,9 +1,9 @@
-# Smoke case: the out-of-core matrix pipeline. `sparch convert` passes
-# its own content-hash verification and is idempotent across buffer
-# shapes, a sweep of the converted .scsr writes the same CSV bytes as a
-# sweep of the .mtx (same workload name, same cycles, same everything),
-# and a truncated .scsr is rejected loudly at workload registration,
-# never loaded quietly wrong.
+# Smoke case: the file-operand pipeline. `sparch convert` passes its own
+# content-hash verification, writes the same bytes on every run, and
+# those bytes are pinned; a sweep of the converted .scsr writes the same
+# CSV bytes as a sweep of the .mtx (same workload name, same cycles,
+# same everything), and a truncated .scsr is rejected loudly at
+# workload registration, never loaded quietly wrong.
 #
 #   cmake -DSPARCH=<sparch binary> -DWORK_DIR=<scratch dir> \
 #         -P tests/smoke/io_pipeline.cmake
@@ -12,8 +12,8 @@ include(${CMAKE_CURRENT_LIST_DIR}/common.cmake)
 
 # A deterministic 300 x 300 matrix with 3000 entries (file workloads
 # compute C = A^2) from a 31-bit LCG, ending in a duplicate of the
-# first coordinate and an explicit zero, so the converter's merge path
-# is exercised, not just the copy.
+# first coordinate and an explicit zero, so the duplicate merge and the
+# zero drop are exercised, not just the copy.
 set(side 300)
 set(x 20240229)
 set(body "")
@@ -34,12 +34,18 @@ file(WRITE "${WORK_DIR}/m.mtx"
 
 run_ok("${SPARCH}" convert "${WORK_DIR}/m.mtx" "${WORK_DIR}/m.scsr"
     --verify)
-run_ok("${SPARCH}" convert "${WORK_DIR}/m.mtx" "${WORK_DIR}/m2.scsr"
-    --buffer-bytes 8192 --buffers 2 --parse-threads 3)
+run_ok("${SPARCH}" convert "${WORK_DIR}/m.mtx" "${WORK_DIR}/m2.scsr")
 file(SHA256 "${WORK_DIR}/m.scsr" one)
 file(SHA256 "${WORK_DIR}/m2.scsr" two)
 if(NOT one STREQUAL two)
-    message(FATAL_ERROR "the re-convert with other buffers changed the bytes")
+    message(FATAL_ERROR "a second convert of m.mtx changed the bytes")
+endif()
+# The .scsr bytes are part of the format: their header checksum is the
+# workload identity behind every cached result. Pinned on the bytes the
+# streaming converter wrote before convert became read + writeScsr.
+set(pinned 9b7bfd3f4bf9c42c84f31e58a294e036ce851638cfcb3591966c9e7f52ce5acc)
+if(NOT one STREQUAL pinned)
+    message(FATAL_ERROR "m.scsr changed: SHA256 ${one}, pinned ${pinned}")
 endif()
 
 # Sweep one file workload; its CSV lands in `csv_<ext>`.

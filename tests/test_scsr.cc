@@ -1,9 +1,8 @@
 /**
  * @file
- * Tests for the .scsr on-disk format: writer/mmap round trips, the
- * streaming converter's bit-identity with the in-core path, corruption
- * rejection, workload identities, and the O(buffer-pool) memory
- * accounting the converter claims.
+ * Tests for the .scsr on-disk format: write/read round trips, the
+ * pinned bytes of `sparch convert`, corruption rejection (header and
+ * section structure), and workload identities.
  */
 
 #include <cstdint>
@@ -16,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cli/commands.hh"
 #include "common/logging.hh"
 #include "driver/batch_runner.hh"
 #include "driver/result_cache.hh"
@@ -24,7 +24,6 @@
 #include "matrix/generators.hh"
 #include "matrix/matrix_market.hh"
 #include "matrix/scsr.hh"
-#include "matrix/scsr_convert.hh"
 #include "temp_path.hh"
 
 namespace sparch
@@ -51,6 +50,20 @@ fileBytes(const std::string &path)
     return buf.str();
 }
 
+/** Run `fn`, which must throw a FatalError that names `path`. */
+template <typename Fn>
+void
+expectFatalNaming(Fn &&fn, const std::string &path)
+{
+    try {
+        fn();
+        ADD_FAILURE() << "no FatalError for " << path;
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+            << "the error does not name " << path << ": " << e.what();
+    }
+}
+
 /** Exact (bit-level) CSR equality; almostEqual is too forgiving here. */
 void
 expectBitIdentical(const CsrMatrix &a, const CsrMatrix &b)
@@ -68,9 +81,9 @@ expectBitIdentical(const CsrMatrix &a, const CsrMatrix &b)
             << " vs " << b.values()[i];
 }
 
-// ------------------------------------------------------ write / map
+// ----------------------------------------------------- write / read
 
-TEST(Scsr, WriteThenMapRoundTripsBitIdentically)
+TEST(Scsr, WriteThenReadRoundTripsBitIdentically)
 {
     const CsrMatrix m = generateUniform(120, 90, 800, 7);
     const std::string path = uniqueTempPath("scsr_roundtrip.scsr");
@@ -81,9 +94,8 @@ TEST(Scsr, WriteThenMapRoundTripsBitIdentically)
     EXPECT_EQ(header.file_bytes % kScsrAlign, 0u);
     EXPECT_EQ(std::filesystem::file_size(path), header.file_bytes);
 
-    const MappedCsr mapped = MappedCsr::open(path);
-    expectBitIdentical(mapped.toCsr(), m);
-    mapped.verifyContent(); // full re-hash must agree with the header
+    expectBitIdentical(readScsr(path), m);
+    verifyScsrContent(path); // full re-hash must agree with the header
     std::filesystem::remove(path);
 }
 
@@ -104,95 +116,96 @@ TEST(Scsr, EmptyMatrixRoundTrips)
     const CsrMatrix m(4, 5); // 4x5, zero nonzeros
     const std::string path = uniqueTempPath("scsr_empty.scsr");
     writeScsr(m, path);
-    const MappedCsr mapped = MappedCsr::open(path);
-    EXPECT_EQ(mapped.rows(), 4u);
-    EXPECT_EQ(mapped.cols(), 5u);
-    EXPECT_EQ(mapped.nnz(), 0u);
-    expectBitIdentical(mapped.toCsr(), m);
+    const ScsrHeader header = readScsrHeader(path);
+    EXPECT_EQ(header.rows, 4u);
+    EXPECT_EQ(header.cols, 5u);
+    EXPECT_EQ(header.nnz, 0u);
+    expectBitIdentical(readScsr(path), m);
+    verifyScsrContent(path);
     std::filesystem::remove(path);
 }
 
-// --------------------------------------------- converter bit-identity
+// ------------------------------------------- `sparch convert` bytes
+
+/**
+ * Run `sparch convert --verify` on mtx and return the FNV-1a hash of
+ * the .scsr it wrote. The tests pin these hashes: the .scsr bytes are
+ * part of the format (header checksums feed workload identities and
+ * so every cached result), and the values were captured from the
+ * streaming converter this path replaced.
+ */
+std::uint64_t
+convertAndHash(const std::string &mtx, const std::string &scsr)
+{
+    std::ostringstream out, err;
+    EXPECT_EQ(cli::run({"convert", mtx, scsr, "--verify"}, out, err), 0)
+        << err.str();
+    return fnv1aFile(scsr);
+}
 
 TEST(ScsrConvert, MatchesInCoreReadThenWriteByteForByte)
 {
     const CsrMatrix m = generateUniform(200, 200, 2500, 19);
     const std::string mtx = uniqueTempPath("scsr_conv.mtx");
     writeMatrixMarketFile(m, mtx);
-
-    const std::string via_memory = uniqueTempPath("scsr_conv_mem.scsr");
-    writeScsr(readMatrixMarketFile(mtx), via_memory);
-
-    const std::string via_stream = uniqueTempPath("scsr_conv_stream.scsr");
-    ConvertOptions opts;
-    opts.buffer_bytes = 4096; // force many chunks through the pipeline
-    opts.buffers = 3;
-    opts.parser_threads = 2;
-    const ConvertStats stats =
-        convertMatrixMarketToScsr(mtx, via_stream, opts);
-    EXPECT_EQ(stats.rows, 200u);
-    EXPECT_EQ(stats.nnz, m.nnz());
-    EXPECT_GT(stats.chunks, 4u);
-
-    EXPECT_EQ(fileBytes(via_stream), fileBytes(via_memory));
+    const std::string scsr = uniqueTempPath("scsr_conv.scsr");
+    EXPECT_EQ(convertAndHash(mtx, scsr), 0x4ac345a1846b7186ULL);
     std::filesystem::remove(mtx);
-    std::filesystem::remove(via_memory);
-    std::filesystem::remove(via_stream);
+    std::filesystem::remove(scsr);
 }
 
-/** Converter and reader must agree on every Matrix Market dialect. */
-void
-expectConverterMatchesReader(const std::string &name,
-                             const std::string &mtx_text)
+/** Convert one Matrix Market dialect and return the output's hash. */
+std::uint64_t
+convertTextAndHash(const std::string &name, const std::string &mtx_text)
 {
     const std::string mtx = writeTempFile(name + ".mtx", mtx_text);
-    const std::string via_memory = uniqueTempPath(name + "_mem.scsr");
-    const std::string via_stream = uniqueTempPath(name + "_stream.scsr");
-    writeScsr(readMatrixMarketFile(mtx), via_memory);
-    convertMatrixMarketToScsr(mtx, via_stream);
-    EXPECT_EQ(fileBytes(via_stream), fileBytes(via_memory));
+    const std::string scsr = uniqueTempPath(name + ".scsr");
+    const std::uint64_t hash = convertAndHash(mtx, scsr);
     std::filesystem::remove(mtx);
-    std::filesystem::remove(via_memory);
-    std::filesystem::remove(via_stream);
+    std::filesystem::remove(scsr);
+    return hash;
 }
 
 TEST(ScsrConvert, ExpandsSymmetricMirrors)
 {
-    expectConverterMatchesReader(
-        "scsr_sym",
-        "%%MatrixMarket matrix coordinate real symmetric\n"
-        "4 4 4\n"
-        "2 1 1.5\n"
-        "3 3 2.0\n"
-        "4 2 -1.0\n"
-        "1 1 0.5\n");
+    EXPECT_EQ(convertTextAndHash(
+                  "scsr_sym",
+                  "%%MatrixMarket matrix coordinate real symmetric\n"
+                  "4 4 4\n"
+                  "2 1 1.5\n"
+                  "3 3 2.0\n"
+                  "4 2 -1.0\n"
+                  "1 1 0.5\n"),
+              0x667ca2e90d2662b0ULL);
 }
 
 TEST(ScsrConvert, PatternEntriesGetUnitValues)
 {
-    expectConverterMatchesReader(
-        "scsr_pat",
-        "%%MatrixMarket matrix coordinate pattern general\n"
-        "3 3 3\n"
-        "1 2\n"
-        "3 1\n"
-        "2 2\n");
+    EXPECT_EQ(convertTextAndHash(
+                  "scsr_pat",
+                  "%%MatrixMarket matrix coordinate pattern general\n"
+                  "3 3 3\n"
+                  "1 2\n"
+                  "3 1\n"
+                  "2 2\n"),
+              0xdbf52c92929d4888ULL);
 }
 
 TEST(ScsrConvert, SumsDuplicatesInFileOrderAndDropsZeros)
 {
     // (1,1) cancels to 0.0 and (3,1) is an explicit zero: both must
     // vanish, exactly as CooMatrix::canonicalize drops them.
-    expectConverterMatchesReader(
-        "scsr_dup",
-        "%%MatrixMarket matrix coordinate real general\n"
-        "3 3 6\n"
-        "1 1 2.0\n"
-        "1 1 -2.0\n"
-        "2 3 1.0\n"
-        "2 3 2.5\n"
-        "3 1 0.0\n"
-        "2 1 4.0\n");
+    EXPECT_EQ(convertTextAndHash(
+                  "scsr_dup",
+                  "%%MatrixMarket matrix coordinate real general\n"
+                  "3 3 6\n"
+                  "1 1 2.0\n"
+                  "1 1 -2.0\n"
+                  "2 3 1.0\n"
+                  "2 3 2.5\n"
+                  "3 1 0.0\n"
+                  "2 1 4.0\n"),
+              0x81f58501f5928655ULL);
 }
 
 TEST(ScsrConvert, LoadedMatrixMatchesDirectRead)
@@ -201,23 +214,23 @@ TEST(ScsrConvert, LoadedMatrixMatchesDirectRead)
     const std::string mtx = uniqueTempPath("scsr_load.mtx");
     writeMatrixMarketFile(m, mtx);
     const std::string scsr = uniqueTempPath("scsr_load.scsr");
-    convertMatrixMarketToScsr(mtx, scsr);
-    expectBitIdentical(MappedCsr::open(scsr).toCsr(),
-                       readMatrixMarketFile(mtx));
+    EXPECT_EQ(convertAndHash(mtx, scsr), 0xbcc2d8e0e7daeec2ULL);
+    expectBitIdentical(readScsr(scsr), readMatrixMarketFile(mtx));
     std::filesystem::remove(mtx);
     std::filesystem::remove(scsr);
 }
 
 TEST(ScsrConvert, RejectsTruncatedAndOverlongInputs)
 {
+    // The in-core reader is the convert path, so its errors must name
+    // the file just as the streaming converter's did.
     const std::string truncated = writeTempFile(
         "scsr_conv_trunc.mtx",
         "%%MatrixMarket matrix coordinate real general\n"
         "2 2 3\n"
         "1 1 1.0\n");
-    EXPECT_THROW(convertMatrixMarketToScsr(
-                     truncated, uniqueTempPath("scsr_conv_trunc.scsr")),
-                 FatalError);
+    expectFatalNaming([&] { readMatrixMarketFile(truncated); },
+                      truncated);
     std::filesystem::remove(truncated);
 
     const std::string overlong = writeTempFile(
@@ -226,50 +239,8 @@ TEST(ScsrConvert, RejectsTruncatedAndOverlongInputs)
         "2 2 1\n"
         "1 1 1.0\n"
         "2 2 2.0\n");
-    EXPECT_THROW(convertMatrixMarketToScsr(
-                     overlong, uniqueTempPath("scsr_conv_extra.scsr")),
-                 FatalError);
+    expectFatalNaming([&] { readMatrixMarketFile(overlong); }, overlong);
     std::filesystem::remove(overlong);
-}
-
-// -------------------------------------------- O(buffer-pool) memory
-
-TEST(ScsrConvert, ResidentMemoryIsBoundedByThePoolNotTheFile)
-{
-    // Same shape, 8x the nonzeros: the input grows ~8x but the
-    // pipeline's resident allocation (buffer pool + parsed batches)
-    // is sized by ConvertOptions alone and must not scale with it.
-    ConvertOptions opts;
-    opts.buffer_bytes = 32 * 1024;
-    opts.buffers = 2;
-    opts.parser_threads = 2;
-
-    const auto convert = [&](std::uint64_t nnz, const char *tag) {
-        const CsrMatrix m = generateUniform(2000, 2000, nnz, 5);
-        const std::string mtx = uniqueTempPath(std::string(tag) + ".mtx");
-        const std::string scsr =
-            uniqueTempPath(std::string(tag) + ".scsr");
-        writeMatrixMarketFile(m, mtx);
-        const ConvertStats s =
-            convertMatrixMarketToScsr(mtx, scsr, opts);
-        std::filesystem::remove(mtx);
-        std::filesystem::remove(scsr);
-        return s;
-    };
-
-    const ConvertStats small = convert(20000, "scsr_mem_small");
-    const ConvertStats big = convert(160000, "scsr_mem_big");
-
-    EXPECT_GE(big.bytes_in, 6 * small.bytes_in);
-    // Pool allocation is a function of the options, not the input.
-    EXPECT_LE(big.pool_bytes, small.pool_bytes * 13 / 10);
-    // The row tables are O(rows) and identical for the fixed shape.
-    EXPECT_EQ(big.table_bytes, small.table_bytes);
-    // The out-of-core state (mmapped scratch) did grow with the file;
-    // the resident pool stays far below it.
-    EXPECT_GT(big.scratch_file_bytes, 4 * small.scratch_file_bytes);
-    EXPECT_LT(big.pool_bytes, big.scratch_file_bytes);
-    EXPECT_LT(big.pool_bytes, big.bytes_in);
 }
 
 // ------------------------------------------------- corruption paths
@@ -324,6 +295,50 @@ class ScsrCorruption : public ::testing::Test
         EXPECT_TRUE(static_cast<bool>(f));
     }
 
+    /** Read the T at byte `offset`. */
+    template <typename T>
+    T
+    readAt(std::uint64_t offset)
+    {
+        T v{};
+        std::ifstream in(path_, std::ios::binary);
+        in.seekg(static_cast<std::streamoff>(offset));
+        in.read(reinterpret_cast<char *>(&v), sizeof v);
+        EXPECT_TRUE(static_cast<bool>(in));
+        return v;
+    }
+
+    /** Overwrite the T at byte `offset`; the header is left as it was. */
+    template <typename T>
+    void
+    writeAt(std::uint64_t offset, T v)
+    {
+        std::fstream f(path_,
+                       std::ios::binary | std::ios::in | std::ios::out);
+        f.seekp(static_cast<std::streamoff>(offset));
+        f.write(reinterpret_cast<const char *>(&v), sizeof v);
+        EXPECT_TRUE(static_cast<bool>(f));
+    }
+
+    std::uint64_t
+    rowPtrAt(std::uint64_t row)
+    {
+        return readRawHeader().row_ptr_offset + row * sizeof(std::uint64_t);
+    }
+
+    std::uint64_t
+    colIdxAt(std::uint64_t i)
+    {
+        return readRawHeader().col_idx_offset + i * sizeof(Index);
+    }
+
+    /** readScsr must fail with a FatalError naming the file. */
+    void
+    expectLoadFails()
+    {
+        expectFatalNaming([&] { readScsr(path_); }, path_);
+    }
+
     std::string path_;
 };
 
@@ -331,21 +346,21 @@ TEST_F(ScsrCorruption, TruncatedFileIsRejected)
 {
     std::filesystem::resize_file(
         path_, std::filesystem::file_size(path_) / 2);
-    EXPECT_THROW(MappedCsr::open(path_), FatalError);
+    expectLoadFails();
     EXPECT_THROW(readScsrHeader(path_), FatalError);
 }
 
 TEST_F(ScsrCorruption, BadMagicIsRejected)
 {
     flipByteAt(0);
-    EXPECT_THROW(MappedCsr::open(path_), FatalError);
+    expectLoadFails();
 }
 
 TEST_F(ScsrCorruption, HeaderBitrotFailsTheChecksum)
 {
     // Flip a byte inside the dims without fixing the checksum.
     flipByteAt(offsetof(ScsrHeader, rows));
-    EXPECT_THROW(MappedCsr::open(path_), FatalError);
+    expectLoadFails();
 }
 
 TEST_F(ScsrCorruption, UnsupportedVersionIsRejected)
@@ -353,7 +368,7 @@ TEST_F(ScsrCorruption, UnsupportedVersionIsRejected)
     ScsrHeader h = readRawHeader();
     h.version = 2;
     writeRawHeader(h); // checksum valid: the version check must fire
-    EXPECT_THROW(MappedCsr::open(path_), FatalError);
+    expectLoadFails();
 }
 
 TEST_F(ScsrCorruption, UnalignedSectionOffsetIsRejected)
@@ -361,24 +376,70 @@ TEST_F(ScsrCorruption, UnalignedSectionOffsetIsRejected)
     ScsrHeader h = readRawHeader();
     h.col_idx_offset += 8;
     writeRawHeader(h); // checksum valid: the layout check must fire
-    EXPECT_THROW(MappedCsr::open(path_), FatalError);
+    expectLoadFails();
 }
 
 TEST_F(ScsrCorruption, SectionBitrotFailsTheContentHash)
 {
     const ScsrHeader h = readRawHeader();
     flipByteAt(h.values_offset + 3);
-    // The header page is intact, so the cheap open succeeds...
-    const MappedCsr mapped = MappedCsr::open(path_);
+    // The header page and the structure are intact, so the load
+    // succeeds...
+    EXPECT_EQ(readScsr(path_).nnz(), h.nnz);
     // ...and the explicit integrity pass catches the damage.
-    EXPECT_THROW(mapped.verifyContent(), FatalError);
+    expectFatalNaming([&] { verifyScsrContent(path_); }, path_);
 }
 
 TEST_F(ScsrCorruption, MissingFileFailsLoudly)
 {
-    EXPECT_THROW(MappedCsr::open("/nonexistent/file.scsr"),
-                 FatalError);
+    expectFatalNaming([] { readScsr("/nonexistent/file.scsr"); },
+                      "/nonexistent/file.scsr");
     EXPECT_THROW(readScsrHeader("/nonexistent/file.scsr"), FatalError);
+    EXPECT_THROW(verifyScsrContent("/nonexistent/file.scsr"), FatalError);
+}
+
+// The structural faults below leave the header valid: each one loaded
+// quietly past the end of the sections, or panicked without naming
+// the file, before readScsr checked the structure.
+
+TEST_F(ScsrCorruption, RowPtrEndPastTheNonzerosIsRejected)
+{
+    const ScsrHeader h = readRawHeader();
+    writeAt<std::uint64_t>(rowPtrAt(h.rows), h.nnz + 50000000);
+    expectLoadFails();
+}
+
+TEST_F(ScsrCorruption, RowPtrNotStartingAtZeroIsRejected)
+{
+    writeAt<std::uint64_t>(rowPtrAt(0), 1);
+    expectLoadFails();
+}
+
+TEST_F(ScsrCorruption, DecreasingRowPtrIsRejected)
+{
+    const ScsrHeader h = readRawHeader();
+    ASSERT_LT(readAt<std::uint64_t>(rowPtrAt(16)), h.nnz);
+    writeAt<std::uint64_t>(rowPtrAt(15), h.nnz);
+    expectLoadFails();
+}
+
+TEST_F(ScsrCorruption, ColumnOutOfRangeIsRejected)
+{
+    const ScsrHeader h = readRawHeader();
+    writeAt<Index>(colIdxAt(0), static_cast<Index>(h.cols));
+    expectLoadFails();
+}
+
+TEST_F(ScsrCorruption, UnsortedColumnsAreRejected)
+{
+    // Repeat the first column of the first row with two entries.
+    std::uint64_t r = 0;
+    while (readAt<std::uint64_t>(rowPtrAt(r + 1)) -
+               readAt<std::uint64_t>(rowPtrAt(r)) < 2)
+        ++r;
+    const std::uint64_t first = readAt<std::uint64_t>(rowPtrAt(r));
+    writeAt<Index>(colIdxAt(first + 1), readAt<Index>(colIdxAt(first)));
+    expectLoadFails();
 }
 
 // --------------------------------------------- workload identities

@@ -18,11 +18,11 @@ Enforces invariants the compiler cannot see:
                            or carries an explicit allow annotation.
   nolint-reason            every NOLINT marker names specific checks
                            and carries a written justification.
-  raw-mmap                 no raw mmap/munmap/mremap/msync calls
-                           anywhere but src/matrix/mmap_file.cc, the
-                           RAII wrapper that owns every mapping (a raw
-                           call elsewhere is a leak or double-unmap
-                           waiting to happen).
+  raw-mmap                 no mmap/munmap/mremap/msync calls anywhere
+                           in src/: every operand is read into
+                           memory with plain reads, and a mapping
+                           brings back unmap bookkeeping (leaks,
+                           double unmaps) that nothing needs.
   shared-temp-path         no ::testing::TempDir() or
                            std::filesystem::temp_directory_path()
                            calls in tests/ outside tests/temp_path.hh
@@ -70,7 +70,7 @@ RULES = {
     "schedule-point-coverage": "synchronization site without a schedule point",
     "nolint-reason": "NOLINT without specific checks and a justification",
     "config-field-coverage": "field registry and struct disagree",
-    "raw-mmap": "raw mmap call outside the MappedFile wrapper",
+    "raw-mmap": "mmap-family call in a tree that maps no files",
     "shared-temp-path": "temp directory path built outside uniqueTempPath",
     "bad-annotation": "malformed sparch-audit annotation",
 }
@@ -78,8 +78,6 @@ RULES = {
 # Path scopes for the tree scan (fixture mode ignores these).
 KEYED_SCOPE = ("src/driver", "src/cli")
 SCHEDULE_SCOPE = ("src/driver", "src/exec", "src/check")
-# The one file allowed to touch the mmap syscall family directly.
-MMAP_OWNER = "src/matrix/mmap_file.cc"
 # Tests and benches are scanned for shared temp paths only; the one
 # header allowed to build paths in the temp directory; fixtures are
 # scanned on their own in fixture mode.
@@ -516,9 +514,8 @@ def check_raw_mmap(path, code, starts, ann, out):
                 "raw-mmap", lineno):
             out.append(Violation(
                 path, lineno, "raw-mmap",
-                "raw mmap-family call outside %s; hold a MappedFile "
-                "instead so unmapping cannot be forgotten or doubled" %
-                MMAP_OWNER))
+                "mmap-family call; read files with plain reads "
+                "(matrix/scsr.cc) instead"))
 
 
 def check_shared_temp_path(path, code, ann, out):
@@ -843,8 +840,7 @@ def scan_file(path, rel, fixture_mode, out):
     check_alloc_in_hot(rel, code, starts, ann, out)
     if in_sched:
         check_schedule_points(rel, code, starts, ann, out)
-    if rel.replace(os.sep, "/") != MMAP_OWNER:
-        check_raw_mmap(rel, code, starts, ann, out)
+    check_raw_mmap(rel, code, starts, ann, out)
     if fixture_mode:
         check_shared_temp_path(rel, code, ann, out)
     check_nolint(rel, comments, ann, out)
